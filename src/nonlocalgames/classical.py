@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -52,19 +52,72 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
+#: one +-1 tape per party for one round
+Tapes = tuple[tuple[int, ...], ...]
+#: draws one round's tapes from the generator, given the round's context
+Dealer = Callable[[np.random.Generator, Context], Tapes]
+
+
+class LocalModel:
+    """A local strategy: ``hidden_bits`` uniform +-1 bits dealt to every
+    party each round (the shared randomness), then each party answers from
+    its own question and those bits alone.
+
+    This is the classical side of the one strategy shape in the package:
+    ``dealer(game)`` validates against the game and returns ``deal(rng,
+    context)``, which gives one tape per party for that round;
+    ``respond(party, question, tape)`` is one party's answer;
+    ``tape_width(game, party)`` is a party's tape length per round.
+    """
+
+    hidden_bits: int
+    parties: int
+
+    def tape_width(self, game: NonlocalGame, party: int) -> int:
+        return self.hidden_bits
+
+    def check(self, game: NonlocalGame) -> None:
+        if self.parties != game.parties:
+            raise ValueError(
+                f"strategy covers {self.parties} parties, game has {game.parties}"
+            )
+        check_responses(game, self)
+
+    def dealer(self, game: NonlocalGame) -> Dealer:
+        self.check(game)
+        k, parties = self.hidden_bits, game.parties
+
+        def deal(rng: np.random.Generator, context: Context) -> Tapes:
+            # size=0 draws nothing, so a deterministic table leaves the stream alone
+            bits = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, size=k))
+            return (bits,) * parties
+
+        return deal
+
+
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """A total map question-id -> answer tuple for every party."""
+class DeterministicStrategy(LocalModel):
+    """A total map question-id -> answer tuple for every party: the 0-bit model."""
 
     name: str
     answers: tuple[dict[str, tuple[int, ...]], ...]
+    hidden_bits: ClassVar[int] = 0
+
+    @property
+    def parties(self) -> int:
+        return len(self.answers)
 
     def answers_for(self, party: int, question_id: str) -> tuple[int, ...]:
         return self.answers[party][question_id]
 
+    def respond(
+        self, party: int, question: Question, tape: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        return self.answers[party][question.id]
+
 
 @dataclass(frozen=True)
-class HiddenVariableModel:
+class HiddenVariableModel(LocalModel):
     """Per-party deterministic responses to uniformly random hidden bits.
 
     ``responders[party](question_id, bits)`` returns the party's answer
@@ -76,8 +129,33 @@ class HiddenVariableModel:
     hidden_bits: int
     responders: tuple[Callable[[str, tuple[int, ...]], tuple[int, ...]], ...]
 
-    def bit_assignments(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product((+1, -1), repeat=self.hidden_bits)
+    @property
+    def parties(self) -> int:
+        return len(self.responders)
+
+    def respond(
+        self, party: int, question: Question, tape: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        return self.responders[party](question.id, tape)
+
+
+def check_responses(game: NonlocalGame, strategy) -> None:
+    """Raise ValueError unless ``strategy`` answers every question of every
+    party, from an all-+1 tape, with the question's arity."""
+    for party, questions in enumerate(game.question_sets):
+        tape = (+1,) * strategy.tape_width(game, party)
+        for q in questions:
+            try:
+                values = strategy.respond(party, q, tape)
+            except (KeyError, IndexError):
+                raise ValueError(
+                    f"strategy is partial: party {party} lacks question {q.id}"
+                ) from None
+            if len(values) != q.answer_arity:
+                raise ValueError(
+                    f"party {party} question {q.id}: answer arity "
+                    f"{len(values)} != {q.answer_arity}"
+                )
 
 
 @dataclass(frozen=True)
@@ -158,113 +236,38 @@ def automaton_model() -> DeterministicStrategy:
 # ---------------------------------------------------------------------------
 
 
-def _context_outcomes(
-    game: NonlocalGame, context: Context, answers: Sequence[tuple[int, ...]]
-) -> dict[SiteObservable, int]:
-    outcomes: dict[SiteObservable, int] = {}
-    for party, question in enumerate(context.questions):
-        measured = question.measured
-        values = answers[party]
-        if len(values) != len(measured):
-            raise ValueError(
-                f"party {party} answered {len(values)} values to "
-                f"{question.id} which has arity {len(measured)}"
-            )
-        outcomes.update(zip(measured, values))
-    return outcomes
-
-
-def _check_total(game: NonlocalGame, strategy: DeterministicStrategy) -> None:
-    if len(strategy.answers) != game.parties:
-        raise ValueError(
-            f"strategy covers {len(strategy.answers)} parties, game has {game.parties}"
-        )
-    for party, questions in enumerate(game.question_sets):
-        for q in questions:
-            try:
-                values = strategy.answers_for(party, q.id)
-            except KeyError:
-                raise ValueError(
-                    f"strategy is partial: party {party} lacks question {q.id}"
-                ) from None
-            if len(values) != q.answer_arity:
-                raise ValueError(
-                    f"party {party} question {q.id}: answer arity "
-                    f"{len(values)} != {q.answer_arity}"
-                )
-
-
-def win_probability(
-    game: NonlocalGame, strategy: DeterministicStrategy | HiddenVariableModel
-) -> Fraction:
-    """Exact winning probability of a strategy under the referee weights."""
-    if isinstance(strategy, DeterministicStrategy):
-        _check_total(game, strategy)
-        total = Fraction(0)
-        for ctx in game.contexts:
-            answers = [
-                strategy.answers_for(party, q.id)
-                for party, q in enumerate(ctx.questions)
-            ]
-            if predicate_eval(ctx.predicate, _context_outcomes(game, ctx, answers)):
-                total += ctx.weight
-        return total
-    if isinstance(strategy, HiddenVariableModel):
-        total = Fraction(0)
-        denom = 2**strategy.hidden_bits
-        for ctx in game.contexts:
-            wins = 0
-            for bits in strategy.bit_assignments():
-                answers = [
-                    strategy.responders[party](q.id, bits)
-                    for party, q in enumerate(ctx.questions)
-                ]
-                if predicate_eval(ctx.predicate, _context_outcomes(game, ctx, answers)):
-                    wins += 1
-            total += ctx.weight * Fraction(wins, denom)
-        return total
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-
-
 def model_distribution(
-    model: HiddenVariableModel | DeterministicStrategy,
-    game: NonlocalGame,
-    context: Context,
+    model: LocalModel, game: NonlocalGame, context: Context
 ) -> dict[tuple[int, ...], Fraction]:
     """Joint answer distribution a model induces in one context.
 
     Keys are the flattened answers in the same order as
     ``game.measured_observables(context)``, so the result is directly
     comparable with ``quantum.joint_distribution``. A deterministic
-    strategy is treated as a zero-bit model (a point mass).
+    strategy has no hidden bits, so it gives a point mass.
     """
+    model.check(game)
+    weight = Fraction(1, 2**model.hidden_bits)
     dist: dict[tuple[int, ...], Fraction] = {}
-    if isinstance(model, DeterministicStrategy):
-        assignments: Iterable[tuple[int, ...]] = [()]
-        weight = Fraction(1)
-
-        def respond(party: int, qid: str, bits: tuple[int, ...]) -> tuple[int, ...]:
-            return model.answers_for(party, qid)
-
-    else:
-        assignments = model.bit_assignments()
-        weight = Fraction(1, 2**model.hidden_bits)
-
-        def respond(party: int, qid: str, bits: tuple[int, ...]) -> tuple[int, ...]:
-            return model.responders[party](qid, bits)
-
-    for bits in assignments:
-        flat: list[int] = []
-        for party, q in enumerate(context.questions):
-            values = respond(party, q.id, bits)
-            if len(values) != q.answer_arity:
-                raise ValueError(
-                    f"party {party} answered arity {len(values)} to {q.id}"
-                )
-            flat.extend(values)
-        key = tuple(flat)
+    for bits in itertools.product((+1, -1), repeat=model.hidden_bits):
+        key = tuple(
+            v
+            for party, q in enumerate(context.questions)
+            for v in model.respond(party, q, bits)
+        )
         dist[key] = dist.get(key, Fraction(0)) + weight
     return dist
+
+
+def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
+    """Exact winning probability of a strategy under the referee weights."""
+    total = Fraction(0)
+    for ctx in game.contexts:
+        observables = game.measured_observables(ctx)
+        for values, p in model_distribution(strategy, game, ctx).items():
+            if predicate_eval(ctx.predicate, dict(zip(observables, values))):
+                total += ctx.weight * p
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +506,11 @@ def classical_value(
     else:
         results = [_scan_chunk(*chunk) for chunk in chunks]
 
-    best = None
-    winner_indices: list[int] = []
-    for chunk_max, winners in results:
-        if best is None or chunk_max > best:
-            best = chunk_max
-            winner_indices = winners[:max_witnesses]
-        elif chunk_max == best and len(winner_indices) < max_witnesses:
-            winner_indices.extend(winners[: max_witnesses - len(winner_indices)])
-    assert best is not None
+    best = max(chunk_max for chunk_max, _ in results)
+    winner_indices = itertools.islice(
+        (i for chunk_max, winners in results if chunk_max == best for i in winners),
+        max_witnesses,
+    )
 
     strategies = []
     for index in winner_indices:

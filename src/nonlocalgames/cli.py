@@ -26,7 +26,6 @@ EXIT_PROTOCOL = 4
 
 BUDGET_ENV = "NONLOCALGAMES_BUDGET"
 
-STRATEGY_NAMES = ("quantum", "lambda-mu", "automaton", "best-classical")
 EQUATION_SETS = {
     "fourteen": games.fourteen_equalities,
     "four": games.contradiction_subset,
@@ -173,15 +172,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_play(args: argparse.Namespace) -> int:
-    if args.strategy not in STRATEGY_NAMES:
-        raise CliError(
-            EXIT_USAGE,
-            f"unknown strategy {args.strategy!r}; known: {', '.join(STRATEGY_NAMES)}",
-        )
-    _load_game(args.game)  # validates the name before connecting
-    spec = netplay.PlayerSpec(game=args.game, strategy=args.strategy, party=args.party)
+    # everything is checked before connecting
+    game = _load_game(args.game)
+    strategy = _resolve_strategy(game, args.strategy)
+    try:
+        player = netplay.build_party_strategy(game, strategy, args.party)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from None
     address = _parse_host_port(args.connect)
-    return netplay.run_player(address, spec)
+    return netplay.run_player(address, player)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -228,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded trials in process")
     p.add_argument("game")
-    p.add_argument("--strategy", default="quantum", help="|".join(STRATEGY_NAMES))
+    p.add_argument("--strategy", default="quantum",
+                   help="quantum, best-classical, or a local model the game names")
     p.add_argument("--rounds", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reference", action="store_true",

@@ -20,9 +20,6 @@ from .quantum import ObservableKind, OutcomeTuple, SiteObservable, sites
 #: predicate value meaning the referee accepts any answers for the context
 ALWAYS_WIN = None
 
-#: alias: an outcome variable is a (kind, qubit) symbol such as x1 or z4
-OutcomeVar = SiteObservable
-
 
 @dataclass(frozen=True)
 class ParityConstraint:

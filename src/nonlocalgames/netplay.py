@@ -10,15 +10,19 @@ Wire protocol (version 1), one UTF-8 JSON object per line:
 * referee -> player: ``{"type": "end", "reason": "complete"}``
 
 Unknown fields are ignored; unknown message types are protocol errors. A
-player only ever receives its own questions; shared randomness (hidden
-bits, or presampled measurement outcomes standing in for entanglement)
-is dealt once, before round 1, never during play.
+player only ever receives its own questions.
 
-There is no entangled hardware here: for the quantum strategy the
-referee presamples every round's joint outcome from the exact
-distribution and deals each player its own values as a tape. That
-preserves the joint statistics exactly but is of course a trusted-dealer
-simulation, not physics.
+Every strategy is played as a dealer plus local responders. The referee
+presamples the session (``trials.presample``): per round the strategy's
+dealer draws one tape per party, and each party's answer is a function
+of its own question and tape alone. Before round 1 the referee deals each
+player the concatenation of its per-round tapes, ``tape_width`` values a
+round, and never sends shared randomness during play. A deterministic
+table deals nothing, a hidden-variable model deals its shared bits to
+every party, and the quantum strategy deals each party the presampled
+outcome values of its own slots. There is no entangled hardware here, so
+the quantum case is a trusted-dealer simulation: it preserves the joint
+statistics exactly, but it is not physics.
 """
 
 from __future__ import annotations
@@ -26,20 +30,12 @@ from __future__ import annotations
 import base64
 import json
 import socket
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import BinaryIO, Sequence
 
-from .classical import DeterministicStrategy, HiddenVariableModel
-from .games import NonlocalGame, game_by_name
-from .trials import (
-    QuantumStrategy,
-    RoundPlan,
-    Strategy,
-    TrialLog,
-    _record_for,
-    presample,
-    resolve_strategy,
-)
+from .games import NonlocalGame, Question, game_by_name
+from .trials import Strategy, TrialLog, _record_for, presample, resolve_strategy
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
@@ -105,9 +101,17 @@ def encode_tape(values: Sequence[int]) -> str:
     return base64.b64encode(bytes(bits)).decode()
 
 
-def decode_tape(text: str, length: int) -> tuple[int, ...]:
-    raw = base64.b64decode(text.encode())
-    if len(raw) < (length + 7) // 8:
+def decode_tape(text: str, length: int | None = None) -> tuple[int, ...]:
+    """Unpack ``length`` values, or every bit the text holds when None."""
+    if not isinstance(text, str):
+        raise ProtocolError(f"tape must be a string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text.encode())
+    except ValueError as exc:
+        raise ProtocolError(f"undecodable tape: {exc}") from None
+    if length is None:
+        length = len(raw) * 8
+    elif len(raw) < (length + 7) // 8:
         raise ProtocolError(f"tape too short for {length} values")
     return tuple(
         -1 if raw[i // 8] & (1 << (i % 8)) else +1 for i in range(length)
@@ -136,83 +140,51 @@ class PartyStrategy:
 
 
 @dataclass
-class TablePlayer(PartyStrategy):
-    """Deterministic strategy: look the question id up in a table."""
+class Player(PartyStrategy):
+    """One party of a strategy: answer each question from its own tape.
 
-    table: dict[str, tuple[int, ...]] = None  # type: ignore[assignment]
-
-    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
-        qid = "".join(f"{kind}{slot}" for slot, kind in observables)
-        return list(self.table[qid])
-
-
-@dataclass
-class ModelPlayer(PartyStrategy):
-    """Hidden-variable strategy: per-round bits come off the dealt tape."""
-
-    hidden_bits: int = 0
-    responder: object = None
-    _tape: tuple[int, ...] = ()
-
-    def tape_length(self, rounds: int) -> int:
-        return rounds * self.hidden_bits
-
-    def set_tape(self, values: tuple[int, ...]) -> None:
-        self._tape = values
-
-    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
-        lo = round_index * self.hidden_bits
-        bits = self._tape[lo : lo + self.hidden_bits]
-        if len(bits) != self.hidden_bits:
-            raise ProtocolError(f"tape exhausted at round {round_index}", self.party)
-        qid = "".join(f"{kind}{slot}" for slot, kind in observables)
-        return list(self.responder(qid, tuple(bits)))
-
-
-@dataclass
-class TapePlayer(PartyStrategy):
-    """Quantum stand-in: answer with dealer-presampled outcome values.
-
-    The tape holds one value per owned slot per round; the player answers
-    whichever of its slots the question asks for.
+    The dealt tape holds ``width`` values per round; round r's slice and
+    the question asked are all the strategy's ``respond`` sees.
     """
 
-    slots: tuple[int, ...] = ()
+    strategy: Strategy = None  # type: ignore[assignment]
+    width: int = 0
+    #: the party's questions by their (slot, kind) observables
+    questions: dict[tuple[tuple[int, str], ...], Question] = field(default_factory=dict)
     _tape: tuple[int, ...] = ()
 
     def tape_length(self, rounds: int) -> int:
-        return rounds * len(self.slots)
+        return rounds * self.width
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         self._tape = values
 
     def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
-        lo = round_index * len(self.slots)
-        row = self._tape[lo : lo + len(self.slots)]
-        if len(row) != len(self.slots):
-            raise ProtocolError(f"tape exhausted at round {round_index}", self.party)
-        values = []
-        for slot, _kind in observables:
-            values.append(row[self.slots.index(slot)])
-        return values
+        question = self.questions.get(tuple(observables))
+        if question is None:
+            raise ProtocolError(f"asked a foreign question {observables}", self.party)
+        lo = round_index * self.width
+        row = self._tape[lo : lo + self.width]
+        if round_index < 0 or len(row) != self.width:
+            raise ProtocolError(f"no tape for round {round_index}", self.party)
+        return list(self.strategy.respond(self.party, question, row))
 
 
 def build_party_strategy(
     game: NonlocalGame, strategy: Strategy, party: int
 ) -> PartyStrategy:
     """Split a whole-game strategy into one player's local behaviour."""
-    owned = tuple(q for q, p in game.qubit_ownership if p == party)
-    if isinstance(strategy, QuantumStrategy):
-        return TapePlayer(party=party, slots=owned)
-    if isinstance(strategy, DeterministicStrategy):
-        return TablePlayer(party=party, table=dict(strategy.answers[party]))
-    if isinstance(strategy, HiddenVariableModel):
-        return ModelPlayer(
-            party=party,
-            hidden_bits=strategy.hidden_bits,
-            responder=strategy.responders[party],
-        )
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    if not 0 <= party < game.parties:
+        raise ValueError(f"party must be in 0..{game.parties - 1}, got {party}")
+    return Player(
+        party=party,
+        strategy=strategy,
+        width=strategy.tape_width(game, party),
+        questions={
+            tuple((o.qubit, o.kind.value) for o in q.measured): q
+            for q in game.question_sets[party]
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -231,32 +203,6 @@ class PlayerSpec:
 # ---------------------------------------------------------------------------
 # referee
 # ---------------------------------------------------------------------------
-
-
-def _party_tapes(
-    game: NonlocalGame, strategy: Strategy, plans: list[RoundPlan]
-) -> list[tuple[int, ...]]:
-    """Per-party dealt tapes reproducing exactly the presampled plan."""
-    if isinstance(strategy, HiddenVariableModel):
-        tape: list[int] = []
-        for plan in plans:
-            assert plan.hidden_bits is not None
-            tape.extend(plan.hidden_bits)
-        return [tuple(tape)] * game.parties
-    if isinstance(strategy, QuantumStrategy):
-        tapes: list[list[int]] = [[] for _ in range(game.parties)]
-        owned = [
-            tuple(q for q, p in game.qubit_ownership if p == party)
-            for party in range(game.parties)
-        ]
-        for plan in plans:
-            for party in range(game.parties):
-                question = plan.context.questions[party]
-                by_slot = dict(zip((o.qubit for o in question.measured), plan.answers[party]))
-                for slot in owned[party]:
-                    tapes[party].append(by_slot.get(slot, +1))
-        return [tuple(t) for t in tapes]
-    return [()] * game.parties
 
 
 class RefereeServer:
@@ -287,7 +233,10 @@ class RefereeServer:
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
         plans = presample(self.game, self.strategy, self.rounds, self.seed)
-        tapes = _party_tapes(self.game, self.strategy, plans)
+        tapes = [
+            tuple(chain.from_iterable(plan.tapes[party] for plan in plans))
+            for party in range(self.game.parties)
+        ]
         log = TrialLog(
             game=self.game.name, strategy=self.strategy.name, seed=self.seed
         )
@@ -486,25 +435,23 @@ def run_player(
                     raise ProtocolError("referee closed the connection mid-session")
                 kind = message["type"]
                 if kind == "dealt":
-                    tape_text = message.get("tape", "")
-                    # length is implied by use; decode lazily per round
-                    raw = base64.b64decode(tape_text.encode())
-                    values = tuple(
-                        -1 if raw[i // 8] & (1 << (i % 8)) else +1
-                        for i in range(len(raw) * 8)
-                    )
-                    party_strategy.set_tape(values)
+                    # a player does not know the session length: take every bit
+                    party_strategy.set_tape(decode_tape(message.get("tape", "")))
                 elif kind == "question":
-                    observables = [
-                        (int(o["slot"]), str(o["kind"]))
-                        for o in message.get("observables", [])
-                    ]
-                    values = party_strategy.answer(int(message["round"]), observables)
+                    try:
+                        round_index = int(message["round"])
+                        observables = [
+                            (int(o["slot"]), str(o["kind"]))
+                            for o in message.get("observables", [])
+                        ]
+                    except (KeyError, TypeError, ValueError):
+                        raise ProtocolError(f"malformed question {message!r}") from None
+                    values = party_strategy.answer(round_index, observables)
                     _send(
                         stream,
                         {
                             "type": "answer",
-                            "round": int(message["round"]),
+                            "round": round_index,
                             "values": [int(v) for v in values],
                         },
                     )

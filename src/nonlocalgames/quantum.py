@@ -26,8 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
 
 #: probability threshold below which an event is treated as impossible
 PROB_TOL = 1e-9
-#: tolerance for norm / completeness checks
-NORM_TOL = 1e-12
+#: tolerance on a state's norm
+NORM_TOL = 1e-9
+#: tolerance on a total probability: the squared norm of any accepted state,
+#: plus float roundoff
+SUM_TOL = (2 + NORM_TOL) * NORM_TOL + 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -113,10 +116,6 @@ def sites(text: str) -> tuple[SiteObservable, ...]:
 OutcomeTuple = tuple[tuple[SiteObservable, int], ...]
 
 
-def outcomes_as_mapping(outcomes: OutcomeTuple) -> dict[SiteObservable, int]:
-    return {obs: val for obs, val in outcomes}
-
-
 @dataclass(frozen=True)
 class Statevector:
     """Normalized pure state on ``num_qubits`` qubits.
@@ -137,7 +136,7 @@ class Statevector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized (norm {norm!r})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -207,8 +206,8 @@ def joint_distribution(
 
     Returns a mapping from every tuple of +-1 values (ordered like
     ``observables``, +1 enumerated before -1) to its probability.
-    Unmeasured qubits are marginalized. Probabilities sum to 1 within
-    1e-12.
+    Unmeasured qubits are marginalized. Probabilities sum to the squared
+    norm of the state, which is 1 within ``SUM_TOL``.
     """
     _check_observables(state, observables)
     n = state.num_qubits
@@ -226,8 +225,8 @@ def joint_distribution(
     probs = np.transpose(probs, rank)
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise AssertionError(f"probabilities sum to {total!r}, not 1")
+    if abs(total - 1.0) > SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
     k = len(observables)
     dist: dict[tuple[int, ...], float] = {}
     for values in itertools.product((+1, -1), repeat=k):
@@ -273,7 +272,8 @@ def draw_from(
         last = values
         if u < acc:
             return values
-    assert last is not None
+    if last is None:
+        raise ValueError("cannot draw from an empty distribution")
     return last  # u landed in the roundoff sliver at the top
 
 
@@ -299,8 +299,8 @@ def reduced_spectrum(state: Statevector, keep: Iterable[int]) -> list[float]:
     rho = mat @ mat.conj().T
     eigvals = np.linalg.eigvalsh(rho).real
     eigvals = np.clip(eigvals, 0.0, None)
-    if abs(float(eigvals.sum()) - 1.0) > 1e-9:
-        raise AssertionError("reduced spectrum does not sum to 1")
+    if abs(float(eigvals.sum()) - 1.0) > SUM_TOL:
+        raise ValueError("reduced spectrum does not sum to 1")
     return sorted((float(v) for v in eigvals), reverse=True)
 
 

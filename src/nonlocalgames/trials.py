@@ -13,13 +13,21 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import quantum
-from .classical import DeterministicStrategy, HiddenVariableModel, classical_value
-from .games import Context, NonlocalGame, predicate_eval
+from .classical import (
+    Dealer,
+    DeterministicStrategy,
+    HiddenVariableModel,
+    Tapes,
+    automaton_model,
+    classical_value,
+    lambda_mu_model,
+)
+from .games import Context, NonlocalGame, Question, predicate_eval
 from .quantum import Statevector, make_ghz, make_psi
 
 LOG_FORMAT_VERSION = 1
@@ -27,53 +35,102 @@ LOG_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class QuantumStrategy:
-    """Share an entangled state and measure whatever the referee asks."""
+    """Share an entangled state and measure whatever the referee asks.
+
+    Played as a trusted dealer: each round the joint outcome of the
+    context's measurements is drawn from the exact distribution, and each
+    party is dealt one value per slot of its question (+1 where the slot
+    is unmeasured), from which it reads its own answer.
+    """
 
     state: Statevector
     name: str = "quantum"
 
+    def tape_width(self, game: NonlocalGame, party: int) -> int:
+        return sum(1 for _, owner in game.qubit_ownership if owner == party)
+
+    def respond(
+        self, party: int, question: Question, tape: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        return tuple(
+            v for (_, kind), v in zip(question.measurements, tape) if kind is not None
+        )
+
+    def dealer(self, game: NonlocalGame) -> Dealer:
+        if self.state.num_qubits != game.num_qubits:
+            raise ValueError(
+                f"state has {self.state.num_qubits} qubits, game expects {game.num_qubits}"
+            )
+        widths = [self.tape_width(game, party) for party in range(game.parties)]
+        # per context: the outcome distribution, and the tapes dealt per outcome
+        tables = {}
+        for ctx in game.contexts:
+            dist = quantum.joint_distribution(self.state, game.measured_observables(ctx))
+            tables[ctx.id] = dist, {v: _outcome_tapes(ctx, v, widths) for v in dist}
+
+        def deal(rng: np.random.Generator, context: Context) -> Tapes:
+            dist, tapes = tables[context.id]
+            return tapes[quantum.draw_from(dist, float(rng.random()))]
+
+        return deal
+
+
+def _outcome_tapes(context: Context, values: tuple[int, ...], widths: list[int]) -> Tapes:
+    """Split one joint outcome into per-party tapes, +1 on unmeasured slots."""
+    flat = iter(values)
+    return tuple(
+        tuple(next(flat) if kind is not None else +1 for _, kind in q.measurements)
+        + (+1,) * (width - len(q.measurements))
+        for q, width in zip(context.questions, widths)
+    )
+
 
 Strategy = QuantumStrategy | DeterministicStrategy | HiddenVariableModel
 
-#: canonical entangled state for each catalog game
-_STATE_BUILDERS = {
-    "cabello-restricted": make_psi,
-    "cabello-extended": make_psi,
-    "four-party": make_psi,
-    "mermin-ghz": lambda: make_ghz(3),
+
+class CatalogEntry(NamedTuple):
+    """A catalog game's canonical entangled state and its named local models."""
+
+    state: Callable[[], Statevector]
+    models: Mapping[str, Callable[[], Strategy]]
+
+
+#: the catalog games by name
+CATALOG = {
+    "cabello-restricted": CatalogEntry(
+        make_psi, {"lambda-mu": lambda_mu_model, "automaton": automaton_model}
+    ),
+    "cabello-extended": CatalogEntry(make_psi, {}),
+    "four-party": CatalogEntry(make_psi, {}),
+    "mermin-ghz": CatalogEntry(lambda: make_ghz(3), {}),
 }
 
 
 def quantum_strategy(game: NonlocalGame) -> QuantumStrategy:
     """The catalog game's winning quantum strategy."""
-    try:
-        builder = _STATE_BUILDERS[game.name]
-    except KeyError:
-        raise KeyError(f"no canonical state known for game {game.name!r}") from None
-    return QuantumStrategy(state=builder())
+    if game.name not in CATALOG:
+        raise KeyError(f"no canonical state known for game {game.name!r}")
+    return QuantumStrategy(state=CATALOG[game.name].state())
 
 
 def resolve_strategy(game: NonlocalGame, name: str) -> Strategy:
-    """Map a strategy name to a strategy object for the given game."""
-    from .classical import automaton_model, lambda_mu_model
+    """Map a strategy name to a strategy object for the given game.
 
+    Every catalog game has ``quantum`` and every game ``best-classical``;
+    other names are the local models its catalog entry lists.
+    """
     if name == "quantum":
         return quantum_strategy(game)
-    if name == "lambda-mu":
-        if game.name != "cabello-restricted":
-            raise KeyError("strategy lambda-mu is defined for cabello-restricted only")
-        return lambda_mu_model()
-    if name == "automaton":
-        if game.name != "cabello-restricted":
-            raise KeyError("strategy automaton is defined for cabello-restricted only")
-        return automaton_model()
     if name == "best-classical":
-        result = classical_value(game)
-        best = result.optimal_strategies[0]
+        best = classical_value(game).optimal_strategies[0]
         return DeterministicStrategy(name="best-classical", answers=best.answers)
-    raise KeyError(
-        f"unknown strategy {name!r}; known: quantum, lambda-mu, automaton, best-classical"
-    )
+    models = CATALOG[game.name].models if game.name in CATALOG else {}
+    if name not in models:
+        known = ", ".join(["quantum", *models, "best-classical"])
+        raise KeyError(
+            f"unknown strategy {name!r} for game {game.name}; known: {known}"
+        )
+    return models[name]()
 
 
 @dataclass(frozen=True)
@@ -129,6 +186,11 @@ class TrialLog:
         header = json.loads(lines[0])
         if header.get("type") != "header":
             raise ValueError("trial log must start with a header record")
+        if header.get("version") != LOG_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported trial log version {header.get('version')!r}, "
+                f"expected {LOG_FORMAT_VERSION}"
+            )
         log = cls(
             game=header["game"],
             strategy=header["strategy"],
@@ -152,43 +214,11 @@ class TrialLog:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """Everything round r needs: the context, answers, and dealt bits."""
+    """Everything round r needs: the context, answers, and dealt tapes."""
 
     context: Context
     answers: tuple[tuple[int, ...], ...]
-    hidden_bits: tuple[int, ...] | None
-
-
-def _validate_compat(game: NonlocalGame, strategy: Strategy) -> None:
-    if isinstance(strategy, QuantumStrategy):
-        if strategy.state.num_qubits != game.num_qubits:
-            raise ValueError(
-                f"state has {strategy.state.num_qubits} qubits, game expects "
-                f"{game.num_qubits}"
-            )
-        return
-    if isinstance(strategy, DeterministicStrategy):
-        from .classical import _check_total
-
-        _check_total(game, strategy)
-        return
-    if isinstance(strategy, HiddenVariableModel):
-        if len(strategy.responders) != game.parties:
-            raise ValueError(
-                f"model covers {len(strategy.responders)} parties, game has "
-                f"{game.parties}"
-            )
-        bits = tuple([+1] * strategy.hidden_bits)
-        for party, questions in enumerate(game.question_sets):
-            for q in questions:
-                values = strategy.responders[party](q.id, bits)
-                if len(values) != q.answer_arity:
-                    raise ValueError(
-                        f"model answers arity {len(values)} to {q.id} "
-                        f"(expected {q.answer_arity})"
-                    )
-        return
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    tapes: Tapes
 
 
 def presample(
@@ -196,14 +226,16 @@ def presample(
 ) -> list[RoundPlan]:
     """Deterministically pre-draw every round of a session.
 
-    Per round the generator first picks the context by weight, then draws
-    whatever the strategy needs: one uniform variate for a quantum
-    outcome, fresh hidden bits for a hidden-variable model, nothing for a
-    deterministic table. Both referee modes consume this same plan.
+    Per round the generator first picks the context by weight, then the
+    strategy's dealer draws that round's tapes: one uniform variate for a
+    quantum outcome, fresh hidden bits for a hidden-variable model, nothing
+    for a deterministic table. Each party then answers from its own
+    question and tape. Both referee modes consume this same plan.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    _validate_compat(game, strategy)
+    deal = strategy.dealer(game)
+    respond = strategy.respond
     rng = np.random.default_rng(seed)
     cumulative: list[tuple[float, Context]] = []
     acc = Fraction(0)
@@ -211,41 +243,19 @@ def presample(
         acc += ctx.weight
         cumulative.append((float(acc), ctx))
 
-    distributions: dict[str, dict[tuple[int, ...], float]] = {}
-    if isinstance(strategy, QuantumStrategy):
-        for ctx in game.contexts:
-            observables = game.measured_observables(ctx)
-            distributions[ctx.id] = quantum.joint_distribution(
-                strategy.state, observables
-            )
-
+    # answers are a function of question and tape alone, so they repeat
+    memo: dict[tuple[str, Tapes], tuple[tuple[int, ...], ...]] = {}
     plans: list[RoundPlan] = []
     for _ in range(rounds):
         u = float(rng.random())
         context = next(ctx for bound, ctx in cumulative if u < bound)
-
-        hidden: tuple[int, ...] | None = None
-        if isinstance(strategy, QuantumStrategy):
-            values = quantum.draw_from(distributions[context.id], float(rng.random()))
-            answers = []
-            pos = 0
-            for q in context.questions:
-                arity = q.answer_arity
-                answers.append(tuple(values[pos : pos + arity]))
-                pos += arity
-        elif isinstance(strategy, HiddenVariableModel):
-            raw = rng.integers(0, 2, size=strategy.hidden_bits)
-            hidden = tuple(1 - 2 * int(b) for b in raw)
-            answers = [
-                strategy.responders[party](q.id, hidden)
-                for party, q in enumerate(context.questions)
-            ]
-        else:
-            answers = [
-                strategy.answers_for(party, q.id)
-                for party, q in enumerate(context.questions)
-            ]
-        plans.append(RoundPlan(context, tuple(answers), hidden))
+        tapes = deal(rng, context)
+        answers = memo.get((context.id, tapes))
+        if answers is None:
+            answers = memo[context.id, tapes] = tuple(
+                respond(party, q, tapes[party]) for party, q in enumerate(context.questions)
+            )
+        plans.append(RoundPlan(context, answers, tapes))
     return plans
 
 

@@ -3,12 +3,14 @@
 Each check is a pure function returning a :class:`CheckResult`; the CLI
 ``verify`` subcommand runs them all and exits nonzero if any fails.
 
-Two checks are expected to fail and are kept deliberately: they encode
-stronger statements than the constructions here actually satisfy (exact
-13/14 values where the true optimum is 12/14, and full statistical
-mimicry on all eight restricted-game contexts where only the four tested
-contexts match). The computed truths are printed alongside; see the
-project README for the underlying arithmetic.
+Four checks, listed in ``EXPECTED_DEFECTS`` (03, 05, 06 and 11), are
+expected to fail and are kept deliberately: they encode stronger
+statements than the constructions here actually satisfy (a 13/14 max-sat
+count where the true optimum is 12/14, full statistical mimicry on all
+eight restricted-game contexts where only the four tested contexts match,
+a four-party classical value of 13/14 where it is 6/7, and a 13/14
+ceiling on the extended game whose classical value is 1). Each failing
+check's detail line carries the computed truth and the reason for it.
 """
 
 from __future__ import annotations

@@ -193,3 +193,24 @@ def test_verify_reports_every_criterion(capsys):
     passed, total = last.split()[0].split("/")
     assert int(total) == 11
     assert code in (0, 1)
+
+
+def test_play_rejects_a_strategy_the_game_lacks_before_connecting(capsys):
+    # port 1 refuses connections: reaching it would exit 4, not 2
+    code, _, err = run_cli(
+        capsys,
+        "play", "four-party", "--connect", "127.0.0.1:1",
+        "--party", "0", "--strategy", "lambda-mu",
+    )
+    assert code == 2
+    assert "lambda-mu" in err
+
+
+def test_play_rejects_a_party_the_game_lacks_before_connecting(capsys):
+    code, _, err = run_cli(
+        capsys,
+        "play", "cabello-restricted", "--connect", "127.0.0.1:1",
+        "--party", "7", "--strategy", "automaton",
+    )
+    assert code == 2
+    assert "party" in err

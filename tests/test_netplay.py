@@ -196,26 +196,65 @@ def test_bad_protocol_version_rejected():
     assert isinstance(box["error"], ProtocolError)
 
 
-def test_player_rejects_unknown_message_type():
+def _play_against(messages, party=0):
+    """Run an automaton player against a fake referee that sends ``messages``
+    after the hello; return the player's status and what it sent back."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
-    result = {}
+    box = {}
 
     def fake_referee():
         conn, _ = listener.accept()
         with conn:
             f = conn.makefile("rwb")
             decode_message(f.readline())  # hello
-            f.write(encode_message({"type": "mystery"}))
+            for message in messages:
+                f.write(encode_message(message))
             f.flush()
-            conn.recv(1)  # wait for the player to give up
+            box["reply"] = f.readline()  # empty once the player gives up
 
     thread = threading.Thread(target=fake_referee, daemon=True)
     thread.start()
-    strategy = build_party_strategy(cabello_restricted(), automaton_model(), 0)
-    status = run_player((host, port), strategy)
+    try:
+        strategy = build_party_strategy(cabello_restricted(), automaton_model(), party)
+        status = run_player((host, port), strategy)
+        thread.join(timeout=10)
+    finally:
+        listener.close()
+    return status, box.get("reply")
+
+
+def test_player_rejects_unknown_message_type():
+    status, reply = _play_against([{"type": "mystery"}])
     assert status == 4
-    listener.close()
+    assert reply == b""
+
+
+def _question(round_index, *observables):
+    message = {"type": "question", "observables": list(observables)}
+    if round_index is not None:
+        message["round"] = round_index
+    return message
+
+
+@pytest.mark.parametrize(
+    "messages,party",
+    [
+        # a question without a round number
+        ([_question(None, {"slot": 1, "kind": "x"}, {"slot": 2, "kind": "x"})], 0),
+        # a question party 1 does not have (z3)
+        ([_question(0, {"slot": 3, "kind": "z"})], 1),
+        # an observable without a slot
+        ([_question(0, {"kind": "x"}, {"slot": 2, "kind": "x"})], 0),
+        # a tape that is not a string
+        ([{"type": "dealt", "tape": 5}], 0),
+    ],
+    ids=["no-round", "foreign-question", "no-slot", "non-string-tape"],
+)
+def test_malformed_referee_message_is_a_protocol_error(messages, party):
+    status, reply = _play_against([{"type": "dealt", "tape": ""}] + messages, party)
+    assert status == 4
+    assert reply == b""
 
 
 def test_extra_fields_in_questions_are_ignored_by_players():

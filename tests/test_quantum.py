@@ -322,3 +322,17 @@ def test_malformed_constraint_rejected():
     bad = games.ParityConstraint(frozenset(sites("x1 z1")), +1)
     with pytest.raises(ValueError):
         verify_constraints(make_psi(), [bad])
+
+
+def test_slightly_unnormalized_state_is_usable_throughout():
+    # within the Statevector norm tolerance, so every routine must accept it
+    amps = make_psi().amplitudes * (1 + 4e-10)
+    state = Statevector(4, amps)
+    dist = joint_distribution(state, sites("x1 x2 y3 y4"))
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-8)
+    assert reduced_spectrum(state, {1, 2}) == pytest.approx([0.25] * 4)
+
+
+def test_draw_from_rejects_an_empty_distribution():
+    with pytest.raises(ValueError):
+        quantum.draw_from({}, 0.5)

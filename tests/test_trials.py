@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from nonlocalgames.classical import automaton_model, lambda_mu_model
@@ -5,6 +8,7 @@ from nonlocalgames.games import (
     cabello_extended,
     cabello_restricted,
     four_party_game,
+    game_by_name,
     mermin_ghz,
 )
 from nonlocalgames.trials import (
@@ -198,3 +202,39 @@ def test_nested_subgame_report_quantum():
             assert checked == satisfied, (bucket, text)
     assert set(report["+1"]) == {"x1*y3*y4 = +1", "y1*x3*y4 = +1"}
     assert set(report["-1"]) == {"x1*y3*y4 = -1", "y1*x3*y4 = -1"}
+
+
+def test_from_jsonl_rejects_unknown_version():
+    game = cabello_restricted()
+    text = run_trials(game, automaton_model(), rounds=3, seed=0).to_jsonl()
+    header, _, body = text.partition("\n")
+    header = json.loads(header)
+    header["version"] = 99
+    with pytest.raises(ValueError, match="version"):
+        TrialLog.from_jsonl(json.dumps(header) + "\n" + body)
+
+
+# ---------------------------------------------------------------------------
+# per-seed stream identity
+# ---------------------------------------------------------------------------
+
+#: sha256 of run_trials(...).to_jsonl(); a change here changes every saved log
+PINNED_LOGS = [
+    ("four-party", "quantum", 5000, 11,
+     "9c75fb2be66da8ebf4473eefb6e596b7e0334f64b2ba8d6088d5d1ad7bcc1340"),
+    ("cabello-restricted", "lambda-mu", 5000, 5,
+     "a7f391bb1be789125c737f82b7e9937c2ed442b3cbbcf6790d38e01950066cf0"),
+    ("cabello-restricted", "automaton", 2000, 9,
+     "087c4a8cb4148233beac334fad0e07ca30e749c1013f3f1772dd117c937cb13f"),
+    ("mermin-ghz", "quantum", 3000, 1,
+     "fd63c9396bae71bcba7c7d037df12ab26c312a7a05bab5816257595005e800ca"),
+    ("cabello-extended", "quantum", 3000, 3,
+     "69cb8be89f7a25dc6480eac106d84f71720981c76fd61118bf57512cb3213f39"),
+]
+
+
+@pytest.mark.parametrize("game_name,strategy_name,rounds,seed,digest", PINNED_LOGS)
+def test_log_stream_is_pinned(game_name, strategy_name, rounds, seed, digest):
+    game = game_by_name(game_name)
+    log = run_trials(game, resolve_strategy(game, strategy_name), rounds=rounds, seed=seed)
+    assert hashlib.sha256(log.to_jsonl().encode()).hexdigest() == digest
