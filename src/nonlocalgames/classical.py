@@ -2,26 +2,30 @@
 
 Everything user-facing here is exact: game values are ``Fraction``
 instances, never floats, because distinguishing 12/14 from 13/14 is the
-whole point. Internally the deterministic-strategy search runs on int64
-numpy arrays over a common weight denominator, which keeps both the
-exactness and the speed.
+whole point. Weights are scaled to integers over a common denominator.
 
-The classical value of a finite game equals its maximum over
-deterministic strategies (shared randomness only mixes deterministic
-ones), and with all parties but one fixed, the remaining party's
-questions can be optimized independently. ``classical_value`` therefore
-enumerates the joint strategies of all parties except a designated
-responder and computes the responder's best reply per question.
+Both values the package compares are weighted parity (XOR) max-sat over
++-1 answers, one bit each (a set bit means -1), every tested context one
+parity. The noncontextual value gives each observable one bit, shared by
+every context. The classical value gives each (party, question, slot)
+one bit: it equals the maximum over deterministic strategies (shared
+randomness only mixes deterministic ones), and with all parties but one
+fixed, each question of the remaining "responder" can be answered on its
+own. So one search serves both: it enumerates outer bits in numpy
+chunks, counting parities with ``np.bitwise_count``, and for each group
+of parities sharing free bits (one responder question) adds the best
+weight any choice of those bits wins.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -166,9 +170,6 @@ class GameValueResult:
     optimal_strategies: tuple[DeterministicStrategy, ...]
     strategies_examined: int
 
-    def summary(self) -> str:
-        return f"{self.value} ≈ {float(self.value):.6f}"
-
 
 @dataclass(frozen=True)
 class MaxSatResult:
@@ -271,199 +272,117 @@ def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact classical value by best-response enumeration
+# one weighted-parity search behind the classical and noncontextual values
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _Digit:
-    """One free coordinate of the outer search space: a (party, question)."""
+class _Parity:
+    """One scored context: ``weight`` is won when the outer bits under
+    ``outer_mask`` and the group's free bits under ``free_mask`` have
+    parity ``target`` together."""
 
-    party: int
-    question_id: str
-    answers: tuple[tuple[int, ...], ...]
-    stride: int
-
-
-@dataclass(frozen=True)
-class _CompiledContext:
-    index: int
-    weight_num: int
-    sign: int  # 0 for ALWAYS_WIN
-    outer_factors: tuple[tuple[int, np.ndarray], ...]  # (digit index, +-1 table)
-    responder_products: tuple[int, ...]  # per responder answer choice
+    weight: int
+    target: int
+    outer_mask: int
+    free_mask: int
 
 
 @dataclass(frozen=True)
-class _QuestionGroup:
-    question_id: str
-    n_answers: int
-    contexts: tuple[_CompiledContext, ...]
+class _Group:
+    """Parities sharing ``free_bits`` bits that are chosen anew for every
+    outer index: the answer slots of one responder question."""
+
+    free_bits: int
+    parities: tuple[_Parity, ...]
 
 
 @dataclass(frozen=True)
-class _Problem:
-    digits: tuple[_Digit, ...]
-    outer_size: int
-    base_num: int
-    groups: tuple[_QuestionGroup, ...]
-    denominator: int
-    responder: int
+class _Search:
+    """Maximize ``base`` plus, per group, the best weight its parities win,
+    over all ``2**outer_bits`` outer indices."""
+
+    outer_bits: int
+    base: int
+    groups: tuple[_Group, ...]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The smallest unsigned type holding every score."""
+        return np.min_scalar_type(
+            self.base + sum(p.weight for g in self.groups for p in g.parities)
+        )
 
 
-def _slot_product_table(question: Question, vars_: frozenset[SiteObservable]) -> np.ndarray:
-    """Per answer choice, the +-1 product over the slots a predicate uses."""
-    relevant = [i for i, obs in enumerate(question.measured) if obs in vars_]
-    table = []
-    for answer in question.answer_space():
-        prod = 1
-        for i in relevant:
-            prod *= answer[i]
-        table.append(prod)
-    return np.array(table, dtype=np.int8)
+def _target(sign: int) -> int:
+    """The parity of the set bits (set means -1) that makes a product ``sign``."""
+    return 0 if sign == +1 else 1
 
 
-def _compile(game: NonlocalGame, responder: int, budget: int) -> _Problem:
-    denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
-    digit_index: dict[tuple[int, str], int] = {}
-    digits: list[_Digit] = []
-    for party in range(game.parties):
-        if party == responder:
-            continue
-        for q in game.question_sets[party]:
-            digit_index[(party, q.id)] = len(digits)
-            digits.append(
-                _Digit(party, q.id, tuple(q.answer_space()), stride=0)
-            )
-    outer_size = 1
-    for d in digits:
-        outer_size *= len(d.answers)
-    required = outer_size * len(game.contexts)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-    # assign mixed-radix strides, last digit fastest
-    strides = [0] * len(digits)
-    acc = 1
-    for i in range(len(digits) - 1, -1, -1):
-        strides[i] = acc
-        acc *= len(digits[i].answers)
-    digits = [
-        _Digit(d.party, d.question_id, d.answers, strides[i])
-        for i, d in enumerate(digits)
+def _answer_scores(
+    group: _Group, idx: np.ndarray, dtype: np.dtype
+) -> Iterator[np.ndarray]:
+    """Per choice of the group's free bits, in order, the weight its
+    parities win at each outer index."""
+    outer = [np.bitwise_count(idx & p.outer_mask) & 1 for p in group.parities]
+    for free in range(1 << group.free_bits):
+        won = np.zeros(idx.shape, dtype=dtype)
+        for p, bits in zip(group.parities, outer):
+            need = p.target ^ ((free & p.free_mask).bit_count() & 1)
+            won += (bits == need) * dtype.type(p.weight)
+        yield won
+
+
+def _best_in(
+    search: _Search, lo: int, hi: int, limit: int | None
+) -> tuple[int, list[int]]:
+    """Best score over outer indices [lo, hi) and at most ``limit`` of the
+    indices reaching it, in index order."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    dtype = search.dtype
+    score = np.full(idx.shape, search.base, dtype=dtype)
+    for group in search.groups:
+        score += functools.reduce(np.maximum, _answer_scores(group, idx, dtype))
+    best = int(score.max())
+    return best, (np.flatnonzero(score == best)[:limit] + lo).tolist()
+
+
+def _run_search(
+    search: _Search, limit: int | None, workers: int = 1
+) -> tuple[int, list[int]]:
+    """Best score and the first ``limit`` outer indices reaching it
+    (``None`` keeps all); chunks run in a process pool when ``workers > 1``,
+    with the same result as the sequential scan."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"witness limit must be >= 0, got {limit}")
+    size = 1 << search.outer_bits
+    chunk = min(_CHUNK, -(-size // max(workers, 1)))
+    los = range(0, size, chunk)
+    his = [min(lo + chunk, size) for lo in los]
+    args = ([search] * len(los), los, his, [limit] * len(los))
+    if workers > 1 and len(los) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_best_in, *args))
+    else:
+        results = list(map(_best_in, *args))
+    best = max(chunk_best for chunk_best, _ in results)
+    winners = [i for chunk_best, found in results if chunk_best == best for i in found]
+    return best, winners[:limit]
+
+
+def _best_answers(search: _Search, indices: list[int]) -> list[np.ndarray]:
+    """Per group, at each of the outer ``indices``, the first choice of its
+    free bits that scores best."""
+    idx = np.array(indices, dtype=np.int64)
+    return [
+        np.stack(list(_answer_scores(group, idx, search.dtype))).argmax(axis=0)
+        for group in search.groups
     ]
 
-    base = 0
-    grouped: dict[str, list[_CompiledContext]] = {}
-    group_arity: dict[str, int] = {}
-    for ci, ctx in enumerate(game.contexts):
-        weight_num = int(ctx.weight * denominator)
-        if ctx.predicate is ALWAYS_WIN:
-            base += weight_num
-            continue
-        vars_ = ctx.predicate.vars
-        outer_factors = []
-        for party, q in enumerate(ctx.questions):
-            if party == responder:
-                continue
-            if any(obs in vars_ for obs in q.measured):
-                di = digit_index[(party, q.id)]
-                outer_factors.append((di, _slot_product_table(q, vars_)))
-        resp_q = ctx.questions[responder]
-        resp_table = _slot_product_table(resp_q, vars_)
-        compiled = _CompiledContext(
-            index=ci,
-            weight_num=weight_num,
-            sign=ctx.predicate.sign,
-            outer_factors=tuple(outer_factors),
-            responder_products=tuple(int(v) for v in resp_table),
-        )
-        grouped.setdefault(resp_q.id, []).append(compiled)
-        group_arity[resp_q.id] = len(resp_q.answer_space())
-    groups = tuple(
-        _QuestionGroup(qid, group_arity[qid], tuple(ctxs))
-        for qid, ctxs in grouped.items()
-    )
-    return _Problem(
-        digits=tuple(digits),
-        outer_size=outer_size,
-        base_num=base,
-        groups=groups,
-        denominator=denominator,
-        responder=responder,
-    )
 
-
-def _scan_chunk(problem: _Problem, lo: int, hi: int) -> tuple[int, list[int]]:
-    """Best score over outer indices [lo, hi) and the indices achieving it."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    digit_values: dict[int, np.ndarray] = {}
-
-    def values_of(di: int) -> np.ndarray:
-        if di not in digit_values:
-            d = problem.digits[di]
-            digit_values[di] = (idx // d.stride) % len(d.answers)
-        return digit_values[di]
-
-    score = np.full(idx.shape, problem.base_num, dtype=np.int64)
-    for group in problem.groups:
-        parities = []
-        for ctx in group.contexts:
-            outer = np.ones(idx.shape, dtype=np.int8)
-            for di, table in ctx.outer_factors:
-                outer = outer * table[values_of(di)]
-            parities.append(outer)
-        best = None
-        for answer_index in range(group.n_answers):
-            acc = np.zeros(idx.shape, dtype=np.int64)
-            for ctx, outer in zip(group.contexts, parities):
-                need = ctx.sign * ctx.responder_products[answer_index]
-                acc += ctx.weight_num * (outer == need)
-            best = acc if best is None else np.maximum(best, acc)
-        if best is not None:
-            score += best
-    chunk_max = int(score.max())
-    winners = [int(v) for v in idx[score == chunk_max]]
-    return chunk_max, winners
-
-
-def _scan_chunk_args(args: tuple[_Problem, int, int]) -> tuple[int, list[int]]:
-    return _scan_chunk(*args)
-
-
-def _decode_outer(problem: _Problem, game: NonlocalGame, index: int) -> list[dict[str, tuple[int, ...]]]:
-    answers: list[dict[str, tuple[int, ...]]] = [dict() for _ in range(game.parties)]
-    for d in problem.digits:
-        value = (index // d.stride) % len(d.answers)
-        answers[d.party][d.question_id] = d.answers[value]
-    return answers
-
-
-def _best_response(
-    problem: _Problem, game: NonlocalGame, outer_index: int
-) -> dict[str, tuple[int, ...]]:
-    """Lexicographically-first optimal responder answers for a fixed outer index."""
-    response: dict[str, tuple[int, ...]] = {}
-    covered = {g.question_id for g in problem.groups}
-    for group in problem.groups:
-        question = game.question(problem.responder, group.question_id)
-        space = question.answer_space()
-        best_score, best_answer = None, None
-        for answer_index, answer in enumerate(space):
-            total = 0
-            for ctx in group.contexts:
-                outer = 1
-                for di, table in ctx.outer_factors:
-                    d = problem.digits[di]
-                    outer *= int(table[(outer_index // d.stride) % len(d.answers)])
-                if outer * ctx.responder_products[answer_index] == ctx.sign:
-                    total += ctx.weight_num
-            if best_score is None or total > best_score:
-                best_score, best_answer = total, answer
-        response[group.question_id] = best_answer
-    for q in game.question_sets[problem.responder]:
-        if q.id not in covered:
-            response[q.id] = q.answer_space()[0]
-    return response
+def _answer(bits: int, positions: Sequence[int]) -> tuple[int, ...]:
+    """The +-1 answer whose slot s is -1 when bit ``positions[s]`` is set."""
+    return tuple(1 - 2 * ((bits >> b) & 1) for b in positions)
 
 
 def classical_value(
@@ -472,65 +391,115 @@ def classical_value(
     budget: int = DEFAULT_BUDGET,
     max_witnesses: int = 16,
     workers: int = 1,
-    chunk_size: int = _CHUNK,
 ) -> GameValueResult:
     """Exact maximum winning probability over all deterministic strategies.
 
-    All parties except the responder (the party with the largest strategy
-    space) are enumerated as one mixed-radix index; the responder's reply
-    is optimized per question, which is valid because its questions
-    contribute independently once the rest is fixed. The scan is chunked;
-    with ``workers > 1`` chunks run in a process pool and the result is
-    identical to the sequential scan regardless of partitioning.
+    Every answer slot of every party except the responder (the party with
+    the most answer slots) is one outer bit; the last question of the last
+    party takes the lowest bits and each question's first slot is its
+    highest bit, so outer indices count through the strategies in the
+    order of their answer spaces. Each responder question is a group whose
+    free bits are chosen per outer index, which is exact because no
+    context asks the responder two questions. ``workers > 1`` runs the
+    scan's chunks in a process pool with an identical result.
 
     Raises ``BudgetExceededError`` up front if the scan would need more
     than ``budget`` (outer strategies x contexts) evaluations.
     """
-
-    def space_size(party: int) -> int:
-        size = 1
-        for q in game.question_sets[party]:
-            size *= len(q.answer_space())
-        return size
-
-    responder = max(range(game.parties), key=lambda p: (space_size(p), p))
-    problem = _compile(game, responder, budget)
-
-    chunks = [
-        (problem, lo, min(lo + chunk_size, problem.outer_size))
-        for lo in range(0, problem.outer_size, chunk_size)
-    ]
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk_args, chunks))
-    else:
-        results = [_scan_chunk(*chunk) for chunk in chunks]
-
-    best = max(chunk_max for chunk_max, _ in results)
-    winner_indices = itertools.islice(
-        (i for chunk_max, winners in results if chunk_max == best for i in winners),
-        max_witnesses,
+    responder = max(
+        range(game.parties),
+        key=lambda p: (sum(q.answer_arity for q in game.question_sets[p]), p),
     )
+    # (party, question id) -> bit of each answer slot: outer bits for the
+    # enumerated parties, free bits of its group for the responder
+    slots: dict[tuple[int, str], list[int]] = {}
+    outer_bits = 0
+    for party in reversed(range(game.parties)):
+        for q in reversed(game.question_sets[party]):
+            first = 0 if party == responder else outer_bits
+            slots[party, q.id] = [
+                first + q.answer_arity - 1 - slot for slot in range(q.answer_arity)
+            ]
+            if party != responder:
+                outer_bits += q.answer_arity
+    required = (1 << outer_bits) * len(game.contexts)
+    if required > budget:
+        raise BudgetExceededError(required, budget)
 
+    denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
+    base = 0
+    grouped: dict[str, list[_Parity]] = {}
+    for ctx in game.contexts:
+        weight = int(ctx.weight * denominator)
+        if ctx.predicate is ALWAYS_WIN:
+            base += weight
+            continue
+        outer = free = 0
+        for party, q in enumerate(ctx.questions):
+            for slot, obs in enumerate(q.measured):
+                if obs not in ctx.predicate.vars:
+                    continue
+                if party == responder:
+                    free |= 1 << slots[party, q.id][slot]
+                else:
+                    outer |= 1 << slots[party, q.id][slot]
+        grouped.setdefault(ctx.questions[responder].id, []).append(
+            _Parity(weight, _target(ctx.predicate.sign), outer, free)
+        )
+    search = _Search(
+        outer_bits,
+        base,
+        tuple(
+            _Group(game.question(responder, qid).answer_arity, tuple(parities))
+            for qid, parities in grouped.items()
+        ),
+    )
+    best, winners = _run_search(search, max_witnesses, workers)
+
+    picks = dict(zip(grouped, _best_answers(search, winners)))
     strategies = []
-    for index in winner_indices:
-        answers = _decode_outer(problem, game, index)
-        answers[responder] = _best_response(problem, game, index)
+    for n, index in enumerate(winners):
+        chosen = {qid: int(pick[n]) for qid, pick in picks.items()}
+        answers = tuple(
+            {
+                q.id: _answer(
+                    chosen.get(q.id, 0) if party == responder else index,
+                    slots[party, q.id],
+                )
+                for q in questions
+            }
+            for party, questions in enumerate(game.question_sets)
+        )
         strategies.append(
-            DeterministicStrategy(name=f"best-classical[{index}]", answers=tuple(answers))
+            DeterministicStrategy(name=f"best-classical[{index}]", answers=answers)
         )
     return GameValueResult(
-        value=Fraction(best, problem.denominator),
+        value=Fraction(best, denominator),
         optimal_strategies=tuple(strategies),
-        strategies_examined=problem.outer_size,
+        strategies_examined=1 << outer_bits,
     )
 
 
-# ---------------------------------------------------------------------------
-# noncontextual max-sat over +-1 assignments
-# ---------------------------------------------------------------------------
-
 _MAXSAT_VAR_LIMIT = 20
+
+
+def _best_assignment(
+    weighted: Sequence[tuple[int, ParityConstraint]], base: int, limit: int | None
+) -> tuple[int, list[SiteObservable], list[int]]:
+    """Best ``base`` plus weight of the constraints one +-1 assignment
+    satisfies, the sorted variables, and at most ``limit`` maximizing
+    assignments as bit patterns (bit i set means variable i is -1)."""
+    variables = sorted({v for _, c in weighted for v in c.vars})
+    if len(variables) > _MAXSAT_VAR_LIMIT:
+        raise BudgetExceededError(2 ** len(variables), 2**_MAXSAT_VAR_LIMIT)
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    parities = tuple(
+        _Parity(w, _target(c.sign), sum(bit[v] for v in c.vars), 0) for w, c in weighted
+    )
+    # one group per constraint: no bits are free, and no constraint's bits are held
+    groups = tuple(_Group(0, (p,)) for p in parities)
+    best, winners = _run_search(_Search(len(variables), base, groups), limit)
+    return best, variables, winners
 
 
 def noncontextual_value(game: NonlocalGame) -> Fraction:
@@ -541,27 +510,12 @@ def noncontextual_value(game: NonlocalGame) -> Fraction:
     uniformly weighted games this equals (always_win + max_satisfied) /
     context count.
     """
-    predicates = [c.predicate for c in game.contexts if c.predicate is not ALWAYS_WIN]
-    always = sum(
-        (c.weight for c in game.contexts if c.predicate is ALWAYS_WIN), Fraction(0)
-    )
-    if not predicates:
-        return always
-    variables = sorted({v for p in predicates for v in p.vars})
-    if len(variables) > _MAXSAT_VAR_LIMIT:
-        raise BudgetExceededError(2 ** len(variables), 2**_MAXSAT_VAR_LIMIT)
-    var_bit = {v: i for i, v in enumerate(variables)}
     denominator = lcm(*(c.weight.denominator for c in game.contexts))
-    assignments = np.arange(1 << len(variables), dtype=np.uint32)
-    score = np.zeros(assignments.shape, dtype=np.int64)
-    for ctx in game.contexts:
-        if ctx.predicate is ALWAYS_WIN:
-            continue
-        mask = np.uint32(sum(1 << var_bit[v] for v in ctx.predicate.vars))
-        target = 0 if ctx.predicate.sign == +1 else 1
-        parity = np.bitwise_count(assignments & mask).astype(np.uint8) & 1
-        score += int(ctx.weight * denominator) * (parity == target)
-    return always + Fraction(int(score.max()), denominator)
+    weights = [(int(c.weight * denominator), c.predicate) for c in game.contexts]
+    always = sum(w for w, predicate in weights if predicate is ALWAYS_WIN)
+    tested = [(w, predicate) for w, predicate in weights if predicate is not ALWAYS_WIN]
+    best, _, _ = _best_assignment(tested, always, limit=0)
+    return Fraction(best, denominator)
 
 
 def noncontextual_maxsat(
@@ -579,24 +533,10 @@ def noncontextual_maxsat(
     constraints = list(constraints)
     if not constraints:
         raise ValueError("need at least one constraint")
-    variables = sorted({v for c in constraints for v in c.vars})
-    if len(variables) > _MAXSAT_VAR_LIMIT:
-        raise BudgetExceededError(2 ** len(variables), 2**_MAXSAT_VAR_LIMIT)
-    var_bit = {v: i for i, v in enumerate(variables)}
-
-    assignments = np.arange(1 << len(variables), dtype=np.uint32)
-    satisfied = np.zeros(assignments.shape, dtype=np.int32)
-    for c in constraints:
-        mask = np.uint32(sum(1 << var_bit[v] for v in c.vars))
-        target = 0 if c.sign == +1 else 1
-        parity = np.bitwise_count(assignments & mask).astype(np.uint8) & 1
-        satisfied += parity == target
-    best = int(satisfied.max())
-    winner_bits = np.flatnonzero(satisfied == best)
-    if max_witnesses is not None:
-        winner_bits = winner_bits[:max_witnesses]
+    best, variables, winners = _best_assignment(
+        [(1, c) for c in constraints], 0, max_witnesses
+    )
     witnesses = tuple(
-        {v: 1 - 2 * ((int(bits) >> var_bit[v]) & 1) for v in variables}
-        for bits in winner_bits
+        dict(zip(variables, _answer(bits, range(len(variables))))) for bits in winners
     )
     return MaxSatResult(max_satisfied=best, witnesses=witnesses)

@@ -66,6 +66,11 @@ def _default_budget(explicit: int | None) -> int:
     return classical.DEFAULT_BUDGET
 
 
+def _check_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise CliError(EXIT_USAGE, f"{flag} must be >= {minimum}, got {value}")
+
+
 def _parse_host_port(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
@@ -82,6 +87,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     budget = _default_budget(args.budget)
+    _check_at_least("--witnesses", args.witnesses, 0)
     result = classical.classical_value(
         game, budget=budget, workers=args.workers, max_witnesses=args.witnesses
     )
@@ -103,12 +109,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_maxsat(args: argparse.Namespace) -> int:
     if args.file is not None:
-        lines = Path(args.file).read_text().splitlines()
-        constraints = [
-            games.parse_constraint_line(ln)
-            for ln in lines
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+        try:
+            constraints = [
+                games.parse_constraint_line(ln)
+                for ln in Path(args.file).read_text().splitlines()
+                if ln.strip() and not ln.lstrip().startswith("#")
+            ]
+        except (OSError, ValueError) as exc:
+            raise CliError(EXIT_USAGE, f"cannot read {args.file}: {exc}") from None
         if not constraints:
             raise CliError(EXIT_USAGE, f"no constraints in {args.file}")
     else:
@@ -148,6 +156,7 @@ def _emit_report(report: trials.StatReport, fmt: str) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
+    _check_at_least("--rounds", args.rounds, 1)
     strategy = _resolve_strategy(game, args.strategy)
     log = trials.run_trials(game, strategy, rounds=args.rounds, seed=args.seed)
     reference = trials.quantum_reference(game) if args.reference else None
@@ -158,6 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
+    _check_at_least("--rounds", args.rounds, 1)
     strategy = _resolve_strategy(game, args.strategy)
     address = _parse_host_port(args.bind)
     log = netplay.serve_referee(game, address, args.rounds, args.seed, strategy)

@@ -28,7 +28,7 @@ from .classical import (
     lambda_mu_model,
 )
 from .games import Context, NonlocalGame, Question, predicate_eval
-from .quantum import Statevector, make_ghz, make_psi
+from .quantum import Statevector, make_ghz, make_psi, site
 
 LOG_FORMAT_VERSION = 1
 
@@ -403,13 +403,8 @@ def statistics(
     for cid in asked:
         tv: float | None = None
         if reference is not None and cid in reference:
-            ref = reference[cid]
-            emp = joint[cid]
             n = asked[cid]
-            keys = set(ref) | set(emp)
-            tv = 0.5 * sum(
-                abs(emp.get(k, 0) / n - float(ref.get(k, 0.0))) for k in keys
-            )
+            tv = tv_distance(reference[cid], {k: c / n for k, c in joint[cid].items()})
             max_tv = tv if max_tv is None else max(max_tv, tv)
         per_context[cid] = ContextStats(asked=asked[cid], won=won[cid], tv_distance=tv)
 
@@ -420,6 +415,17 @@ def statistics(
         per_context=per_context,
         marginals=marginals,
         max_tv_distance=max_tv,
+    )
+
+
+def tv_distance(
+    reference: Mapping[tuple[int, ...], float | Fraction],
+    observed: Mapping[tuple[int, ...], float | Fraction],
+) -> float:
+    """Total variation distance between two outcome distributions."""
+    keys = set(reference) | set(observed)
+    return 0.5 * sum(
+        abs(float(reference.get(k, 0)) - float(observed.get(k, 0))) for k in keys
     )
 
 
@@ -461,31 +467,25 @@ def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]
         "-1": {},
     }
 
-    def bump(bucket: str, text: str, ok: bool) -> None:
-        checked, satisfied = report[bucket].get(text, (0, 0))
-        report[bucket][text] = (checked + 1, satisfied + int(ok))
-
+    x2 = site("x2")
     for rec in log.records:
-        values: dict[str, int] = {}
-        for qid, answers in zip(rec.questions, rec.answers):
-            for tok, value in zip(_question_tokens(qid), answers):
-                values[tok] = value
+        values = {
+            site(tok): value
+            for qid, answers in zip(rec.questions, rec.answers)
+            for tok, value in zip(_question_tokens(qid), answers)
+        }
         if rec.context_id in shared_ids:
-            text = shared_ids[rec.context_id]
+            bucket, text = "shared", shared_ids[rec.context_id]
             constraint = first[text]
-            prod = 1
-            for var in constraint.vars:
-                prod *= values[str(var)]
-            bump("shared", text, prod == constraint.sign)
         elif rec.context_id in selected_ids:
-            selector = values["x2"]
-            table = first if selector == +1 else second
+            bucket, table = ("+1", first) if values[x2] == +1 else ("-1", second)
             # eq11 embeds x1 = +-y3*y4, eq13 embeds y1 = +-x3*y4
             stem = "x1*y3*y4" if rec.context_id == "eq11" else "y1*x3*y4"
             text = next(t for t in table if t.startswith(stem))
             constraint = table[text]
-            prod = 1
-            for var in constraint.vars:
-                prod *= values[str(var)]
-            bump("+1" if selector == +1 else "-1", text, prod == constraint.sign)
+        else:
+            continue
+        checked, satisfied = report[bucket].get(text, (0, 0))
+        ok = predicate_eval(constraint, values)
+        report[bucket][text] = (checked + 1, satisfied + int(ok))
     return report

@@ -29,13 +29,6 @@ class CheckResult:
     detail: str
 
 
-def _tv(
-    p: dict[tuple[int, ...], Fraction], q: dict[tuple[int, ...], float]
-) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(float(p.get(k, 0)) - float(q.get(k, 0.0))) for k in keys)
-
-
 def check_fourteen_hold_surely() -> CheckResult:
     start = time.perf_counter()
     reports = quantum.verify_constraints(quantum.make_psi(), games.fourteen_equalities())
@@ -103,7 +96,7 @@ def check_mimicry_on_tested_contexts() -> CheckResult:
     for ctx in game.contexts:
         model_dist = classical.model_distribution(model, game, ctx)
         quantum_dist = quantum.joint_distribution(state, game.measured_observables(ctx))
-        distance = _tv(model_dist, quantum_dist)
+        distance = trials.tv_distance(quantum_dist, model_dist)
         (untested if ctx.predicate is games.ALWAYS_WIN else tested).append(distance)
     matching = sum(1 for d in tested if d <= 1e-9)
     at_half = sum(1 for d in untested if abs(d - 0.5) <= 1e-9)

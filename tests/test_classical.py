@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from nonlocalgames.games import (
     contradiction_subset,
     four_party_game,
     fourteen_equalities,
+    game_by_name,
     make_question,
     mermin_ghz,
 )
@@ -339,11 +342,11 @@ def test_classical_value_budget_error():
 def test_classical_value_workers_deterministic():
     game = four_party_game()
     sequential = classical_value(game, max_witnesses=8)
-    chunked = classical_value(game, max_witnesses=8, workers=2, chunk_size=64)
-    assert sequential.value == chunked.value
-    assert sequential.strategies_examined == chunked.strategies_examined
+    pooled = classical_value(game, max_witnesses=8, workers=2)
+    assert sequential.value == pooled.value
+    assert sequential.strategies_examined == pooled.strategies_examined
     assert [s.answers for s in sequential.optimal_strategies] == [
-        s.answers for s in chunked.optimal_strategies
+        s.answers for s in pooled.optimal_strategies
     ]
 
 
@@ -420,3 +423,58 @@ def small_games(draw):
 @given(game=small_games())
 def test_solver_matches_joint_enumeration(game):
     assert classical_value(game).value == enumerate_game_value(game)
+    # weights are uniform, so the best assignment's value is a plain count
+    always = sum(1 for c in game.contexts if c.predicate is ALWAYS_WIN)
+    oracle_best, _ = python_maxsat([
+        (tuple((v.kind.value, v.qubit) for v in c.predicate.vars), c.predicate.sign)
+        for c in game.contexts
+        if c.predicate is not ALWAYS_WIN
+    ])
+    assert noncontextual_value(game) == Fraction(always + oracle_best, len(game.contexts))
+
+
+# ---------------------------------------------------------------------------
+# solver output identity
+# ---------------------------------------------------------------------------
+
+
+def _solver_stream(name: str) -> str:
+    """The solver output a pinned digest covers, as JSON text: a catalog
+    game's values, outer strategy count and first 16 witnesses in order, or
+    every max-sat witness of the fourteen equalities."""
+    if name == "maxsat-fourteen":
+        result = noncontextual_maxsat(fourteen_equalities())
+        witnesses = [sorted((str(v), b) for v, b in w.items()) for w in result.witnesses]
+        return json.dumps([result.max_satisfied, witnesses])
+    game = game_by_name(name)
+    result = classical_value(game, max_witnesses=16)
+    witnesses = [
+        [s.name, [sorted(answers.items()) for answers in s.answers]]
+        for s in result.optimal_strategies
+    ]
+    return json.dumps([
+        str(result.value),
+        result.strategies_examined,
+        str(noncontextual_value(game)),
+        witnesses,
+    ])
+
+
+#: sha256 of _solver_stream(name); a change here changes `solve` and `maxsat` output
+PINNED_SOLVES = [
+    ("cabello-restricted",
+     "b1fb66487a7d71cb1ad622c0778f630ec6e044c7a5ac1e081a1b826faa0b3619"),
+    ("cabello-extended",
+     "ae20690eaab55122670a6735969b9f879d829d879a46800a7f54304def258d28"),
+    ("four-party",
+     "964f26ee954dca34797d69d6785771817fae6fdd9e6d14f514dc776838453b18"),
+    ("mermin-ghz",
+     "51f95692bfd713e8994ff0dec607115938f64f7de014da0ab93b92b90a056557"),
+    ("maxsat-fourteen",
+     "5a2e3000b3bba5bc8564da8a23e0fde2ed3437eaf5469ecd36de6591c6daff5f"),
+]
+
+
+@pytest.mark.parametrize("name,digest", PINNED_SOLVES)
+def test_solver_stream_is_pinned(name, digest):
+    assert hashlib.sha256(_solver_stream(name).encode()).hexdigest() == digest

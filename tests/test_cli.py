@@ -3,6 +3,8 @@ import multiprocessing
 import socket
 import time
 
+import pytest
+
 from nonlocalgames import cli
 from nonlocalgames.trials import TrialLog
 
@@ -83,6 +85,30 @@ def test_maxsat_from_file(tmp_path, capsys):
 def test_maxsat_needs_a_set(capsys):
     code, _, err = run_cli(capsys, "maxsat")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,file_text",
+    [
+        (["solve", "mermin-ghz", "--witnesses", "-1"], None),
+        (["simulate", "cabello-restricted", "--rounds", "0"], None),
+        (["serve", "cabello-restricted", "--rounds", "0", "--bind", "127.0.0.1:0"], None),
+        (["maxsat", "--file"], None),  # the file does not exist
+        (["maxsat", "--file"], "+1 x1 q3\n"),
+        (["maxsat", "--file"], "+2 x1\n"),
+    ],
+    ids=["negative-witnesses", "simulate-no-rounds", "serve-no-rounds",
+         "missing-file", "bad-variable", "bad-sign"],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv, file_text):
+    if argv[-1] == "--file":
+        path = tmp_path / "eqs.txt"
+        if file_text is not None:
+            path.write_text(file_text)
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.strip() and not out
 
 
 def test_simulate_lambda_mu(capsys):
