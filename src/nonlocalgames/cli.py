@@ -75,6 +75,8 @@ def _parse_host_port(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
         raise CliError(EXIT_USAGE, f"expected HOST:PORT, got {text!r}")
+    if int(port) > 65535:
+        raise CliError(EXIT_USAGE, f"port must be 0-65535, got {port}")
     return host or "127.0.0.1", int(port)
 
 

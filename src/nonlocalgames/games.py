@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -19,6 +20,11 @@ from .quantum import ObservableKind, OutcomeTuple, SiteObservable, sites
 
 #: predicate value meaning the referee accepts any answers for the context
 ALWAYS_WIN = None
+
+#: one round's answers, one tuple of +-1 values per party
+Answers = tuple[tuple[int, ...], ...]
+#: one scored round: context id, question ids, answers, win
+Row = tuple[str, tuple[str, ...], Answers, bool]
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,12 @@ def parse_constraint_line(line: str) -> ParityConstraint:
         raise ValueError(f"constraint line needs a sign and variables: {line!r}")
     if tokens[0] not in ("+1", "-1"):
         raise ValueError(f"sign must be +1 or -1, got {tokens[0]!r}")
-    return ParityConstraint(
-        frozenset(SiteObservable.from_text(t) for t in tokens[1:]), int(tokens[0])
-    )
+    variables = [SiteObservable.from_text(t) for t in tokens[1:]]
+    # a variable's square is 1, so a repeat is not the constraint it reads as
+    repeated = sorted({str(v) for v in variables if variables.count(v) > 1})
+    if repeated:
+        raise ValueError(f"repeated variable {', '.join(repeated)} in {line.strip()!r}")
+    return ParityConstraint(frozenset(variables), int(tokens[0]))
 
 
 def constraint_line(constraint: ParityConstraint) -> str:
@@ -104,12 +113,12 @@ class Question:
 
     measurements: tuple[tuple[int, ObservableKind | None], ...]
 
-    @property
+    @cached_property
     def id(self) -> str:
         toks = [f"{k.value}{q}" for q, k in self.measurements if k is not None]
         return "".join(toks) if toks else "skip"
 
-    @property
+    @cached_property
     def measured(self) -> tuple[SiteObservable, ...]:
         return tuple(
             SiteObservable(q, k) for q, k in self.measurements if k is not None
@@ -147,6 +156,32 @@ class Context:
     questions: tuple[Question, ...]
     predicate: ParityConstraint | None
     weight: Fraction
+
+    @cached_property
+    def _rows(self) -> dict[Answers, Row]:
+        return {}
+
+    def row(self, answers: Sequence[Sequence[int]]) -> Row:
+        """The scored row of one round's answers (one tuple per party):
+        (context id, question ids, answers as tuples, win).
+
+        Each distinct answer set is scored once; later calls return the
+        same tuple, so the records of rounds with equal answers share its
+        objects.
+        """
+        key = tuple(map(tuple, answers))
+        row = self._rows.get(key)
+        if row is None:
+            outcomes: dict[SiteObservable, int] = {}
+            for q, values in zip(self.questions, key):
+                outcomes.update(zip(q.measured, values))
+            row = self._rows[key] = (
+                self.id,
+                tuple(q.id for q in self.questions),
+                key,
+                predicate_eval(self.predicate, outcomes),
+            )
+        return row
 
 
 @dataclass(frozen=True)

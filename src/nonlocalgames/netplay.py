@@ -7,7 +7,9 @@ Wire protocol (version 1), one UTF-8 JSON object per line:
 * referee -> player: ``{"type": "question", "round": r,
   "observables": [{"slot": 3, "kind": "x"}, ...]}``
 * player -> referee: ``{"type": "answer", "round": r, "values": [1, -1]}``
-* referee -> player: ``{"type": "end", "reason": "complete"}``
+* referee -> player: ``{"type": "end", "reason": "complete"}``, or
+  ``"abort: <cause>"`` with the offending party named when a player
+  disconnects or breaks the protocol
 
 Unknown fields are ignored; unknown message types are protocol errors. A
 player only ever receives its own questions.
@@ -305,10 +307,11 @@ class RefereeServer:
                             f"answered round {message.get('round')!r}, asked {r}", party
                         )
                     values = message.get("values")
+                    # true and 1.0 equal 1, so they would take over the scored row of 1
                     if (
                         not isinstance(values, list)
                         or len(values) != question.answer_arity
-                        or any(v not in (1, -1) for v in values)
+                        or any(type(v) is not int or v not in (1, -1) for v in values)
                     ):
                         raise ProtocolError(f"malformed answer values {values!r}", party)
                     answers.append(tuple(values))
@@ -323,6 +326,9 @@ class RefereeServer:
             log.abort_reason = str(exc)
             self._end_all(streams, f"abort: {exc}")
             return log
+        except ProtocolError as exc:
+            self._end_all(streams, f"abort: {exc}")
+            raise
         finally:
             for conn in conns:
                 try:

@@ -5,6 +5,14 @@ A trial run is fully determined by (game, strategy, rounds, seed): one
 randomness the strategy needs, in a fixed order. The distributed referee
 in ``netplay`` replays exactly the same plan, which is what makes the two
 modes produce bit-identical logs.
+
+A game has few distinct rounds (at most 14 x 16 in the four-party game),
+so each distinct (context, answers) row is scored once, by
+``Context.row``, and the records of rounds that repeat it share its
+objects. ``TrialLog.to_jsonl`` encodes each shared row once,
+``TrialLog.from_jsonl`` decodes each distinct row once, and
+``statistics`` counts each once, weighted by its rounds. Logs and reports
+are byte for byte what scoring and encoding every round on its own gives.
 """
 
 from __future__ import annotations
@@ -142,6 +150,47 @@ class TrialRecord:
     win: bool
 
 
+_ROUND_PREFIX = '{"type": "round", "round": '
+#: a round line as to_jsonl writes it, up to the row after the round number
+_CANONICAL_ROUND = re.compile(re.escape(_ROUND_PREFIX) + r"(-?(?:0|[1-9][0-9]{0,17})), ")
+_ROW_FIELDS = {"context", "questions", "answers", "win"}
+
+
+def _row_of(rec: dict) -> tuple:
+    """A decoded round's fields after the round number, as TrialRecord holds them."""
+    return (
+        rec["context"],
+        tuple(rec["questions"]),
+        tuple(tuple(a) for a in rec["answers"]),
+        rec["win"],
+    )
+
+
+def _decode_row(rows: dict[str, tuple], text: str) -> tuple | None:
+    """The row a canonical line's text after its round number holds, or
+    None when that text is not exactly the four row fields."""
+    row = rows.get(text)
+    if row is None:
+        try:
+            fields = json.loads("{" + text)
+        except json.JSONDecodeError:
+            return None
+        if fields.keys() != _ROW_FIELDS:
+            return None
+        row = rows[text] = _row_of(fields)
+    return row
+
+
+def _row_key(record: TrialRecord) -> tuple[int, int, int, int]:
+    """Identity of a record's row objects.
+
+    Records scored or decoded from one row share its objects, so this finds
+    the repeats; equal rows built apart stay apart, which keeps every
+    result exact whatever the value types.
+    """
+    return id(record.context_id), id(record.questions), id(record.answers), id(record.win)
+
+
 @dataclass
 class TrialLog:
     game: str
@@ -163,19 +212,22 @@ class TrialLog:
         if self.abort_reason is not None:
             header["abort_reason"] = self.abort_reason
         lines = [json.dumps(header)]
+        # each distinct row is encoded once; a line adds only its round number
+        tails: dict[tuple[int, int, int, int], str] = {}
         for r in self.records:
-            lines.append(
-                json.dumps(
+            key = _row_key(r)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = json.dumps(
                     {
-                        "type": "round",
-                        "round": r.round,
                         "context": r.context_id,
                         "questions": list(r.questions),
                         "answers": [list(a) for a in r.answers],
                         "win": r.win,
                     }
-                )
-            )
+                )[1:]
+            number = str(r.round) if type(r.round) is int else json.dumps(r.round)
+            lines.append(f'{_ROUND_PREFIX}{number}, {tail}')
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -198,17 +250,18 @@ class TrialLog:
             complete=header.get("complete", True),
             abort_reason=header.get("abort_reason"),
         )
+        # a line of the form to_jsonl writes is split into its round number
+        # and its row, and each distinct row is decoded once; any other line
+        # is decoded whole, so it loads (or fails) exactly as json.loads does
+        rows: dict[str, tuple] = {}
         for ln in lines[1:]:
-            rec = json.loads(ln)
-            log.records.append(
-                TrialRecord(
-                    round=rec["round"],
-                    context_id=rec["context"],
-                    questions=tuple(rec["questions"]),
-                    answers=tuple(tuple(a) for a in rec["answers"]),
-                    win=rec["win"],
-                )
-            )
+            match = _CANONICAL_ROUND.match(ln)
+            row = _decode_row(rows, ln[match.end() :]) if match else None
+            if row is None:
+                rec = json.loads(ln)
+                log.records.append(TrialRecord(rec["round"], *_row_of(rec)))
+            else:
+                log.records.append(TrialRecord(int(match[1]), *row))
         return log
 
 
@@ -262,16 +315,7 @@ def presample(
 def _record_for(
     game: NonlocalGame, round_index: int, context: Context, answers: Sequence[tuple[int, ...]]
 ) -> TrialRecord:
-    outcomes = {}
-    for party, q in enumerate(context.questions):
-        outcomes.update(zip(q.measured, answers[party]))
-    return TrialRecord(
-        round=round_index,
-        context_id=context.id,
-        questions=tuple(q.id for q in context.questions),
-        answers=tuple(tuple(a) for a in answers),
-        win=predicate_eval(context.predicate, outcomes),
-    )
+    return TrialRecord(round_index, *context.row(answers))
 
 
 def run_trials(
@@ -375,14 +419,19 @@ def statistics(
     distributions against exact reference distributions (TV distance)."""
     if not log.records:
         raise ValueError("empty trial log")
+    # rounds that share a row are counted together, first occurrence first,
+    # so every dict below fills in the order a round-by-round pass would
+    repeats: dict[tuple[int, int, int, int], list] = {}
+    for rec in log.records:
+        repeats.setdefault(_row_key(rec), [rec, 0])[1] += 1
     asked: dict[str, int] = {}
     won: dict[str, int] = {}
     joint: dict[str, dict[tuple[int, ...], int]] = {}
     plus: dict[str, int] = {}
     seen: dict[str, int] = {}
-    for rec in log.records:
-        asked[rec.context_id] = asked.get(rec.context_id, 0) + 1
-        won[rec.context_id] = won.get(rec.context_id, 0) + int(rec.win)
+    for rec, n in repeats.values():
+        asked[rec.context_id] = asked.get(rec.context_id, 0) + n
+        won[rec.context_id] = won.get(rec.context_id, 0) + n * int(rec.win)
         flat: list[int] = []
         for qid, answers in zip(rec.questions, rec.answers):
             toks = _question_tokens(qid)
@@ -391,12 +440,12 @@ def statistics(
                     f"round {rec.round}: question {qid} arity mismatch with answers"
                 )
             for tok, value in zip(toks, answers):
-                seen[tok] = seen.get(tok, 0) + 1
-                plus[tok] = plus.get(tok, 0) + (value == +1)
+                seen[tok] = seen.get(tok, 0) + n
+                plus[tok] = plus.get(tok, 0) + n * (value == +1)
                 flat.append(value)
         counts = joint.setdefault(rec.context_id, {})
         key = tuple(flat)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + n
 
     per_context: dict[str, ContextStats] = {}
     max_tv: float | None = None

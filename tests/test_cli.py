@@ -96,9 +96,13 @@ def test_maxsat_needs_a_set(capsys):
         (["maxsat", "--file"], None),  # the file does not exist
         (["maxsat", "--file"], "+1 x1 q3\n"),
         (["maxsat", "--file"], "+2 x1\n"),
+        (["maxsat", "--file"], "-1 x1 y3\n+1 x1 x1\n"),
+        (["serve", "four-party", "--rounds", "1", "--bind", "127.0.0.1:99999"], None),
+        (["play", "four-party", "--party", "0", "--connect", "127.0.0.1:65536"], None),
     ],
     ids=["negative-witnesses", "simulate-no-rounds", "serve-no-rounds",
-         "missing-file", "bad-variable", "bad-sign"],
+         "missing-file", "bad-variable", "bad-sign", "repeated-variable",
+         "serve-port-too-large", "play-port-too-large"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, file_text):
     if argv[-1] == "--file":

@@ -68,6 +68,11 @@ def test_constraint_line_round_trip():
         parse_constraint_line("0 x1 x2")
     with pytest.raises(ValueError):
         parse_constraint_line("+1")
+    # x1*x1 is 1 whatever x1 is: the line is not the constraint x1 = +1
+    with pytest.raises(ValueError, match="repeated variable x1"):
+        parse_constraint_line("+1 x1 x1")
+    with pytest.raises(ValueError, match="repeated variable y3"):
+        parse_constraint_line("-1 y3 x1 y3 z4")
 
 
 def test_predicate_eval_basic():

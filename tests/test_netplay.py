@@ -1,12 +1,20 @@
 import json
 import socket
 import threading
+from dataclasses import dataclass
 
 import pytest
 
 from nonlocalgames.classical import automaton_model, lambda_mu_model
-from nonlocalgames.games import cabello_extended, cabello_restricted, four_party_game, mermin_ghz
+from nonlocalgames.games import (
+    ALWAYS_WIN,
+    cabello_extended,
+    cabello_restricted,
+    four_party_game,
+    mermin_ghz,
+)
 from nonlocalgames.netplay import (
+    PartyStrategy,
     PlayerSpec,
     ProtocolError,
     RefereeServer,
@@ -183,6 +191,77 @@ def test_wrong_round_answer_is_a_protocol_error():
     assert isinstance(error, ProtocolError)
     assert error.party == 0
     assert "round" in str(error)
+
+
+@pytest.mark.parametrize("values", [[True, 1], [1.0, 1], [1]], ids=["bool", "float", "short"])
+def test_protocol_error_ends_every_player(values):
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 50, 0)
+
+    # a referee that neither ends the session nor closes it must not hang the test
+    sockets = [socket.create_connection(address, timeout=10) for _ in range(2)]
+    files = [s.makefile("rwb") for s in sockets]
+    for party, f in enumerate(files):
+        f.write(encode_message({"type": "hello", "party": party, "protocol_version": 1}))
+        f.flush()
+    for f in files:
+        decode_message(f.readline())  # dealt
+        decode_message(f.readline())  # question round 0
+    # party 0 answers in form, party 1 does not
+    for f, answer in zip(files, [[1, -1], values]):
+        f.write(encode_message({"type": "answer", "round": 0, "values": answer}))
+        f.flush()
+    thread.join(timeout=10)
+    ends = [decode_message(f.readline()) for f in files]
+    for s in sockets:
+        s.close()
+    error = box["error"]
+    assert isinstance(error, ProtocolError)
+    assert error.party == 1
+    for end in ends:
+        assert end["type"] == "end"
+        assert end["reason"].startswith("abort: party 1: malformed answer values")
+
+
+@dataclass
+class Contrary(PartyStrategy):
+    """Answers against its own tape: the first value flipped on odd rounds."""
+
+    inner: PartyStrategy = None  # type: ignore[assignment]
+
+    def tape_length(self, rounds: int) -> int:
+        return self.inner.tape_length(rounds)
+
+    def set_tape(self, values: tuple[int, ...]) -> None:
+        self.inner.set_tape(values)
+
+    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
+        values = self.inner.answer(round_index, observables)
+        if round_index % 2:
+            values[0] = -values[0]
+        return values
+
+
+def test_referee_scores_the_answers_sent():
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    players = [build_party_strategy(game, strategy, party) for party in range(2)]
+    players[0] = Contrary(party=0, inner=players[0])
+    planned = run_trials(game, strategy, rounds=200, seed=8)
+    log = run_local_session(game, strategy, rounds=200, seed=8, player_specs=players)
+    assert log.complete and len(log.records) == 200
+    lost = 0
+    for sent, plan in zip(log.records, planned.records):
+        if sent.round % 2 == 0:
+            assert sent == plan
+            continue
+        (first, *rest), *others = plan.answers
+        assert sent.answers == ((-first, *rest), *others)
+        # flipping x1 or y1 breaks every tested equality
+        tested = game.context_by_id(sent.context_id).predicate is not ALWAYS_WIN
+        assert sent.win is not tested
+        lost += tested
+    assert lost > 0
 
 
 def test_bad_protocol_version_rejected():

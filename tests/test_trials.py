@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,7 @@ from nonlocalgames.games import (
 from nonlocalgames.trials import (
     QuantumStrategy,
     TrialLog,
+    TrialRecord,
     nested_subgame_report,
     quantum_reference,
     quantum_strategy,
@@ -238,3 +242,166 @@ def test_log_stream_is_pinned(game_name, strategy_name, rounds, seed, digest):
     game = game_by_name(game_name)
     log = run_trials(game, resolve_strategy(game, strategy_name), rounds=rounds, seed=seed)
     assert hashlib.sha256(log.to_jsonl().encode()).hexdigest() == digest
+
+
+_PLAY_IN_ORDER = """
+import hashlib, sys
+from nonlocalgames.games import game_by_name
+from nonlocalgames.trials import resolve_strategy, run_trials
+for arg in sys.argv[1:]:
+    name, rounds, seed = arg.split(":")
+    game = game_by_name(name)
+    log = run_trials(game, resolve_strategy(game, "quantum"), int(rounds), int(seed))
+    print(hashlib.sha256(log.to_jsonl().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("order", [(0, 4), (4, 0)], ids=["four-party-first", "extended-first"])
+def test_row_tables_stay_with_their_game(order):
+    # four-party and cabello-extended share the context ids eq01..eq14 with
+    # different questions; one process plays both, in either order
+    runs = [PINNED_LOGS[i] for i in order]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _PLAY_IN_ORDER]
+        + [f"{name}:{rounds}:{seed}" for name, _, rounds, seed, _ in runs],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.split()
+    assert out == [digest for *_, digest in runs]
+
+
+#: sha256 of json.dumps(statistics(log, quantum_reference(game)).to_records())
+#: and of statistics(log).to_text(), with log = run_trials(...)
+PINNED_STATISTICS = [
+    ("four-party", "quantum", 4000, 21,
+     "4cfbb001b0681155837f86844077eee04e5a89eed357087994bf18ebd6cbc9a0",
+     "9ad2930e8bd0f92c6767933ff14c97b44c12b39968cf2273b0fadbe9c4a8093a"),
+    ("cabello-restricted", "lambda-mu", 4000, 22,
+     "f805f13b1dcf9f47df93e832c187ea970823696c51e73dd33b3eb7416c50a03f",
+     "bb656fd6ee65af2c008a984a8118eca099e89302c5b1b25ff28d2408f95d5bb2"),
+    ("cabello-restricted", "automaton", 3000, 23,
+     "0d1cb365976c91591c0d5bb15edaaf9b78f01591236c0682fe5116f64709b063",
+     "718edf7afd5ffc03ab23b9c6c541bddd4d48617e06e81a6cf2ce1ddd34abf163"),
+    ("cabello-restricted", "best-classical", 3000, 24,
+     "37cfc7afca9aa8b0575d84bc4a499787b555cfa51fe29a1c2cf0394c23ce86e8",
+     "307b3a78925dcfc7281b979cdf350c30164f40757f811f0d679cf641158db317"),
+]
+
+
+@pytest.mark.parametrize(
+    "game_name,strategy_name,rounds,seed,records_digest,text_digest", PINNED_STATISTICS
+)
+def test_statistics_are_pinned(
+    game_name, strategy_name, rounds, seed, records_digest, text_digest
+):
+    game = game_by_name(game_name)
+    log = run_trials(game, resolve_strategy(game, strategy_name), rounds=rounds, seed=seed)
+    reference = quantum_reference(game)
+    # the log as run and the same log read back from JSONL
+    for candidate in (log, TrialLog.from_jsonl(log.to_jsonl())):
+        records = json.dumps(statistics(candidate, reference).to_records())
+        text = statistics(candidate).to_text()
+        assert hashlib.sha256(records.encode()).hexdigest() == records_digest
+        assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+
+
+# ---------------------------------------------------------------------------
+# JSONL decoding matches a plain per-line json.loads decoder
+# ---------------------------------------------------------------------------
+
+
+def _plain_records(text):
+    """The reference decoder: json.loads on every round line."""
+    records = []
+    for line in [ln for ln in text.splitlines() if ln.strip()][1:]:
+        rec = json.loads(line)
+        records.append(
+            TrialRecord(
+                round=rec["round"],
+                context_id=rec["context"],
+                questions=tuple(rec["questions"]),
+                answers=tuple(tuple(a) for a in rec["answers"]),
+                win=rec["win"],
+            )
+        )
+    return records
+
+
+def _round_line(record, **extra):
+    body = {
+        "type": "round",
+        "round": record.round,
+        "context": record.context_id,
+        "questions": list(record.questions),
+        "answers": [list(a) for a in record.answers],
+        "win": record.win,
+    }
+    body.update(extra)
+    return body
+
+
+def _variants(log):
+    """Round lines that are not in the canonical form, each beside the
+    canonical line it resembles."""
+    first, second = log.records[:2]
+    canonical = json.dumps(_round_line(first))
+    tail = canonical.split(f'"round": {first.round}, ', 1)[1]
+    return [
+        canonical,
+        json.dumps(dict(reversed(list(_round_line(first).items())))),  # reordered keys
+        json.dumps(_round_line(second), separators=(" ,  ", " :  ")),  # extra whitespace
+        "  " + canonical,  # leading whitespace
+        canonical.replace("{", "{ ", 1),
+        '{"type": "round", "round": 3, "round": 99, ' + tail,  # duplicate round key
+        '{"type": "round", "round": 4, "context": "zz", ' + tail,  # duplicate context key
+        '{"type": "round", "round": true, ' + tail,
+        '{"type": "round", "round": -0, ' + tail,
+        '{"type": "round", "round": 5, ' + tail[:-1] + ', "extra": 1}',
+        '{"type": "turn", "round": 6, ' + tail,
+        '{"type": "round", "round": 7, "type": "round", ' + tail,
+        canonical,
+    ]
+
+
+def test_from_jsonl_matches_plain_decoder():
+    game = cabello_restricted()
+    log = run_trials(game, automaton_model(), rounds=40, seed=6)
+    header, *rounds = log.to_jsonl().splitlines()
+    text = "\n".join([header, *rounds[:10], *_variants(log), *rounds[10:]]) + "\n"
+    back = TrialLog.from_jsonl(text)
+    assert repr(back.records) == repr(_plain_records(text))
+    assert back.records[:10] == log.records[:10]
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{{"type": "round", "round": 01, {tail}',
+        '{{"type": "round", "round": 1, {tail} junk',
+        '{{"type": "round", "round": 1, {tail}}}',
+        '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": 5, "win": true}}',
+        '{{"type": "round", {tail}',
+        '{{"type": "round", "round": 1, "questions": 5, "context": "a", "answers": [], "win": true}}',
+        '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": [1], "win": true}}',
+        '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": []}}',
+        '{{"type": "round", "round": 1, ',
+        '["round"]',
+    ],
+    ids=["leading-zero", "trailing-junk", "extra-brace", "answers-not-a-list", "no-round",
+         "questions-not-a-list", "answer-not-a-list", "no-win", "cut-short",
+         "not-an-object"],
+)
+def test_from_jsonl_raises_as_plain_decoder(bad_line):
+    game = cabello_restricted()
+    log = run_trials(game, automaton_model(), rounds=5, seed=6)
+    header, *rounds = log.to_jsonl().splitlines()
+    tail = rounds[0].split('"round": 0, ', 1)[1]
+    text = "\n".join([header, *rounds, bad_line.format(tail=tail)]) + "\n"
+    with pytest.raises(Exception) as expected:
+        _plain_records(text)
+    with pytest.raises(type(expected.value)) as got:
+        TrialLog.from_jsonl(text)
+    assert str(got.value) == str(expected.value)
