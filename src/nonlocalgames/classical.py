@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -266,7 +265,7 @@ def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
     for ctx in game.contexts:
         observables = game.measured_observables(ctx)
         for values, p in model_distribution(strategy, game, ctx).items():
-            if predicate_eval(ctx.predicate, dict(zip(observables, values))):
+            if predicate_eval(ctx.predicate, zip(observables, values)):
                 total += ctx.weight * p
     return total
 
@@ -361,6 +360,7 @@ def _run_search(
     his = [min(lo + chunk, size) for lo in los]
     args = ([search] * len(los), los, his, [limit] * len(los))
     if workers > 1 and len(los) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_best_in, *args))
     else:

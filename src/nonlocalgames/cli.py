@@ -47,9 +47,8 @@ class CliError(Exception):
 def _load_game(name: str) -> games.NonlocalGame:
     try:
         return games.game_by_name(name)
-    except KeyError:
-        known = ", ".join(sorted(games.GAME_BUILDERS))
-        raise CliError(EXIT_USAGE, f"unknown game {name!r}; known games: {known}")
+    except KeyError as exc:
+        raise CliError(EXIT_USAGE, exc.args[0]) from None
 
 
 def _default_budget(explicit: int | None) -> int:
@@ -145,7 +144,7 @@ def _resolve_strategy(game: games.NonlocalGame, name: str) -> trials.Strategy:
     try:
         return trials.resolve_strategy(game, name)
     except KeyError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+        raise CliError(EXIT_USAGE, exc.args[0]) from None
 
 
 def _emit_report(report: trials.StatReport, fmt: str) -> None:

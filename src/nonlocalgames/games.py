@@ -49,6 +49,19 @@ class ParityConstraint:
     def sorted_vars(self) -> tuple[SiteObservable, ...]:
         return tuple(sorted(self.vars))
 
+    def holds(self, outcomes: Mapping[SiteObservable, int] | OutcomeTuple) -> bool:
+        """Whether the variables' +-1 outcomes multiply to ``sign``. ``outcomes``
+        maps each measured observable to its value (an iterable of pairs is
+        accepted too); a variable missing from it raises ValueError."""
+        mapping = outcomes if isinstance(outcomes, Mapping) else dict(outcomes)
+        prod = 1
+        for var in self.vars:
+            try:
+                prod *= mapping[var]
+            except KeyError:
+                raise ValueError(f"outcome for {var} missing from {mapping}") from None
+        return prod == self.sign
+
     def text(self) -> str:
         head = "*".join(str(v) for v in self.sorted_vars)
         return f"{head} = {self.sign:+d}"
@@ -83,22 +96,9 @@ def predicate_eval(
     predicate: ParityConstraint | None,
     outcomes: Mapping[SiteObservable, int] | OutcomeTuple,
 ) -> bool:
-    """Evaluate a context predicate on measured outcomes.
-
-    ``outcomes`` maps each measured observable to its +-1 value (an
-    iterable of pairs is accepted too). ``ALWAYS_WIN`` evaluates to True;
-    a variable missing from ``outcomes`` raises ValueError.
-    """
-    if predicate is ALWAYS_WIN:
-        return True
-    mapping = outcomes if isinstance(outcomes, Mapping) else dict(outcomes)
-    prod = 1
-    for var in predicate.vars:
-        try:
-            prod *= mapping[var]
-        except KeyError:
-            raise ValueError(f"outcome for {var} missing from {mapping}") from None
-    return prod == predicate.sign
+    """Evaluate a context predicate on measured outcomes: ``ALWAYS_WIN``
+    evaluates to True, a parity constraint to ``predicate.holds(outcomes)``."""
+    return predicate is ALWAYS_WIN or predicate.holds(outcomes)
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,9 @@ class NonlocalGame:
 # the fourteen parity equalities of the four-qubit state
 # ---------------------------------------------------------------------------
 
-# Order matters: indices 2, 6, 10, 12 (0-based) are the four equalities the
-# restricted two-party experiment tests, and they already contradict each
-# other as a set of preassigned values.
+# Every other table of equalities in the package (the restricted game's tested
+# contexts, the contradicting four, the embedded three-party games) is read off
+# these by variable sets. The order fixes the context ids eq01..eq14.
 _FOURTEEN_SPECS: tuple[tuple[int, str], ...] = (
     (+1, "z1 z3"),
     (+1, "z2 z4"),
@@ -297,8 +297,6 @@ _FOURTEEN_SPECS: tuple[tuple[int, str], ...] = (
     (+1, "y1 y2 x3 x4"),
 )
 
-_RESTRICTED_TESTED = (2, 6, 10, 12)
-
 
 def fourteen_equalities() -> tuple[ParityConstraint, ...]:
     """The fourteen parity equalities the four-qubit state satisfies surely."""
@@ -308,9 +306,10 @@ def fourteen_equalities() -> tuple[ParityConstraint, ...]:
 
 
 def contradiction_subset() -> tuple[ParityConstraint, ...]:
-    """The four equalities that already admit no joint +-1 assignment."""
-    eqs = fourteen_equalities()
-    return tuple(eqs[i] for i in _RESTRICTED_TESTED)
+    """The four equalities the restricted experiment tests, in the order of
+    the fourteen; they already admit no joint +-1 assignment."""
+    tested = {ctx.predicate for ctx in cabello_restricted().contexts}
+    return tuple(eq for eq in fourteen_equalities() if eq in tested)
 
 
 def equation_label(index: int) -> str:
@@ -328,26 +327,22 @@ def cabello_restricted() -> NonlocalGame:
 
     Party 0 holds qubits 1-2 and is asked one of two questions; party 1
     holds qubits 3-4 and is asked one of four. All eight question pairs
-    occur with weight 1/8. Only four pairs test a parity equality; the
-    other four are accepted unconditionally, because no equality relates
-    those measurement combinations.
+    occur with weight 1/8. A pair tests the equality among the fourteen
+    whose variables it measures; no pair measures more than one. Four
+    pairs measure one, and the other four are accepted unconditionally,
+    because no equality relates those measurement combinations.
     """
     eqs = fourteen_equalities()
     alice = tuple(make_question((1, 2), t) for t in ("x1 x2", "y1 x2"))
     bob = tuple(make_question((3, 4), t) for t in ("x3 y4", "x3 z4", "y3 y4", "y3 z4"))
-    tested = {
-        (0, 1): eqs[2],   # x1 = x3 z4
-        (1, 3): eqs[6],   # y1 = -y3 z4
-        (0, 2): eqs[10],  # x1 x2 = y3 y4
-        (1, 0): eqs[12],  # y1 x2 = x3 y4
-    }
     contexts = []
-    for (i, qa), (j, qb) in itertools.product(enumerate(alice), enumerate(bob)):
+    for qa, qb in itertools.product(alice, bob):
+        measured = {*qa.measured, *qb.measured}
         contexts.append(
             Context(
                 id=f"{qa.id}|{qb.id}",
                 questions=(qa, qb),
-                predicate=tested.get((i, j), ALWAYS_WIN),
+                predicate=next((eq for eq in eqs if eq.vars <= measured), ALWAYS_WIN),
                 weight=Fraction(1, 8),
             )
         )
@@ -482,19 +477,25 @@ def mermin_ghz() -> NonlocalGame:
 
 
 def nested_ghz_contexts(selector_outcome: int) -> list[ParityConstraint]:
-    """The three-party parity constraints selected by party 2's X outcome.
+    """The three-party parity constraints selected by the x2 outcome.
 
     The four-party correlations embed a pair of three-party games on
     qubits 1, 3, 4; which one is in force is decided by the x2 outcome.
-    ``selector_outcome`` must be +1 or -1.
+    They are read off the fourteen equalities: those whose variables, less
+    x2, sit one each on qubits 1, 3 and 4, in the order of the fourteen.
+    Where x2 occurs, its outcome moves to the sign. ``selector_outcome``
+    must be +1 or -1.
     """
-    if selector_outcome == +1:
-        specs = ((+1, "x1 x3 z4"), (-1, "y1 y3 z4"), (+1, "x1 y3 y4"), (+1, "y1 x3 y4"))
-    elif selector_outcome == -1:
-        specs = ((+1, "x1 x3 z4"), (-1, "y1 y3 z4"), (-1, "x1 y3 y4"), (-1, "y1 x3 y4"))
-    else:
+    if selector_outcome not in (+1, -1):
         raise ValueError(f"selector outcome must be +1 or -1, got {selector_outcome}")
-    return [ParityConstraint.from_text(text, sign) for sign, text in specs]
+    x2 = SiteObservable(2, ObservableKind.X)
+    nested = []
+    for eq in fourteen_equalities():
+        rest = eq.vars - {x2}
+        if sorted(v.qubit for v in rest) == [1, 3, 4]:
+            sign = eq.sign * selector_outcome if x2 in eq.vars else eq.sign
+            nested.append(ParityConstraint(rest, sign))
+    return nested
 
 
 GAME_BUILDERS = {

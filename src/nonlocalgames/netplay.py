@@ -243,18 +243,21 @@ class RefereeServer:
             game=self.game.name, strategy=self.strategy.name, seed=self.seed
         )
         streams: dict[int, BinaryIO] = {}
-        conns: list[socket.socket] = []
+        # every accepted stream, then its socket: a socket keeps its
+        # connection open while a stream made from it is open
+        opened: list[BinaryIO | socket.socket] = []
         try:
             with self._listener:
                 while len(streams) < self.game.parties:
                     conn, _addr = self._listener.accept()
                     stream = conn.makefile("rwb")
+                    opened += (stream, conn)
                     hello = _recv(stream)
                     if hello is None:
                         # a probe that never said hello is not a player
+                        stream.close()
                         conn.close()
                         continue
-                    conns.append(conn)
                     if hello["type"] != "hello":
                         raise ProtocolError(f"expected hello, got {hello['type']!r}")
                     party = hello.get("party")
@@ -330,9 +333,9 @@ class RefereeServer:
             self._end_all(streams, f"abort: {exc}")
             raise
         finally:
-            for conn in conns:
+            for closable in opened:
                 try:
-                    conn.close()
+                    closable.close()
                 except OSError:
                     pass
 

@@ -15,6 +15,7 @@ decision threshold is far away from every value that actually occurs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -240,10 +241,7 @@ def expectation(state: Statevector, observables: Sequence[SiteObservable]) -> fl
     dist = joint_distribution(state, observables)
     total = 0.0
     for values, p in dist.items():
-        prod = 1
-        for v in values:
-            prod *= v
-        total += prod * p
+        total += math.prod(values) * p
     return total
 
 
@@ -325,14 +323,10 @@ def verify_constraints(
     reports = []
     for constraint in constraints:
         observables = sorted(constraint.vars)
-        _check_observables(state, observables)
         dist = joint_distribution(state, observables)
         mass = 0.0
         for values, p in dist.items():
-            prod = 1
-            for v in values:
-                prod *= v
-            if prod != constraint.sign:
+            if not constraint.holds(zip(observables, values)):
                 mass += p
         reports.append(
             ConstraintReport(constraint, holds_surely=mass < PROB_TOL, violation_mass=mass)

@@ -35,7 +35,7 @@ from .classical import (
     classical_value,
     lambda_mu_model,
 )
-from .games import Context, NonlocalGame, Question, predicate_eval
+from .games import ALWAYS_WIN, Context, NonlocalGame, Question, game_by_name, nested_ghz_contexts
 from .quantum import Statevector, make_ghz, make_psi, site
 
 LOG_FORMAT_VERSION = 1
@@ -252,13 +252,15 @@ class TrialLog:
         )
         # a line of the form to_jsonl writes is split into its round number
         # and its row, and each distinct row is decoded once; any other line
-        # is decoded whole, so it loads (or fails) exactly as json.loads does
+        # is decoded whole by json.loads and must be of type "round"
         rows: dict[str, tuple] = {}
         for ln in lines[1:]:
             match = _CANONICAL_ROUND.match(ln)
             row = _decode_row(rows, ln[match.end() :]) if match else None
             if row is None:
                 rec = json.loads(ln)
+                if rec["type"] != "round":
+                    raise ValueError(f"expected a round record, got type {rec['type']!r}")
                 log.records.append(TrialRecord(rec["round"], *_row_of(rec)))
             else:
                 log.records.append(TrialRecord(int(match[1]), *row))
@@ -336,8 +338,19 @@ def run_trials(
 _TOKEN = re.compile(r"([xyz])(\d+)")
 
 
-def _question_tokens(question_id: str) -> list[str]:
-    return [f"{k}{q}" for k, q in _TOKEN.findall(question_id)]
+def _round_values(rec: TrialRecord) -> list[tuple[str, int]]:
+    """A round's answers as (token, value) pairs such as ("x1", -1), party
+    by party; raises ValueError when questions and answers do not match."""
+    if len(rec.questions) != len(rec.answers):
+        n_answers, n_questions = len(rec.answers), len(rec.questions)
+        raise ValueError(f"round {rec.round}: {n_answers} answers to {n_questions} questions")
+    pairs: list[tuple[str, int]] = []
+    for qid, answers in zip(rec.questions, rec.answers):
+        toks = [f"{k}{q}" for k, q in _TOKEN.findall(qid)]
+        if len(toks) != len(answers):
+            raise ValueError(f"round {rec.round}: question {qid} arity mismatch with answers")
+        pairs.extend(zip(toks, answers))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -432,19 +445,12 @@ def statistics(
     for rec, n in repeats.values():
         asked[rec.context_id] = asked.get(rec.context_id, 0) + n
         won[rec.context_id] = won.get(rec.context_id, 0) + n * int(rec.win)
-        flat: list[int] = []
-        for qid, answers in zip(rec.questions, rec.answers):
-            toks = _question_tokens(qid)
-            if len(toks) != len(answers):
-                raise ValueError(
-                    f"round {rec.round}: question {qid} arity mismatch with answers"
-                )
-            for tok, value in zip(toks, answers):
-                seen[tok] = seen.get(tok, 0) + n
-                plus[tok] = plus.get(tok, 0) + n * (value == +1)
-                flat.append(value)
+        pairs = _round_values(rec)
+        for tok, value in pairs:
+            seen[tok] = seen.get(tok, 0) + n
+            plus[tok] = plus.get(tok, 0) + n * (value == +1)
         counts = joint.setdefault(rec.context_id, {})
-        key = tuple(flat)
+        key = tuple(value for _, value in pairs)
         counts[key] = counts.get(key, 0) + n
 
     per_context: dict[str, ContextStats] = {}
@@ -495,46 +501,31 @@ def quantum_reference(game: NonlocalGame) -> dict[str, dict[tuple[int, ...], flo
 
 
 def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]]:
-    """Classify four-party rounds by the embedded three-party games.
+    """Classify rounds by the embedded three-party games.
 
-    The contexts testing x1*x3*z4 and y1*y3*z4 are common to both
-    embedded games ("shared"); for the four-variable contexts, party 1's
-    X outcome selects which embedded game the other three parties are
-    playing, and the corresponding three-party constraint is checked.
-    Returns, per bucket, constraint text -> (rounds checked, rounds
-    satisfied).
+    Derived from ``games.nested_ghz_contexts`` by variable sets: a round
+    checks the embedded constraint on its context predicate's variables
+    less x2, if there is one. Without x2 it is common to both embedded
+    games ("shared"); with x2, the round's x2 answer selects the game
+    ("+1" or "-1"). Returns, per bucket, constraint text -> (rounds
+    checked, rounds satisfied).
     """
-    from .games import nested_ghz_contexts
-
-    first = {c.text(): c for c in nested_ghz_contexts(+1)}
-    second = {c.text(): c for c in nested_ghz_contexts(-1)}
-    shared_ids = {"eq03": "x1*x3*z4 = +1", "eq07": "y1*y3*z4 = -1"}
-    selected_ids = {"eq11", "eq13"}
-    report: dict[str, dict[str, tuple[int, int]]] = {
-        "shared": {},
-        "+1": {},
-        "-1": {},
-    }
-
     x2 = site("x2")
+    embedded = {s: {c.vars: c for c in nested_ghz_contexts(s)} for s in (+1, -1)}
+    game = game_by_name(log.game)
+    report: dict[str, dict[str, tuple[int, int]]] = {"shared": {}, "+1": {}, "-1": {}}
     for rec in log.records:
-        values = {
-            site(tok): value
-            for qid, answers in zip(rec.questions, rec.answers)
-            for tok, value in zip(_question_tokens(qid), answers)
-        }
-        if rec.context_id in shared_ids:
-            bucket, text = "shared", shared_ids[rec.context_id]
-            constraint = first[text]
-        elif rec.context_id in selected_ids:
-            bucket, table = ("+1", first) if values[x2] == +1 else ("-1", second)
-            # eq11 embeds x1 = +-y3*y4, eq13 embeds y1 = +-x3*y4
-            stem = "x1*y3*y4" if rec.context_id == "eq11" else "y1*x3*y4"
-            text = next(t for t in table if t.startswith(stem))
-            constraint = table[text]
-        else:
+        values = {site(tok): value for tok, value in _round_values(rec)}
+        predicate = game.context_by_id(rec.context_id).predicate
+        if predicate is ALWAYS_WIN:
             continue
+        selected = x2 in predicate.vars
+        selector = values[x2] if selected else +1  # a shared constraint is in both
+        constraint = embedded[selector].get(predicate.vars - {x2})
+        if constraint is None:
+            continue
+        bucket = f"{selector:+d}" if selected else "shared"
+        text = constraint.text()
         checked, satisfied = report[bucket].get(text, (0, 0))
-        ok = predicate_eval(constraint, values)
-        report[bucket][text] = (checked + 1, satisfied + int(ok))
+        report[bucket][text] = (checked + 1, satisfied + constraint.holds(values))
     return report

@@ -146,15 +146,22 @@ def check_mermin_baseline() -> CheckResult:
 
 
 def check_nested_conditioning() -> CheckResult:
-    state = quantum.make_psi()
-    dist = quantum.joint_distribution(state, quantum.sites("x1 x2 y3 y4"))
+    observables = quantum.sites("x1 x2 y3 y4")
+    x2 = observables[1]
+    # per x2 outcome, the embedded constraint x1 = +-y3*y4 it selects
+    embedded = {
+        s: next(c for c in games.nested_ghz_contexts(s) if c.vars <= {*observables})
+        for s in (+1, -1)
+    }
+    dist = quantum.joint_distribution(quantum.make_psi(), observables)
     mass = {+1: 0.0, -1: 0.0}
     good = {+1: 0.0, -1: 0.0}
-    for (x1, x2, y3, y4), p in dist.items():
-        mass[x2] += p
-        want = y3 * y4 if x2 == +1 else -y3 * y4
-        if x1 == want:
-            good[x2] += p
+    for values, p in dist.items():
+        outcomes = dict(zip(observables, values))
+        selector = outcomes[x2]
+        mass[selector] += p
+        if embedded[selector].holds(outcomes):
+            good[selector] += p
     cond_plus = good[+1] / mass[+1]
     cond_minus = good[-1] / mass[-1]
     ok = abs(cond_plus - 1.0) < 1e-9 and abs(cond_minus - 1.0) < 1e-9

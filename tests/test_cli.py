@@ -153,7 +153,7 @@ def test_simulate_reference_flag(capsys):
 def test_simulate_unknown_strategy_exit_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "four-party", "--strategy", "psychic")
     assert code == 2
-    assert "unknown strategy" in err
+    assert err.startswith("unknown strategy 'psychic' for game four-party")
 
 
 def test_output_deterministic(capsys):

@@ -221,6 +221,15 @@ def test_restricted_game_tests_exactly_the_four():
     assert untested == {"x1x2|x3y4", "x1x2|y3z4", "y1x2|x3z4", "y1x2|y3y4"}
 
 
+def test_restricted_contexts_measure_at_most_one_equality():
+    # each context's predicate is the one equality whose variables it measures
+    game = cabello_restricted()
+    for ctx in game.contexts:
+        measured = set(game.measured_observables(ctx))
+        inside = [eq for eq in fourteen_equalities() if eq.vars <= measured]
+        assert inside == ([] if ctx.predicate is ALWAYS_WIN else [ctx.predicate])
+
+
 def test_restricted_predicate_assignment():
     game = cabello_restricted()
     by_id = {ctx.id: ctx.predicate for ctx in game.contexts}

@@ -198,8 +198,10 @@ def test_protocol_error_ends_every_player(values):
     game = cabello_restricted()
     address, thread, box = _serve_in_thread(game, automaton_model(), 50, 0)
 
+    # a probe that leaves without a hello is not a player
+    socket.create_connection(address).close()
     # a referee that neither ends the session nor closes it must not hang the test
-    sockets = [socket.create_connection(address, timeout=10) for _ in range(2)]
+    sockets = [socket.create_connection(address, timeout=2) for _ in range(2)]
     files = [s.makefile("rwb") for s in sockets]
     for party, f in enumerate(files):
         f.write(encode_message({"type": "hello", "party": party, "protocol_version": 1}))
@@ -212,9 +214,12 @@ def test_protocol_error_ends_every_player(values):
         f.write(encode_message({"type": "answer", "round": 0, "values": answer}))
         f.flush()
     thread.join(timeout=10)
+    # read while the error, and with it the referee's frames, is still alive
     ends = [decode_message(f.readline()) for f in files]
+    closed = [f.readline() for f in files]
     for s in sockets:
         s.close()
+    assert closed == [b"", b""]  # end of stream, not a timeout
     error = box["error"]
     assert isinstance(error, ProtocolError)
     assert error.party == 1

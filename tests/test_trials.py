@@ -208,6 +208,59 @@ def test_nested_subgame_report_quantum():
     assert set(report["-1"]) == {"x1*y3*y4 = -1", "y1*x3*y4 = -1"}
 
 
+#: sha256 of json.dumps(nested_subgame_report(run_trials(...)))
+PINNED_NESTED_REPORTS = [
+    ("four-party", "quantum", 8000, 18,
+     "bba66a39df18743637ca6acbf722a275f06187f77ebb7c5eeb23bc9c25ca3076"),
+    ("four-party", "best-classical", 2000, 0,
+     "c55425c7bf8175c390a2fbe2e975d904479e75ca878cbbdcd52d462725d0f39d"),
+    ("cabello-extended", "quantum", 3000, 3,
+     "03b2e4d18bab9ccbd2a3f96f1c838288bbb6912cf6565a29232774fc931dd5a5"),
+]
+
+
+@pytest.mark.parametrize("game_name,strategy_name,rounds,seed,digest", PINNED_NESTED_REPORTS)
+def test_nested_subgame_report_is_pinned(game_name, strategy_name, rounds, seed, digest):
+    game = game_by_name(game_name)
+    log = run_trials(game, resolve_strategy(game, strategy_name), rounds=rounds, seed=seed)
+    report = json.dumps(nested_subgame_report(log))
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_nested_subgame_report_reads_the_restricted_game_too():
+    # its four tested contexts are four of the fourteen, so they embed alike
+    game = cabello_restricted()
+    log = run_trials(game, lambda_mu_model(), rounds=2_000, seed=19)
+    report = nested_subgame_report(log)
+    assert set(report["shared"]) == {"x1*x3*z4 = +1", "y1*y3*z4 = -1"}
+    assert set(report["+1"]) == {"x1*y3*y4 = +1", "y1*x3*y4 = +1"}
+    assert set(report["-1"]) == {"x1*y3*y4 = -1", "y1*x3*y4 = -1"}
+    for stats in report.values():
+        assert all(checked == satisfied for checked, satisfied in stats.values())
+    tested = sum(1 for r in log.records if game.context_by_id(r.context_id).predicate)
+    assert sum(c for stats in report.values() for c, _ in stats.values()) == tested
+
+
+@pytest.mark.parametrize(
+    "answers,error",
+    [
+        (((1,), (1,), (1,), (1, -1)), "round 4: question z4 arity mismatch with answers"),
+        (((1,), (1,), (1,)), "round 4: 3 answers to 4 questions"),
+    ],
+    ids=["long-answer", "missing-answer"],
+)
+def test_mismatched_answers_are_rejected_not_truncated(answers, error):
+    record = TrialRecord(
+        round=4, context_id="eq03", questions=("x1", "z2", "x3", "z4"),
+        answers=answers, win=True,
+    )
+    log = TrialLog(game="four-party", strategy="quantum", seed=0, records=[record])
+    with pytest.raises(ValueError, match=error):
+        nested_subgame_report(log)
+    with pytest.raises(ValueError, match=error):
+        statistics(log)
+
+
 def test_from_jsonl_rejects_unknown_version():
     game = cabello_restricted()
     text = run_trials(game, automaton_model(), rounds=3, seed=0).to_jsonl()
@@ -318,6 +371,8 @@ def _plain_records(text):
     records = []
     for line in [ln for ln in text.splitlines() if ln.strip()][1:]:
         rec = json.loads(line)
+        if rec["type"] != "round":
+            raise ValueError(f"expected a round record, got type {rec['type']!r}")
         records.append(
             TrialRecord(
                 round=rec["round"],
@@ -360,7 +415,6 @@ def _variants(log):
         '{"type": "round", "round": true, ' + tail,
         '{"type": "round", "round": -0, ' + tail,
         '{"type": "round", "round": 5, ' + tail[:-1] + ', "extra": 1}',
-        '{"type": "turn", "round": 6, ' + tail,
         '{"type": "round", "round": 7, "type": "round", ' + tail,
         canonical,
     ]
@@ -389,10 +443,12 @@ def test_from_jsonl_matches_plain_decoder():
         '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": []}}',
         '{{"type": "round", "round": 1, ',
         '["round"]',
+        '{{"type": "turn", "round": 6, {tail}',
+        '{{"type": "round", "round": 7, "type": "turn", {tail}',
     ],
     ids=["leading-zero", "trailing-junk", "extra-brace", "answers-not-a-list", "no-round",
          "questions-not-a-list", "answer-not-a-list", "no-win", "cut-short",
-         "not-an-object"],
+         "not-an-object", "another-type", "duplicate-type-key"],
 )
 def test_from_jsonl_raises_as_plain_decoder(bad_line):
     game = cabello_restricted()
