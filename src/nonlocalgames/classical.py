@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +57,23 @@ class BudgetExceededError(Exception):
 
 #: one +-1 tape per party for one round
 Tapes = tuple[tuple[int, ...], ...]
-#: draws one round's tapes from the generator, given the round's context
-Dealer = Callable[[np.random.Generator, Context], Tapes]
+
+
+class Dealer(NamedTuple):
+    """A strategy's randomness over a whole session, in column form.
+
+    After its context's uniform, each round draws ``uniforms`` more
+    uniforms in [0, 1) and then ``bits`` fair 0/1 bits. ``codes(contexts,
+    uniforms, bits)`` turns those draws, one row per round (context
+    indices, a (rounds, uniforms) float array and a (rounds, bits) int
+    array), into one int code per round; ``tapes(context, code)`` gives
+    the per-party tapes a code stands for in the context with that index.
+    """
+
+    uniforms: int
+    bits: int
+    codes: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    tapes: Callable[[int, int], Tapes]
 
 
 class LocalModel:
@@ -67,8 +82,10 @@ class LocalModel:
     its own question and those bits alone.
 
     This is the classical side of the one strategy shape in the package:
-    ``dealer(game)`` validates against the game and returns ``deal(rng,
-    context)``, which gives one tape per party for that round;
+    ``dealer(game)`` validates against the game and returns a ``Dealer``
+    that draws ``hidden_bits`` bits a round and codes them as an int
+    (bit i of the code is hidden bit i, a set bit dealt as -1), so a
+    deterministic table draws nothing and codes every round 0;
     ``respond(party, question, tape)`` is one party's answer;
     ``tape_width(game, party)`` is a party's tape length per round.
     """
@@ -87,15 +104,20 @@ class LocalModel:
         check_responses(game, self)
 
     def dealer(self, game: NonlocalGame) -> Dealer:
-        self.check(game)
         k, parties = self.hidden_bits, game.parties
+        if k > 32:
+            # a round's code, paired with its context, must fit an int64
+            raise ValueError(f"at most 32 hidden bits a round, got {k}")
+        self.check(game)
+        weights = 1 << np.arange(k)
 
-        def deal(rng: np.random.Generator, context: Context) -> Tapes:
-            # size=0 draws nothing, so a deterministic table leaves the stream alone
-            bits = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, size=k))
-            return (bits,) * parties
+        def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
+            return bits @ weights
 
-        return deal
+        def tapes(context: int, code: int) -> Tapes:
+            return (tuple(1 - 2 * ((code >> i) & 1) for i in range(k)),) * parties
+
+        return Dealer(uniforms=0, bits=k, codes=codes, tapes=tapes)
 
 
 @dataclass(frozen=True)

@@ -53,15 +53,18 @@ def _load_game(name: str) -> games.NonlocalGame:
 
 def _default_budget(explicit: int | None) -> int:
     if explicit is not None:
+        _check_at_least("--budget", explicit, 0)
         return explicit
     env = os.environ.get(BUDGET_ENV)
     if env is not None:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise CliError(
                 EXIT_USAGE, f"{BUDGET_ENV} must be an integer, got {env!r}"
             )
+        _check_at_least(BUDGET_ENV, budget, 0)
+        return budget
     return classical.DEFAULT_BUDGET
 
 
@@ -88,6 +91,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     budget = _default_budget(args.budget)
+    _check_at_least("--workers", args.workers, 1)
     _check_at_least("--witnesses", args.witnesses, 0)
     result = classical.classical_value(
         game, budget=budget, workers=args.workers, max_witnesses=args.witnesses
@@ -158,6 +162,7 @@ def _emit_report(report: trials.StatReport, fmt: str) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     _check_at_least("--rounds", args.rounds, 1)
+    _check_at_least("--seed", args.seed, 0)
     strategy = _resolve_strategy(game, args.strategy)
     log = trials.run_trials(game, strategy, rounds=args.rounds, seed=args.seed)
     reference = trials.quantum_reference(game) if args.reference else None
@@ -169,6 +174,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     _check_at_least("--rounds", args.rounds, 1)
+    _check_at_least("--seed", args.seed, 0)
     strategy = _resolve_strategy(game, args.strategy)
     address = _parse_host_port(args.bind)
     log = netplay.serve_referee(game, address, args.rounds, args.seed, strategy)

@@ -15,16 +15,17 @@ Unknown fields are ignored; unknown message types are protocol errors. A
 player only ever receives its own questions.
 
 Every strategy is played as a dealer plus local responders. The referee
-presamples the session (``trials.presample``): per round the strategy's
-dealer draws one tape per party, and each party's answer is a function
-of its own question and tape alone. Before round 1 the referee deals each
-player the concatenation of its per-round tapes, ``tape_width`` values a
-round, and never sends shared randomness during play. A deterministic
-table deals nothing, a hidden-variable model deals its shared bits to
-every party, and the quantum strategy deals each party the presampled
-outcome values of its own slots. There is no entangled hardware here, so
-the quantum case is a trusted-dealer simulation: it preserves the joint
-statistics exactly, but it is not physics.
+presamples the session (``trials.presample``): the strategy's dealer
+turns the session's draws, taken at once, into one tape per party per
+round, and each party's answer is a function of its own question and
+tape alone. Before round 1 the referee deals each player the
+concatenation of its per-round tapes, ``tape_width`` values a round, and
+never sends shared randomness during play. A deterministic table deals
+nothing, a hidden-variable model deals its shared bits to every party,
+and the quantum strategy deals each party the presampled outcome values
+of its own slots. There is no entangled hardware here, so the quantum
+case is a trusted-dealer simulation: it preserves the joint statistics
+exactly, but it is not physics.
 """
 
 from __future__ import annotations

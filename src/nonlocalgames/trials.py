@@ -6,6 +6,17 @@ randomness the strategy needs, in a fixed order. The distributed referee
 in ``netplay`` replays exactly the same plan, which is what makes the two
 modes produce bit-identical logs.
 
+The whole session is drawn at once: one ``random_raw`` call gives every
+64-bit word, and a closed form over word positions decodes the uniforms
+and bits that per-round ``rng.random()`` and ``rng.integers(0, 2,
+size=k)`` calls would give (checked on numpy 2.4.6, and by
+``tests/test_trials.py`` on the installed one). A round takes one word
+per uniform (its context's first, then a quantum outcome's), then its k
+bits from the top bits of 32-bit halves, low half first, a high half
+left over carrying into the next round. The strategy's ``Dealer`` maps
+these columns to one code per round, and rounds with the same context
+and code share one ``RoundPlan``.
+
 A game has few distinct rounds (at most 14 x 16 in the four-party game),
 so each distinct (context, answers) row is scored once, by
 ``Context.row``, and the records of rounds that repeat it share its
@@ -21,6 +32,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -70,17 +82,29 @@ class QuantumStrategy:
                 f"state has {self.state.num_qubits} qubits, game expects {game.num_qubits}"
             )
         widths = [self.tape_width(game, party) for party in range(game.parties)]
-        # per context: the outcome distribution, and the tapes dealt per outcome
-        tables = {}
+        # per context: running totals of the outcome distribution, and the
+        # tapes dealt per outcome
+        totals: list[np.ndarray] = []
+        tables: list[list[Tapes]] = []
         for ctx in game.contexts:
             dist = quantum.joint_distribution(self.state, game.measured_observables(ctx))
-            tables[ctx.id] = dist, {v: _outcome_tapes(ctx, v, widths) for v in dist}
+            totals.append(np.cumsum(list(dist.values())))
+            tables.append([_outcome_tapes(ctx, v, widths) for v in dist])
 
-        def deal(rng: np.random.Generator, context: Context) -> Tapes:
-            dist, tapes = tables[context.id]
-            return tapes[quantum.draw_from(dist, float(rng.random()))]
+        def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
+            # quantum.draw_from's pick: the first outcome whose running total
+            # exceeds u, or the last one when u lands in the round-off sliver
+            outcomes = np.empty(len(contexts), dtype=np.intp)
+            for i, total in enumerate(totals):
+                rows = contexts == i
+                picked = np.searchsorted(total, uniforms[rows, 0], side="right")
+                outcomes[rows] = np.minimum(picked, len(total) - 1)
+            return outcomes
 
-        return deal
+        def tapes(context: int, code: int) -> Tapes:
+            return tables[context][code]
+
+        return Dealer(uniforms=1, bits=0, codes=codes, tapes=tapes)
 
 
 def _outcome_tapes(context: Context, values: tuple[int, ...], widths: list[int]) -> Tapes:
@@ -141,8 +165,7 @@ def resolve_strategy(game: NonlocalGame, name: str) -> Strategy:
     return models[name]()
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     round: int
     context_id: str
     questions: tuple[str, ...]
@@ -276,6 +299,62 @@ class RoundPlan:
     tapes: Tapes
 
 
+def _session_draws(
+    seed: int, rounds: int, uniforms: int, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every draw of a seeded session, from one ``random_raw`` call.
+
+    Per round: one uniform for the context, ``uniforms`` more, then
+    ``bits`` bits, in the word layout ``presample`` states, exactly as
+    ``1 + uniforms`` calls of ``rng.random()`` and one of
+    ``rng.integers(0, 2, size=bits)`` on ``np.random.default_rng(seed)``
+    give them. Returns a (rounds, 1 + uniforms) float array and a
+    (rounds, bits) array of 0/1 ints.
+    """
+    per_round = 1 + uniforms
+    halfwords = (rounds * bits + 1) // 2
+    raw = np.random.default_rng(seed).bit_generator.random_raw(rounds * per_round + halfwords)
+    r = np.arange(rounds)
+    # a round's first word comes after the earlier rounds' uniforms and the
+    # words their bits took
+    first = r * per_round + (r * bits + 1) // 2
+    doubles = (raw[first[:, None] + np.arange(per_round)] >> 11) * 2.0**-53
+    # half-word m is drawn with its low half, in round 2m // bits, after
+    # that round's uniforms and the m half-words before it
+    m = np.arange(halfwords)
+    words = raw[m + (2 * m // max(bits, 1) + 1) * per_round]
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+    drawn = (halves[: rounds * bits] >> 31).astype(np.intp).reshape(rounds, bits)
+    return doubles, drawn
+
+
+def _plan_session(
+    game: NonlocalGame, strategy: Strategy, rounds: int, seed: int
+) -> tuple[list[RoundPlan], list[int]]:
+    """A session's distinct rounds, and per round the index of its plan."""
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    dealer = strategy.dealer(game)
+    doubles, bits = _session_draws(seed, rounds, dealer.uniforms, dealer.bits)
+    bounds = np.array([float(acc) for acc in accumulate(ctx.weight for ctx in game.contexts)])
+    contexts = np.searchsorted(bounds, doubles[:, 0], side="right")
+    codes = dealer.codes(contexts, doubles[:, 1:], bits)
+    # answers are a function of question and tape alone, so equal
+    # (context, code) rounds share one plan
+    keys, index = np.unique(codes * len(bounds) + contexts, return_inverse=True)
+    plans: list[RoundPlan] = []
+    for key in keys.tolist():
+        code, i = divmod(key, len(bounds))
+        context, tapes = game.contexts[i], dealer.tapes(i, code)
+        answers = tuple(
+            strategy.respond(party, q, tapes[party]) for party, q in enumerate(context.questions)
+        )
+        plans.append(RoundPlan(context, answers, tapes))
+    return plans, index.tolist()
+
+
 def presample(
     game: NonlocalGame, strategy: Strategy, rounds: int, seed: int
 ) -> list[RoundPlan]:
@@ -286,32 +365,17 @@ def presample(
     quantum outcome, fresh hidden bits for a hidden-variable model, nothing
     for a deterministic table. Each party then answers from its own
     question and tape. Both referee modes consume this same plan.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    deal = strategy.dealer(game)
-    respond = strategy.respond
-    rng = np.random.default_rng(seed)
-    cumulative: list[tuple[float, Context]] = []
-    acc = Fraction(0)
-    for ctx in game.contexts:
-        acc += ctx.weight
-        cumulative.append((float(acc), ctx))
 
-    # answers are a function of question and tape alone, so they repeat
-    memo: dict[tuple[str, Tapes], tuple[tuple[int, ...], ...]] = {}
-    plans: list[RoundPlan] = []
-    for _ in range(rounds):
-        u = float(rng.random())
-        context = next(ctx for bound, ctx in cumulative if u < bound)
-        tapes = deal(rng, context)
-        answers = memo.get((context.id, tapes))
-        if answers is None:
-            answers = memo[context.id, tapes] = tuple(
-                respond(party, q, tapes[party]) for party, q in enumerate(context.questions)
-            )
-        plans.append(RoundPlan(context, answers, tapes))
-    return plans
+    All of it is drawn by one ``random_raw`` call and decoded in closed
+    form: per round, the context uniform is word w as ``(w >> 11) *
+    2**-53``, a quantum outcome's uniform is the next word, and hidden
+    bits are the top bits of the following 32-bit halves, low half first,
+    with a half left over carried into the next round (``_session_draws``;
+    equal to per-call draws on numpy 2.4.6). Rounds with the same context
+    and tapes share one ``RoundPlan``.
+    """
+    plans, index = _plan_session(game, strategy, rounds, seed)
+    return [plans[i] for i in index]
 
 
 def _record_for(
@@ -324,10 +388,10 @@ def run_trials(
     game: NonlocalGame, strategy: Strategy, rounds: int, seed: int
 ) -> TrialLog:
     """Play ``rounds`` seeded rounds with an in-process referee."""
-    plans = presample(game, strategy, rounds, seed)
+    plans, index = _plan_session(game, strategy, rounds, seed)
+    rows = [plan.context.row(plan.answers) for plan in plans]
     log = TrialLog(game=game.name, strategy=strategy.name, seed=seed)
-    for r, plan in enumerate(plans):
-        log.records.append(_record_for(game, r, plan.context, plan.answers))
+    log.records = [TrialRecord(r, *rows[i]) for r, i in enumerate(index)]
     return log
 
 

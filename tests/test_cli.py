@@ -88,23 +88,33 @@ def test_maxsat_needs_a_set(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,file_text",
+    "argv,file_text,env",
     [
-        (["solve", "mermin-ghz", "--witnesses", "-1"], None),
-        (["simulate", "cabello-restricted", "--rounds", "0"], None),
-        (["serve", "cabello-restricted", "--rounds", "0", "--bind", "127.0.0.1:0"], None),
-        (["maxsat", "--file"], None),  # the file does not exist
-        (["maxsat", "--file"], "+1 x1 q3\n"),
-        (["maxsat", "--file"], "+2 x1\n"),
-        (["maxsat", "--file"], "-1 x1 y3\n+1 x1 x1\n"),
-        (["serve", "four-party", "--rounds", "1", "--bind", "127.0.0.1:99999"], None),
-        (["play", "four-party", "--party", "0", "--connect", "127.0.0.1:65536"], None),
+        (["solve", "mermin-ghz", "--witnesses", "-1"], None, None),
+        (["simulate", "cabello-restricted", "--rounds", "0"], None, None),
+        (["serve", "cabello-restricted", "--rounds", "0", "--bind", "127.0.0.1:0"], None, None),
+        (["maxsat", "--file"], None, None),  # the file does not exist
+        (["maxsat", "--file"], "+1 x1 q3\n", None),
+        (["maxsat", "--file"], "+2 x1\n", None),
+        (["maxsat", "--file"], "-1 x1 y3\n+1 x1 x1\n", None),
+        (["serve", "four-party", "--rounds", "1", "--bind", "127.0.0.1:99999"], None, None),
+        (["play", "four-party", "--party", "0", "--connect", "127.0.0.1:65536"], None, None),
+        (["simulate", "four-party", "--seed", "-1"], None, None),
+        (["serve", "four-party", "--seed", "-2", "--bind", "127.0.0.1:0"], None, None),
+        (["solve", "four-party", "--workers", "0"], None, None),
+        (["solve", "four-party", "--workers", "-3"], None, None),
+        (["solve", "four-party", "--budget", "-1"], None, None),
+        (["solve", "four-party"], None, {cli.BUDGET_ENV: "-1"}),
     ],
     ids=["negative-witnesses", "simulate-no-rounds", "serve-no-rounds",
          "missing-file", "bad-variable", "bad-sign", "repeated-variable",
-         "serve-port-too-large", "play-port-too-large"],
+         "serve-port-too-large", "play-port-too-large", "simulate-negative-seed",
+         "serve-negative-seed", "no-workers", "negative-workers", "negative-budget",
+         "negative-budget-env"],
 )
-def test_bad_input_exits_2(tmp_path, capsys, argv, file_text):
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, file_text, env):
+    for name, value in (env or {}).items():
+        monkeypatch.setenv(name, value)
     if argv[-1] == "--file":
         path = tmp_path / "eqs.txt"
         if file_text is not None:

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
-from nonlocalgames.classical import automaton_model, lambda_mu_model
+from nonlocalgames.classical import HiddenVariableModel, automaton_model, lambda_mu_model
 from nonlocalgames.games import (
     cabello_extended,
     cabello_restricted,
@@ -18,14 +20,16 @@ from nonlocalgames.trials import (
     QuantumStrategy,
     TrialLog,
     TrialRecord,
+    _session_draws,
     nested_subgame_report,
+    presample,
     quantum_reference,
     quantum_strategy,
     resolve_strategy,
     run_trials,
     statistics,
 )
-from nonlocalgames.quantum import make_ghz
+from nonlocalgames.quantum import draw_from, joint_distribution, make_ghz
 
 
 def test_quantum_strategy_states():
@@ -287,6 +291,15 @@ PINNED_LOGS = [
      "fd63c9396bae71bcba7c7d037df12ab26c312a7a05bab5816257595005e800ca"),
     ("cabello-extended", "quantum", 3000, 3,
      "69cb8be89f7a25dc6480eac106d84f71720981c76fd61118bf57512cb3213f39"),
+    # an odd round count leaves a 32-bit half pending after a 3-bit round
+    ("cabello-restricted", "lambda-mu", 4999, 17,
+     "9cf29ea0eedfde882f384b2521f8db41bac2f0abc2eecfd4b77cf758ca2abec7"),
+    # a table draws nothing beyond each round's context
+    ("four-party", "best-classical", 3001, 19,
+     "30a1e7c1640ebd15b51bd56ec3b2dd8f1920b509d0eab593ce4cbd28519ecd8f"),
+    # contexts that test nothing still draw their outcome
+    ("cabello-restricted", "quantum", 3001, 20,
+     "eeb223b5f9b822a476cdbfce5a5cb1f3949fcf23820fede36ffeda2721ec7651"),
 ]
 
 
@@ -324,6 +337,131 @@ def test_row_tables_stay_with_their_game(order):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout.split()
     assert out == [digest for *_, digest in runs]
+
+
+# ---------------------------------------------------------------------------
+# a session's draws, taken at once
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
+@pytest.mark.parametrize("rounds", [1, 2, 999, 1000])
+@pytest.mark.parametrize(
+    "uniforms,bits", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 5), (1, 0), (1, 3)]
+)
+def test_session_draws_match_per_call_draws(seed, rounds, uniforms, bits):
+    # the closed form must equal the installed numpy's per-call draws, so a
+    # numpy that draws otherwise fails here rather than silently changing logs
+    rng = np.random.default_rng(seed)
+    doubles, drawn = [], []
+    for _ in range(rounds):
+        doubles.append([rng.random() for _ in range(1 + uniforms)])
+        drawn.append(rng.integers(0, 2, size=bits).tolist())
+    got_doubles, got_bits = _session_draws(seed, rounds, uniforms, bits)
+    assert got_doubles.tolist() == doubles
+    assert got_bits.tolist() == drawn
+
+
+@pytest.mark.parametrize("game", [four_party_game(), cabello_restricted()], ids=lambda g: g.name)
+def test_quantum_outcomes_follow_draw_from(game):
+    strategy = quantum_strategy(game)
+    dealer = strategy.dealer(game)
+    contexts, uniforms, dists = [], [], []
+    for i, ctx in enumerate(game.contexts):
+        dist = joint_distribution(strategy.state, game.measured_observables(ctx))
+        dists.append(dist)
+        # each running total and its neighbours; u at or above the last total
+        # (the round-off sliver, and 1.0 itself) takes the last outcome
+        points = [0.0, 0.5, 1 - 2**-53, 1.0]
+        total = 0.0
+        for p in dist.values():
+            total += p
+            points += [np.nextafter(total, 0.0), total, np.nextafter(total, 2.0)]
+        contexts += [i] * len(points)
+        uniforms += points
+    codes = dealer.codes(
+        np.array(contexts), np.array(uniforms)[:, None], np.empty((len(uniforms), 0), int)
+    )
+    for i, u, code in zip(contexts, uniforms, codes.tolist()):
+        assert list(dists[i])[code] == draw_from(dists[i], u)
+
+
+def _per_round_plans(game, strategy, rounds, seed):
+    """(context id, outcome or hidden bits, answers) per round, drawn the
+    slow way: per-call numpy draws, a linear context search and draw_from."""
+    rng = np.random.default_rng(seed)
+    bounds = list(accumulate(ctx.weight for ctx in game.contexts))
+    plans = []
+    for _ in range(rounds):
+        u = float(rng.random())
+        context = next(c for b, c in zip(bounds, game.contexts) if u < float(b))
+        if isinstance(strategy, QuantumStrategy):
+            dist = joint_distribution(strategy.state, game.measured_observables(context))
+            drawn = draw_from(dist, float(rng.random()))
+        else:
+            drawn = tuple(1 - 2 * int(b) for b in rng.integers(0, 2, size=strategy.hidden_bits))
+        plans.append(drawn)
+    return plans
+
+
+def _dealt(plan, strategy):
+    """What a plan's tapes carry: the measured outcome, or the hidden bits."""
+    if isinstance(strategy, QuantumStrategy):
+        return tuple(
+            v
+            for q, tape in zip(plan.context.questions, plan.tapes)
+            for (_, kind), v in zip(q.measurements, tape)
+            if kind is not None
+        )
+    assert len(set(plan.tapes)) == 1, "every party holds the same hidden bits"
+    return plan.tapes[0]
+
+
+@pytest.mark.parametrize(
+    "game_name,strategy_name,rounds",
+    [
+        ("four-party", "quantum", 501),
+        ("cabello-restricted", "quantum", 500),
+        ("cabello-restricted", "lambda-mu", 501),
+        ("cabello-restricted", "automaton", 500),
+        ("mermin-ghz", "best-classical", 301),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 31])
+def test_presample_matches_per_round_draws(game_name, strategy_name, rounds, seed):
+    game = game_by_name(game_name)
+    strategy = resolve_strategy(game, strategy_name)
+    plans = presample(game, strategy, rounds, seed)
+    expected = _per_round_plans(game, strategy, rounds, seed)
+    assert [_dealt(plan, strategy) for plan in plans] == expected
+    shared = {}
+    for plan in plans:
+        assert plan.answers == tuple(
+            strategy.respond(party, q, plan.tapes[party])
+            for party, q in enumerate(plan.context.questions)
+        )
+        # rounds with the same context and tapes share one plan
+        assert shared.setdefault((plan.context.id, plan.tapes), plan) is plan
+
+
+def test_bad_seed_and_too_many_hidden_bits_rejected():
+    game = cabello_restricted()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        presample(game, lambda_mu_model(), 10, -1)
+    wide = HiddenVariableModel(
+        name="wide", hidden_bits=33, responders=lambda_mu_model().responders
+    )
+    with pytest.raises(ValueError, match="at most 32 hidden bits"):
+        presample(game, wide, 10, 0)
+
+
+def test_trial_record_is_a_plain_tuple_of_its_fields():
+    record = run_trials(cabello_restricted(), lambda_mu_model(), rounds=1, seed=0).records[0]
+    assert record == tuple(record)
+    assert repr(record) == (
+        f"TrialRecord(round=0, context_id={record.context_id!r}, "
+        f"questions={record.questions!r}, answers={record.answers!r}, win=True)"
+    )
 
 
 #: sha256 of json.dumps(statistics(log, quantum_reference(game)).to_records())
