@@ -9,10 +9,11 @@ Wire protocol (version 1), one UTF-8 JSON object per line:
 * player -> referee: ``{"type": "answer", "round": r, "values": [1, -1]}``
 * referee -> player: ``{"type": "end", "reason": "complete"}``, or
   ``"abort: <cause>"`` with the offending party named when a player
-  disconnects or breaks the protocol
+  disconnects, falls silent or breaks the protocol
 
 Unknown fields are ignored; unknown message types are protocol errors. A
-player only ever receives its own questions.
+player only ever receives its own questions. No line is longer than
+``_MAX_LINE`` bytes.
 
 Every strategy is played as a dealer plus local responders. The referee
 presamples the session (``trials.presample``): the strategy's dealer
@@ -25,7 +26,32 @@ nothing, a hidden-variable model deals its shared bits to every party,
 and the quantum strategy deals each party the presampled outcome values
 of its own slots. There is no entangled hardware here, so the quantum
 case is a trusted-dealer simulation: it preserves the joint statistics
-exactly, but it is not physics.
+exactly, but it is not physics. A tape too long for one line is dealt in
+several ``dealt`` lines, cut at multiples of 3 bytes so that only the
+last one can end in base64 padding; the player joins them and hands the
+tape to its strategy once, before its first question. A tape that fits
+is dealt in one line.
+
+The referee plays in windows of ``_WINDOW`` rounds. For each window it
+sends every party all of its questions at once, then reads the answers
+round by round, party by party. A player answers every question it has
+received, and sends those answers in one write just before it would
+wait for more input. Messages, their bytes and their order on each
+connection are those of a lock-step session, so a player that sends
+each answer as soon as it has it plays just as well. Seeing its own
+questions up to ``_WINDOW - 1`` rounds early tells a party nothing about
+another party's question in the current round: each round's context is
+drawn independently of every other round's, and the shared randomness
+was dealt before round 1 whatever the window. One window of answers
+(about 47 bytes each for the lambda-mu model, 3 KiB in all) fits the
+smallest TCP receive buffer (4 KiB), so a referee still writing a window
+cannot deadlock against a player sending its answers.
+
+The referee waits at most ``_PEER_TIMEOUT_S`` seconds for any read or
+write on a player's connection. A client silent for that long before its
+hello is dropped, like one that leaves without a hello. A timeout, reset
+or end of stream once the player has said hello ends the session in an
+incomplete log whose ``abort_reason`` names the party and the cause.
 """
 
 from __future__ import annotations
@@ -34,14 +60,22 @@ import base64
 import json
 import socket
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import BinaryIO, Sequence
+from itertools import chain, product
+from typing import Callable, Iterator, Sequence
 
 from .games import NonlocalGame, Question, game_by_name
 from .trials import Strategy, TrialLog, _record_for, presample, resolve_strategy
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
+#: rounds whose questions go to each player in one write
+_WINDOW = 64
+#: seconds the referee waits on a player's connection before giving up
+_PEER_TIMEOUT_S = 30.0
+_RECV_BYTES = 1 << 16
+
+_QUESTION_HEAD = b'{"type":"question","round":'
+_ANSWER_HEAD = b'{"type":"answer","round":'
 
 
 class ProtocolError(Exception):
@@ -54,8 +88,8 @@ class ProtocolError(Exception):
 
 
 class PlayerDisconnected(Exception):
-    def __init__(self, party: int):
-        super().__init__(f"party {party} disconnected")
+    def __init__(self, party: int, cause: str = "disconnected"):
+        super().__init__(f"party {party} {cause}")
         self.party = party
 
 
@@ -78,30 +112,47 @@ def decode_message(line: bytes) -> dict:
     return obj
 
 
-def _send(stream: BinaryIO, message: dict, transcript: list[bytes] | None = None) -> None:
-    data = encode_message(message)
-    if transcript is not None:
-        transcript.append(data)
-    stream.write(data)
-    stream.flush()
+def _lines(
+    conn: socket.socket, before_wait: Callable[[], None] | None = None
+) -> Iterator[bytes]:
+    """Each line ``conn`` receives, without its newline, until end of
+    stream; a last line cut short by the end is yielded as it is.
+
+    ``before_wait`` runs before every wait for more bytes. A line longer
+    than ``_MAX_LINE`` bytes, newline included, is a protocol error.
+    """
+    pending = b""
+    while True:
+        *lines, pending = pending.split(b"\n")
+        for line in lines:
+            if len(line) >= _MAX_LINE:
+                raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
+            yield line
+        if len(pending) >= _MAX_LINE:
+            raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
+        if before_wait is not None:
+            before_wait()
+        chunk = conn.recv(_RECV_BYTES)
+        if not chunk:
+            if pending:
+                yield pending
+            return
+        pending += chunk
 
 
-def _recv(stream: BinaryIO) -> dict | None:
-    line = stream.readline(_MAX_LINE)
-    if not line:
-        return None
-    return decode_message(line)
-
-
-def encode_tape(values: Sequence[int]) -> str:
-    """Pack a +-1 sequence into base64; bit 1 encodes the value -1."""
+def _pack_tape(values: Sequence[int]) -> bytes:
     bits = bytearray((len(values) + 7) // 8)
     for i, v in enumerate(values):
         if v == -1:
             bits[i // 8] |= 1 << (i % 8)
         elif v != +1:
             raise ValueError(f"tape values must be +-1, got {v}")
-    return base64.b64encode(bytes(bits)).decode()
+    return bytes(bits)
+
+
+def encode_tape(values: Sequence[int]) -> str:
+    """Pack a +-1 sequence into base64; bit 1 encodes the value -1."""
+    return base64.b64encode(_pack_tape(values)).decode()
 
 
 def decode_tape(text: str, length: int | None = None) -> tuple[int, ...]:
@@ -121,6 +172,17 @@ def decode_tape(text: str, length: int | None = None) -> tuple[int, ...]:
     )
 
 
+def _deal_lines(values: Sequence[int]) -> list[bytes]:
+    """The ``dealt`` lines of one player's tape, each within ``_MAX_LINE``."""
+    packed = _pack_tape(values)
+    # 4 base64 characters per 3 bytes, beside the line's other 27 bytes
+    step = (_MAX_LINE - len(encode_message({"type": "dealt", "tape": ""}))) // 4 * 3
+    return [
+        encode_message({"type": "dealt", "tape": base64.b64encode(packed[i : i + step]).decode()})
+        for i in range(0, max(len(packed), 1), step)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # player-side strategies
 # ---------------------------------------------------------------------------
@@ -131,9 +193,6 @@ class PartyStrategy:
     """What one player process needs: how to answer its own questions."""
 
     party: int
-
-    def tape_length(self, rounds: int) -> int:
-        return 0
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         pass
@@ -155,9 +214,6 @@ class Player(PartyStrategy):
     #: the party's questions by their (slot, kind) observables
     questions: dict[tuple[tuple[int, str], ...], Question] = field(default_factory=dict)
     _tape: tuple[int, ...] = ()
-
-    def tape_length(self, rounds: int) -> int:
-        return rounds * self.width
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         self._tape = values
@@ -208,6 +264,87 @@ class PlayerSpec:
 # ---------------------------------------------------------------------------
 
 
+def _question_tail(question: Question) -> bytes:
+    """A question line after its round number, as ``encode_message`` writes it."""
+    observables = [{"slot": o.qubit, "kind": o.kind.value} for o in question.measured]
+    return b"," + encode_message({"observables": observables})[1:]
+
+
+def _answer_tails(arity: int) -> dict[bytes, tuple[int, ...]]:
+    """Each canonical ending of an answer line after ``"values":``, with its values."""
+    skip = len(b'{"values":')
+    return {
+        encode_message({"values": list(values)})[skip:-1]: values
+        for values in product((1, -1), repeat=arity)
+    }
+
+
+@dataclass
+class _Seat:
+    """One player's connection as the referee sees it: any transport
+    failure on it is that party leaving the session."""
+
+    party: int
+    conn: socket.socket
+    lines: Iterator[bytes]
+    outbox: list[bytes] | None = None
+
+    def send(self, lines: list[bytes]) -> None:
+        if self.outbox is not None:
+            self.outbox.extend(lines)
+        try:
+            self.conn.sendall(b"".join(lines))
+        except OSError as exc:
+            raise self._lost(exc) from None
+
+    def read(self) -> bytes:
+        try:
+            line = next(self.lines, None)
+        except OSError as exc:
+            raise self._lost(exc) from None
+        except ProtocolError as exc:
+            raise ProtocolError(str(exc), self.party) from None
+        if line is None:
+            raise PlayerDisconnected(self.party)
+        return line
+
+    def read_answer(
+        self, r: int, head: bytes, tails: dict[bytes, tuple[int, ...]], arity: int
+    ) -> tuple[int, ...]:
+        """Round r's answer values; ``head`` is the canonical line up to
+        them and ``tails`` the canonical endings of this arity."""
+        line = self.read()
+        if line.startswith(head):
+            values = tails.get(line[len(head) :])
+            if values is not None:
+                return values
+        # any other form is decoded whole and checked field by field
+        try:
+            message = decode_message(line)
+        except ProtocolError as exc:
+            raise ProtocolError(str(exc), self.party) from None
+        if message["type"] != "answer":
+            raise ProtocolError(f"expected answer, got {message['type']!r}", self.party)
+        if message.get("round") != r:
+            raise ProtocolError(
+                f"answered round {message.get('round')!r}, asked {r}", self.party
+            )
+        values = message.get("values")
+        # true and 1.0 equal 1, so they would take over the scored row of 1
+        if (
+            not isinstance(values, list)
+            or len(values) != arity
+            or any(type(v) is not int or v not in (1, -1) for v in values)
+        ):
+            raise ProtocolError(f"malformed answer values {values!r}", self.party)
+        return tuple(values)
+
+    def _lost(self, exc: OSError) -> PlayerDisconnected:
+        if isinstance(exc, TimeoutError):
+            return PlayerDisconnected(self.party, f"timed out after {_PEER_TIMEOUT_S} s")
+        return PlayerDisconnected(self.party, f"disconnected ({exc})")
+
+
 class RefereeServer:
     """Serves one session of a game to one connected player per party."""
 
@@ -235,117 +372,93 @@ class RefereeServer:
         """Run the session; returns the log (flagged incomplete on abort)."""
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
-        plans = presample(self.game, self.strategy, self.rounds, self.seed)
-        tapes = [
-            tuple(chain.from_iterable(plan.tapes[party] for plan in plans))
-            for party in range(self.game.parties)
-        ]
-        log = TrialLog(
-            game=self.game.name, strategy=self.strategy.name, seed=self.seed
-        )
-        streams: dict[int, BinaryIO] = {}
-        # every accepted stream, then its socket: a socket keeps its
-        # connection open while a stream made from it is open
-        opened: list[BinaryIO | socket.socket] = []
+        game = self.game
+        plans = presample(game, self.strategy, self.rounds, self.seed)
+        log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
+        # per context and party: the question line after its round number,
+        # the answer's arity, and the canonical endings of its answer line
+        asked = {
+            context.id: [
+                (_question_tail(q), q.answer_arity, _answer_tails(q.answer_arity))
+                for q in context.questions
+            ]
+            for context in game.contexts
+        }
+        seats: dict[int, _Seat] = {}
+        opened: list[socket.socket] = []
         try:
             with self._listener:
-                while len(streams) < self.game.parties:
+                while len(seats) < game.parties:
                     conn, _addr = self._listener.accept()
-                    stream = conn.makefile("rwb")
-                    opened += (stream, conn)
-                    hello = _recv(stream)
-                    if hello is None:
-                        # a probe that never said hello is not a player
-                        stream.close()
+                    opened.append(conn)
+                    conn.settimeout(_PEER_TIMEOUT_S)
+                    lines = _lines(conn)
+                    try:
+                        line = next(lines, None)
+                    except OSError:
+                        line = None
+                    if line is None:
+                        # a client that is silent, resets or leaves before
+                        # its hello is not a player
                         conn.close()
                         continue
+                    hello = decode_message(line)
                     if hello["type"] != "hello":
                         raise ProtocolError(f"expected hello, got {hello['type']!r}")
                     party = hello.get("party")
-                    if not isinstance(party, int) or not 0 <= party < self.game.parties:
+                    if not isinstance(party, int) or not 0 <= party < game.parties:
                         raise ProtocolError(f"bad party index {party!r}")
                     if hello.get("protocol_version") != PROTOCOL_VERSION:
                         raise ProtocolError(
                             f"unsupported protocol version {hello.get('protocol_version')!r}",
                             party,
                         )
-                    if party in streams:
+                    if party in seats:
                         raise ProtocolError("duplicate hello", party)
-                    streams[party] = stream
+                    outbox = None if self.transcript is None else self.transcript.setdefault(party, [])
+                    seats[party] = _Seat(party, conn, lines, outbox)
+            order = [seats[party] for party in range(game.parties)]
 
-            for party, stream in streams.items():
-                outbox = None if self.transcript is None else self.transcript.setdefault(party, [])
-                _send(stream, {"type": "dealt", "tape": encode_tape(tapes[party])}, outbox)
+            for seat in order:
+                tape = chain.from_iterable(plan.tapes[seat.party] for plan in plans)
+                seat.send(_deal_lines(tuple(tape)))
 
-            for r, plan in enumerate(plans):
-                for party in range(self.game.parties):
-                    question = plan.context.questions[party]
-                    outbox = None if self.transcript is None else self.transcript[party]
-                    _send(
-                        streams[party],
-                        {
-                            "type": "question",
-                            "round": r,
-                            "observables": [
-                                {"slot": obs.qubit, "kind": obs.kind.value}
-                                for obs in question.measured
-                            ],
-                        },
-                        outbox,
-                    )
-                answers: list[tuple[int, ...]] = []
-                for party in range(self.game.parties):
-                    question = plan.context.questions[party]
-                    try:
-                        message = _recv(streams[party])
-                    except ProtocolError as exc:
-                        raise ProtocolError(str(exc), party) from None
-                    if message is None:
-                        raise PlayerDisconnected(party)
-                    if message["type"] != "answer":
-                        raise ProtocolError(
-                            f"expected answer, got {message['type']!r}", party
-                        )
-                    if message.get("round") != r:
-                        raise ProtocolError(
-                            f"answered round {message.get('round')!r}, asked {r}", party
-                        )
-                    values = message.get("values")
-                    # true and 1.0 equal 1, so they would take over the scored row of 1
-                    if (
-                        not isinstance(values, list)
-                        or len(values) != question.answer_arity
-                        or any(type(v) is not int or v not in (1, -1) for v in values)
-                    ):
-                        raise ProtocolError(f"malformed answer values {values!r}", party)
-                    answers.append(tuple(values))
-                log.records.append(_record_for(self.game, r, plan.context, answers))
+            for lo in range(0, self.rounds, _WINDOW):
+                window = range(lo, min(lo + _WINDOW, self.rounds))
+                for seat in order:
+                    seat.send([
+                        b"%s%d%s" % (_QUESTION_HEAD, r, asked[plans[r].context.id][seat.party][0])
+                        for r in window
+                    ])
+                for r in window:
+                    context = plans[r].context
+                    head = b'%s%d,"values":' % (_ANSWER_HEAD, r)
+                    answers = [
+                        seat.read_answer(r, head, tails, arity)
+                        for seat, (_, arity, tails) in zip(order, asked[context.id])
+                    ]
+                    log.records.append(_record_for(game, r, context, answers))
 
-            for party, stream in streams.items():
-                outbox = None if self.transcript is None else self.transcript[party]
-                _send(stream, {"type": "end", "reason": "complete"}, outbox)
+            for seat in order:
+                seat.send([encode_message({"type": "end", "reason": "complete"})])
             return log
         except PlayerDisconnected as exc:
             log.complete = False
             log.abort_reason = str(exc)
-            self._end_all(streams, f"abort: {exc}")
+            self._end_all(seats, f"abort: {exc}")
             return log
         except ProtocolError as exc:
-            self._end_all(streams, f"abort: {exc}")
+            self._end_all(seats, f"abort: {exc}")
             raise
         finally:
-            for closable in opened:
-                try:
-                    closable.close()
-                except OSError:
-                    pass
+            for conn in opened:
+                conn.close()
 
-    def _end_all(self, streams: dict[int, BinaryIO], reason: str) -> None:
-        for party, stream in streams.items():
-            outbox = None if self.transcript is None else self.transcript.get(party)
+    def _end_all(self, seats: dict[int, _Seat], reason: str) -> None:
+        for seat in seats.values():
             try:
-                _send(stream, {"type": "end", "reason": reason}, outbox)
-            except (OSError, ValueError):
+                seat.send([encode_message({"type": "end", "reason": reason})])
+            except PlayerDisconnected:
                 pass
 
 
@@ -422,6 +535,7 @@ def run_player(
 ) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
+    Answers go out together, just before the player waits for more input.
     Returns 4 on protocol errors (and prints the reason to stderr), which
     matches the CLI exit-code convention.
     """
@@ -430,24 +544,34 @@ def run_player(
     party_strategy = strategy.build() if isinstance(strategy, PlayerSpec) else strategy
     try:
         with socket.create_connection(address) as conn:
-            stream = conn.makefile("rwb")
-            _send(
-                stream,
-                {
-                    "type": "hello",
-                    "party": party_strategy.party,
-                    "protocol_version": PROTOCOL_VERSION,
-                },
+            conn.sendall(
+                encode_message(
+                    {
+                        "type": "hello",
+                        "party": party_strategy.party,
+                        "protocol_version": PROTOCOL_VERSION,
+                    }
+                )
             )
-            while True:
-                message = _recv(stream)
-                if message is None:
-                    raise ProtocolError("referee closed the connection mid-session")
+            replies: list[bytes] = []
+
+            def send_replies() -> None:
+                if replies:
+                    conn.sendall(b"".join(replies))
+                    replies.clear()
+
+            # the dealt pieces, handed to the strategy at the first question
+            tape: list[tuple[int, ...]] = []
+            for line in _lines(conn, send_replies):
+                message = decode_message(line)
                 kind = message["type"]
                 if kind == "dealt":
                     # a player does not know the session length: take every bit
-                    party_strategy.set_tape(decode_tape(message.get("tape", "")))
+                    tape.append(decode_tape(message.get("tape", "")))
                 elif kind == "question":
+                    if tape:
+                        party_strategy.set_tape(tuple(chain.from_iterable(tape)))
+                        tape = []
                     try:
                         round_index = int(message["round"])
                         observables = [
@@ -457,18 +581,20 @@ def run_player(
                     except (KeyError, TypeError, ValueError):
                         raise ProtocolError(f"malformed question {message!r}") from None
                     values = party_strategy.answer(round_index, observables)
-                    _send(
-                        stream,
-                        {
-                            "type": "answer",
-                            "round": round_index,
-                            "values": [int(v) for v in values],
-                        },
+                    replies.append(
+                        encode_message(
+                            {
+                                "type": "answer",
+                                "round": round_index,
+                                "values": [int(v) for v in values],
+                            }
+                        )
                     )
                 elif kind == "end":
                     return 0
                 else:
                     raise ProtocolError(f"unknown message type {kind!r}")
+            raise ProtocolError("referee closed the connection mid-session")
     except ProtocolError as exc:
         print(f"player {party_strategy.party}: {exc}", file=sys.stderr)
         return 4

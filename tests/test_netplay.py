@@ -1,13 +1,17 @@
 import json
 import socket
+import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import pytest
 
+from nonlocalgames import netplay
 from nonlocalgames.classical import automaton_model, lambda_mu_model
 from nonlocalgames.games import (
     ALWAYS_WIN,
+    GAME_BUILDERS,
     cabello_extended,
     cabello_restricted,
     four_party_game,
@@ -65,6 +69,49 @@ def test_tape_rejects_non_pm_one():
         encode_tape((1, 0, -1))
 
 
+@pytest.mark.parametrize("name", sorted(GAME_BUILDERS))
+def test_question_and_answer_templates_are_canonical(name):
+    game = GAME_BUILDERS[name]()
+    for context in game.contexts:
+        for question in context.questions:
+            tail = netplay._question_tail(question)
+            for r in (0, 7, 63, 123456):
+                message = {
+                    "type": "question",
+                    "round": r,
+                    "observables": [
+                        {"slot": o.qubit, "kind": o.kind.value} for o in question.measured
+                    ],
+                }
+                assert b"%s%d%s" % (netplay._QUESTION_HEAD, r, tail) == encode_message(message)
+            for ending, values in netplay._answer_tails(question.answer_arity).items():
+                line = b'%s%d,"values":%s' % (netplay._ANSWER_HEAD, 5, ending)
+                answer = {"type": "answer", "round": 5, "values": list(values)}
+                assert line + b"\n" == encode_message(answer)
+
+
+def test_short_tape_is_dealt_in_one_line():
+    for values in [(), (1, -1, -1), tuple((-1) ** (i // 3) for i in range(5000))]:
+        assert netplay._deal_lines(values) == [
+            encode_message({"type": "dealt", "tape": encode_tape(values)})
+        ]
+
+
+@pytest.mark.parametrize("max_line", [64, 65, 66, 67, 200])
+def test_long_tape_is_dealt_within_the_line_limit(monkeypatch, max_line):
+    monkeypatch.setattr(netplay, "_MAX_LINE", max_line)
+    values = tuple(-1 if (i * 7) % 5 < 2 else 1 for i in range(3001))
+    lines = netplay._deal_lines(values)
+    assert len(lines) > 1
+    pieces = [decode_message(line)["tape"] for line in lines]
+    assert all(len(line) <= max_line for line in lines)
+    # only the last piece may end in padding
+    assert all(not piece.endswith("=") for piece in pieces[:-1])
+    joined = sum((decode_tape(piece) for piece in pieces), ())
+    assert joined[: len(values)] == values
+    assert set(joined[len(values) :]) <= {1}
+
+
 # ---------------------------------------------------------------------------
 # mode equivalence (the core contract)
 # ---------------------------------------------------------------------------
@@ -98,6 +145,85 @@ def test_players_from_specs_match_too():
         game, strategy, rounds=100, seed=21, player_specs=specs
     )
     assert in_process == distributed
+
+
+WINDOW_CASES = [
+    (four_party_game, lambda g: quantum_strategy(g), 300, 42),
+    (cabello_restricted, lambda g: lambda_mu_model(), 300, 5),
+    (cabello_restricted, lambda g: automaton_model(), 150, 9),
+    (mermin_ghz, lambda g: quantum_strategy(g), 200, 1),
+    (cabello_extended, lambda g: quantum_strategy(g), 150, 3),
+    # whole windows, and one round past them
+    (cabello_restricted, lambda g: lambda_mu_model(), 128, 6),
+    (four_party_game, lambda g: quantum_strategy(g), 129, 7),
+]
+
+
+@pytest.mark.parametrize("game_builder,strategy_builder,rounds,seed", WINDOW_CASES)
+def test_window_leaves_transcripts_and_logs_unchanged(
+    monkeypatch, game_builder, strategy_builder, rounds, seed
+):
+    game = game_builder()
+    strategy = strategy_builder(game)
+    sessions = []
+    for window in (1, netplay._WINDOW):
+        monkeypatch.setattr(netplay, "_WINDOW", window)
+        transcript: dict[int, list[bytes]] = {}
+        log = run_local_session(game, strategy, rounds=rounds, seed=seed, transcript=transcript)
+        sessions.append((log.to_jsonl(), transcript))
+    assert sessions[0] == sessions[1]
+    assert sessions[0][0] == run_trials(game, strategy, rounds=rounds, seed=seed).to_jsonl()
+
+
+def _lock_step_player(address, player, encode):
+    """A player that sends each answer as soon as it has it, in ``encode``'s layout."""
+    with socket.create_connection(address) as s:
+        f = s.makefile("rwb")
+        hello = {"type": "hello", "party": player.party, "protocol_version": 1}
+        f.write(encode_message(hello))
+        f.flush()
+        while True:
+            message = decode_message(f.readline())
+            if message["type"] == "dealt":
+                player.set_tape(decode_tape(message["tape"]))
+            elif message["type"] == "question":
+                observables = [(o["slot"], o["kind"]) for o in message["observables"]]
+                values = player.answer(message["round"], observables)
+                f.write(encode({"type": "answer", "round": message["round"], "values": values}))
+                f.flush()
+            else:
+                return message
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        encode_message,
+        lambda message: json.dumps(dict(reversed(message.items()))).encode() + b"\n",
+    ],
+    ids=["canonical", "reordered-spaced"],
+)
+def test_lock_step_player_in_any_layout_still_plays(encode):
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    address, thread, box = _serve_in_thread(game, strategy, 150, 12)
+    ends = []
+    players = [
+        threading.Thread(
+            target=lambda p=party: ends.append(
+                _lock_step_player(address, build_party_strategy(game, strategy, p), encode)
+            ),
+            daemon=True,
+        )
+        for party in range(2)
+    ]
+    for p in players:
+        p.start()
+    thread.join(timeout=20)
+    for p in players:
+        p.join(timeout=10)
+    assert box["log"] == run_trials(game, strategy, rounds=150, seed=12)
+    assert ends == [{"type": "end", "reason": "complete"}] * 2
 
 
 def test_transcript_never_leaks_foreign_data():
@@ -214,8 +340,17 @@ def test_protocol_error_ends_every_player(values):
         f.write(encode_message({"type": "answer", "round": 0, "values": answer}))
         f.flush()
     thread.join(timeout=10)
-    # read while the error, and with it the referee's frames, is still alive
-    ends = [decode_message(f.readline()) for f in files]
+    # read while the error, and with it the referee's frames, is still alive;
+    # the questions sent ahead of round 0's answers come before the end
+    ends = []
+    for f in files:
+        ahead = []
+        message = decode_message(f.readline())
+        while message["type"] == "question":
+            ahead.append(message["round"])
+            message = decode_message(f.readline())
+        assert ahead == list(range(1, len(ahead) + 1))
+        ends.append(message)
     closed = [f.readline() for f in files]
     for s in sockets:
         s.close()
@@ -228,14 +363,106 @@ def test_protocol_error_ends_every_player(values):
         assert end["reason"].startswith("abort: party 1: malformed answer values")
 
 
+def _players_in_threads(address, game, strategy, parties):
+    """Start a real player per party on a thread; returns the threads and
+    the exit statuses as they come in."""
+    statuses: dict[int, int] = {}
+
+    def play(party):
+        statuses[party] = run_player(address, build_party_strategy(game, strategy, party))
+
+    threads = [threading.Thread(target=play, args=(p,), daemon=True) for p in parties]
+    for t in threads:
+        t.start()
+    return threads, statuses
+
+
+def _hello(party):
+    return encode_message({"type": "hello", "party": party, "protocol_version": 1})
+
+
+def test_reset_after_hello_yields_incomplete_log():
+    game = cabello_restricted()
+    strategy = automaton_model()
+    address, thread, box = _serve_in_thread(game, strategy, 50, 0)
+    # party 0 says hello, then resets its connection (SO_LINGER 0)
+    leaver = socket.create_connection(address)
+    leaver.sendall(_hello(0))
+    leaver.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    leaver.close()
+    threads, statuses = _players_in_threads(address, game, strategy, [1])
+    thread.join(timeout=10)
+    for t in threads:
+        t.join(timeout=10)
+    log = box["log"]
+    assert not log.complete
+    assert log.abort_reason.startswith("party 0 disconnected")
+    assert log.records == []
+    # the player that stayed is not left waiting
+    assert list(statuses) == [1]
+
+
+def test_silent_client_before_the_players_is_dropped(monkeypatch):
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", 0.5)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    address, thread, box = _serve_in_thread(game, strategy, 100, 4)
+    with socket.create_connection(address):
+        # connected first, never says hello, stays open throughout
+        threads, statuses = _players_in_threads(address, game, strategy, [0, 1])
+        thread.join(timeout=10)
+        for t in threads:
+            t.join(timeout=10)
+    assert box["log"] == run_trials(game, strategy, rounds=100, seed=4)
+    assert statuses == {0: 0, 1: 0}
+
+
+def test_stalled_player_times_out(monkeypatch):
+    deadline = 0.5
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", deadline)
+    game = cabello_restricted()
+    strategy = automaton_model()
+    address, thread, box = _serve_in_thread(game, strategy, 50, 0)
+    with socket.create_connection(address) as staller:
+        # party 0 says hello and then never answers
+        staller.sendall(_hello(0))
+        threads, statuses = _players_in_threads(address, game, strategy, [1])
+        start = time.monotonic()
+        thread.join(timeout=10)
+        elapsed = time.monotonic() - start
+        for t in threads:
+            t.join(timeout=10)
+    log = box["log"]
+    assert not log.complete
+    assert log.abort_reason == "party 0 timed out after 0.5 s"
+    assert log.records == []
+    assert elapsed < 2 * deadline
+    assert list(statuses) == [1]
+
+
+def test_session_with_a_tape_over_the_line_limit(monkeypatch):
+    monkeypatch.setattr(netplay, "_MAX_LINE", 256)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    server = RefereeServer(game, 1000, 3, strategy, transcript={})
+    address = server.bind(("127.0.0.1", 0))[:2]
+    threads, statuses = _players_in_threads(address, game, strategy, [0, 1])
+    log = server.serve()
+    for t in threads:
+        t.join(timeout=10)
+    assert statuses == {0: 0, 1: 0}
+    assert log == run_trials(game, strategy, rounds=1000, seed=3)
+    for party, sent in server.transcript.items():
+        dealt = [line for line in sent if decode_message(line)["type"] == "dealt"]
+        assert len(dealt) > 1
+        assert all(len(line) <= 256 for line in sent)
+
+
 @dataclass
 class Contrary(PartyStrategy):
     """Answers against its own tape: the first value flipped on odd rounds."""
 
     inner: PartyStrategy = None  # type: ignore[assignment]
-
-    def tape_length(self, rounds: int) -> int:
-        return self.inner.tape_length(rounds)
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         self.inner.set_tape(values)
