@@ -4,14 +4,10 @@ Exact statevector statistics for local X/Y/Z measurements, a catalog of
 parity games on a four-qubit entangled state, exact classical-value
 solvers over local hidden variable strategies, and a trial harness with
 both an in-process and a distributed (one process per player) referee.
+The namespace holds what the demos use; import the rest from its submodule.
 """
 
 from .classical import (
-    BudgetExceededError,
-    DeterministicStrategy,
-    GameValueResult,
-    HiddenVariableModel,
-    MaxSatResult,
     automaton_model,
     classical_value,
     lambda_mu_model,
@@ -20,114 +16,42 @@ from .classical import (
     noncontextual_value,
     win_probability,
 )
-from .games import (
-    ALWAYS_WIN,
-    Context,
-    NonlocalGame,
-    ParityConstraint,
-    Question,
-    cabello_extended,
-    cabello_restricted,
-    contradiction_subset,
-    describe,
-    four_party_game,
-    fourteen_equalities,
-    game_by_name,
-    mermin_ghz,
-    nested_ghz_contexts,
-    predicate_eval,
-)
-from .netplay import (
-    PlayerSpec,
-    ProtocolError,
-    RefereeServer,
-    run_local_session,
-    run_player,
-    serve_referee,
-)
+from .games import cabello_restricted, contradiction_subset, four_party_game, fourteen_equalities
+from .netplay import run_local_session
 from .quantum import (
-    ObservableKind,
-    SiteObservable,
-    Statevector,
-    basis_state,
     expectation,
     joint_distribution,
     make_ghz,
     make_psi,
     reduced_spectrum,
-    sample,
-    site,
     sites,
     verify_constraints,
 )
-from .trials import (
-    QuantumStrategy,
-    StatReport,
-    TrialLog,
-    TrialRecord,
-    nested_subgame_report,
-    quantum_reference,
-    quantum_strategy,
-    run_trials,
-    statistics,
-)
+from .trials import nested_subgame_report, quantum_strategy, run_trials
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALWAYS_WIN",
-    "BudgetExceededError",
-    "Context",
-    "DeterministicStrategy",
-    "GameValueResult",
-    "HiddenVariableModel",
-    "MaxSatResult",
-    "NonlocalGame",
-    "ObservableKind",
-    "ParityConstraint",
-    "PlayerSpec",
-    "ProtocolError",
-    "QuantumStrategy",
-    "Question",
-    "RefereeServer",
-    "SiteObservable",
-    "StatReport",
-    "Statevector",
-    "TrialLog",
-    "TrialRecord",
     "automaton_model",
-    "basis_state",
-    "cabello_extended",
     "cabello_restricted",
     "classical_value",
     "contradiction_subset",
-    "describe",
     "expectation",
     "four_party_game",
     "fourteen_equalities",
-    "game_by_name",
     "joint_distribution",
     "lambda_mu_model",
     "make_ghz",
     "make_psi",
-    "mermin_ghz",
     "model_distribution",
-    "nested_ghz_contexts",
     "nested_subgame_report",
     "noncontextual_maxsat",
     "noncontextual_value",
-    "predicate_eval",
-    "quantum_reference",
     "quantum_strategy",
     "reduced_spectrum",
     "run_local_session",
-    "run_player",
     "run_trials",
-    "sample",
-    "serve_referee",
-    "site",
     "sites",
-    "statistics",
     "verify_constraints",
     "win_probability",
 ]

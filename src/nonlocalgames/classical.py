@@ -132,9 +132,6 @@ class DeterministicStrategy(LocalModel):
     def parties(self) -> int:
         return len(self.answers)
 
-    def answers_for(self, party: int, question_id: str) -> tuple[int, ...]:
-        return self.answers[party][question_id]
-
     def respond(
         self, party: int, question: Question, tape: tuple[int, ...]
     ) -> tuple[int, ...]:

@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-budget exceeded, 4 protocol error. All output is deterministic given the
-flags and seed. The solver budget can be overridden with the
-``NONLOCALGAMES_BUDGET`` environment variable (an explicit ``--budget``
-flag wins over it).
+budget exceeded, 4 protocol error or aborted session, from ``serve`` and
+``play`` alike; ``serve`` aborts when a player's message is not whole
+within 30 s. All output is deterministic given the flags and seed. The
+solver budget can be overridden with the ``NONLOCALGAMES_BUDGET``
+environment variable (an explicit ``--budget`` flag wins over it).
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _check_at_least("--seed", args.seed, 0)
     strategy = _resolve_strategy(game, args.strategy)
     address = _parse_host_port(args.bind)
-    log = netplay.serve_referee(game, address, args.rounds, args.seed, strategy)
+    server = netplay.RefereeServer(game, args.rounds, args.seed, strategy)
+    server.bind(address)
+    log = server.serve()
     if args.out is not None:
         Path(args.out).write_text(log.to_jsonl())
     if not log.complete:

@@ -88,10 +88,6 @@ def parse_constraint_line(line: str) -> ParityConstraint:
     return ParityConstraint(frozenset(variables), int(tokens[0]))
 
 
-def constraint_line(constraint: ParityConstraint) -> str:
-    return " ".join([f"{constraint.sign:+d}"] + [str(v) for v in constraint.sorted_vars])
-
-
 def predicate_eval(
     predicate: ParityConstraint | None,
     outcomes: Mapping[SiteObservable, int] | OutcomeTuple,
@@ -127,10 +123,6 @@ class Question:
     @property
     def answer_arity(self) -> int:
         return len(self.measured)
-
-    def answer_space(self) -> list[tuple[int, ...]]:
-        """All possible answers, +1 enumerated before -1 per slot."""
-        return list(itertools.product((+1, -1), repeat=self.answer_arity))
 
     def __str__(self) -> str:
         return self.id
@@ -249,9 +241,6 @@ class NonlocalGame:
     @property
     def num_qubits(self) -> int:
         return len(self.qubit_ownership)
-
-    def owner(self, qubit: int) -> int:
-        return dict(self.qubit_ownership)[qubit]
 
     def question(self, party: int, question_id: str) -> Question:
         for q in self.question_sets[party]:

@@ -19,7 +19,10 @@ Every strategy is played as a dealer plus local responders. The referee
 presamples the session (``trials.presample``): the strategy's dealer
 turns the session's draws, taken at once, into one tape per party per
 round, and each party's answer is a function of its own question and
-tape alone. Before round 1 the referee deals each player the
+tape alone. One player type, ``PartyStrategy``, plays every strategy:
+it holds one party's questions and dealt tape, and the strategy's
+``respond`` gives each answer.
+Before round 1 the referee deals each player the
 concatenation of its per-round tapes, ``tape_width`` values a round, and
 never sends shared randomness during play. A deterministic table deals
 nothing, a hidden-variable model deals its shared bits to every party,
@@ -47,11 +50,12 @@ was dealt before round 1 whatever the window. One window of answers
 smallest TCP receive buffer (4 KiB), so a referee still writing a window
 cannot deadlock against a player sending its answers.
 
-The referee waits at most ``_PEER_TIMEOUT_S`` seconds for any read or
-write on a player's connection. A client silent for that long before its
-hello is dropped, like one that leaves without a hello. A timeout, reset
-or end of stream once the player has said hello ends the session in an
-incomplete log whose ``abort_reason`` names the party and the cause.
+The referee gives each message from a player ``_PEER_TIMEOUT_S`` seconds
+in all, however its bytes trickle in, and each write to a player as long.
+A client whose hello is not whole by then is dropped, like one that
+leaves without a hello. A timeout, reset or end of stream once the
+player has said hello ends the session in an incomplete log whose
+``abort_reason`` names the party and the cause; the others exit 4.
 """
 
 from __future__ import annotations
@@ -59,18 +63,20 @@ from __future__ import annotations
 import base64
 import json
 import socket
+import sys
+import time
 from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
-from .games import NonlocalGame, Question, game_by_name
-from .trials import Strategy, TrialLog, _record_for, presample, resolve_strategy
+from .games import NonlocalGame, Question
+from .trials import Strategy, TrialLog, _record_for, presample
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
 #: rounds whose questions go to each player in one write
 _WINDOW = 64
-#: seconds the referee waits on a player's connection before giving up
+#: seconds the referee waits for a player's whole message, or one write
 _PEER_TIMEOUT_S = 30.0
 _RECV_BYTES = 1 << 16
 
@@ -88,7 +94,7 @@ class ProtocolError(Exception):
 
 
 class PlayerDisconnected(Exception):
-    def __init__(self, party: int, cause: str = "disconnected"):
+    def __init__(self, party: int | None, cause: str = "disconnected"):
         super().__init__(f"party {party} {cause}")
         self.party = party
 
@@ -112,9 +118,7 @@ def decode_message(line: bytes) -> dict:
     return obj
 
 
-def _lines(
-    conn: socket.socket, before_wait: Callable[[], None] | None = None
-) -> Iterator[bytes]:
+def _lines(conn: socket.socket, before_wait: Callable[[], None]) -> Iterator[bytes]:
     """Each line ``conn`` receives, without its newline, until end of
     stream; a last line cut short by the end is yielded as it is.
 
@@ -130,8 +134,7 @@ def _lines(
             yield line
         if len(pending) >= _MAX_LINE:
             raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
-        if before_wait is not None:
-            before_wait()
+        before_wait()
         chunk = conn.recv(_RECV_BYTES)
         if not chunk:
             if pending:
@@ -190,25 +193,16 @@ def _deal_lines(values: Sequence[int]) -> list[bytes]:
 
 @dataclass
 class PartyStrategy:
-    """What one player process needs: how to answer its own questions."""
-
-    party: int
-
-    def set_tape(self, values: tuple[int, ...]) -> None:
-        pass
-
-    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
-        raise NotImplementedError
-
-
-@dataclass
-class Player(PartyStrategy):
-    """One party of a strategy: answer each question from its own tape.
+    """One party of a strategy, the one player type: it answers each of
+    its own questions from its own dealt tape.
 
     The dealt tape holds ``width`` values per round; round r's slice and
-    the question asked are all the strategy's ``respond`` sees.
+    the question asked are all the strategy's ``respond`` sees. Made by
+    ``build_party_strategy``; without a strategy it has no questions, so
+    every question it is asked is foreign.
     """
 
+    party: int
     strategy: Strategy = None  # type: ignore[assignment]
     width: int = 0
     #: the party's questions by their (slot, kind) observables
@@ -235,7 +229,7 @@ def build_party_strategy(
     """Split a whole-game strategy into one player's local behaviour."""
     if not 0 <= party < game.parties:
         raise ValueError(f"party must be in 0..{game.parties - 1}, got {party}")
-    return Player(
+    return PartyStrategy(
         party=party,
         strategy=strategy,
         width=strategy.tape_width(game, party),
@@ -244,19 +238,6 @@ def build_party_strategy(
             for q in game.question_sets[party]
         },
     )
-
-
-@dataclass(frozen=True)
-class PlayerSpec:
-    """Picklable player description: reconstruct the strategy by name."""
-
-    game: str
-    strategy: str
-    party: int
-
-    def build(self) -> PartyStrategy:
-        game = game_by_name(self.game)
-        return build_party_strategy(game, resolve_strategy(game, self.strategy), self.party)
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +262,37 @@ def _answer_tails(arity: int) -> dict[bytes, tuple[int, ...]]:
 
 @dataclass
 class _Seat:
-    """One player's connection as the referee sees it: any transport
-    failure on it is that party leaving the session."""
+    """One accepted connection as the referee sees it, a player's once its
+    hello names the party: any transport failure on it is that party
+    leaving. Each line read gets ``_PEER_TIMEOUT_S`` seconds in all."""
 
-    party: int
     conn: socket.socket
-    lines: Iterator[bytes]
+    party: int | None = None
     outbox: list[bytes] | None = None
+    lines: Iterator[bytes] = field(init=False)
+    _deadline: float = field(default=0.0, init=False)
+
+    def __post_init__(self) -> None:
+        self.lines = _lines(self.conn, self._before_wait)
+
+    def _before_wait(self) -> None:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("timed out")
+        self.conn.settimeout(remaining)
 
     def send(self, lines: list[bytes]) -> None:
         if self.outbox is not None:
             self.outbox.extend(lines)
         try:
+            # a read may have left the socket with only its remaining time
+            self.conn.settimeout(_PEER_TIMEOUT_S)
             self.conn.sendall(b"".join(lines))
         except OSError as exc:
             raise self._lost(exc) from None
 
     def read(self) -> bytes:
+        self._deadline = time.monotonic() + _PEER_TIMEOUT_S
         try:
             line = next(self.lines, None)
         except OSError as exc:
@@ -391,15 +386,12 @@ class RefereeServer:
                 while len(seats) < game.parties:
                     conn, _addr = self._listener.accept()
                     opened.append(conn)
-                    conn.settimeout(_PEER_TIMEOUT_S)
-                    lines = _lines(conn)
+                    seat = _Seat(conn)
                     try:
-                        line = next(lines, None)
-                    except OSError:
-                        line = None
-                    if line is None:
-                        # a client that is silent, resets or leaves before
-                        # its hello is not a player
+                        line = seat.read()
+                    except PlayerDisconnected:
+                        # a client that is silent or slow, resets or leaves
+                        # before its hello is not a player
                         conn.close()
                         continue
                     hello = decode_message(line)
@@ -415,8 +407,9 @@ class RefereeServer:
                         )
                     if party in seats:
                         raise ProtocolError("duplicate hello", party)
-                    outbox = None if self.transcript is None else self.transcript.setdefault(party, [])
-                    seats[party] = _Seat(party, conn, lines, outbox)
+                    seat.party = party
+                    seat.outbox = None if self.transcript is None else self.transcript.setdefault(party, [])
+                    seats[party] = seat
             order = [seats[party] for party in range(game.parties)]
 
             for seat in order:
@@ -462,25 +455,8 @@ class RefereeServer:
                 pass
 
 
-def serve_referee(
-    game: NonlocalGame,
-    address: tuple[str, int],
-    rounds: int,
-    seed: int,
-    strategy: Strategy,
-    *,
-    transcript: dict[int, list[bytes]] | None = None,
-) -> TrialLog:
-    """Bind, wait for one player per party, run the session, return the log."""
-    server = RefereeServer(game, rounds, seed, strategy, transcript=transcript)
-    server.bind(address)
-    return server.serve()
-
-
-def _player_entry(address: tuple[str, int], spec: "PlayerSpec | PartyStrategy") -> None:
-    import sys
-
-    sys.exit(run_player(address, spec))
+def _player_entry(address: tuple[str, int], party_strategy: PartyStrategy) -> None:
+    sys.exit(run_player(address, party_strategy))
 
 
 def run_local_session(
@@ -490,7 +466,7 @@ def run_local_session(
     seed: int,
     *,
     transcript: dict[int, list[bytes]] | None = None,
-    player_specs: Sequence["PlayerSpec | PartyStrategy"] | None = None,
+    player_specs: Sequence[PartyStrategy] | None = None,
 ) -> TrialLog:
     """Run the referee plus one OS process per player on localhost.
 
@@ -509,8 +485,8 @@ def run_local_session(
     host, port = server.bind(("127.0.0.1", 0))[:2]
     ctx = multiprocessing.get_context()
     processes = [
-        ctx.Process(target=_player_entry, args=((host, port), spec), daemon=True)
-        for spec in player_specs
+        ctx.Process(target=_player_entry, args=((host, port), player), daemon=True)
+        for player in player_specs
     ]
     for proc in processes:
         proc.start()
@@ -530,18 +506,15 @@ def run_local_session(
 # ---------------------------------------------------------------------------
 
 
-def run_player(
-    address: tuple[str, int], strategy: PlayerSpec | PartyStrategy
-) -> int:
+def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
     Answers go out together, just before the player waits for more input.
-    Returns 4 on protocol errors (and prints the reason to stderr), which
-    matches the CLI exit-code convention.
+    Returns 4 on protocol errors and aborted sessions (and prints the
+    reason to stderr), which matches the CLI exit-code convention. The
+    player waits on the referee without a deadline; the referee gives
+    each of the player's messages ``_PEER_TIMEOUT_S`` seconds in all.
     """
-    import sys
-
-    party_strategy = strategy.build() if isinstance(strategy, PlayerSpec) else strategy
     try:
         with socket.create_connection(address) as conn:
             conn.sendall(
@@ -591,6 +564,8 @@ def run_player(
                         )
                     )
                 elif kind == "end":
+                    if message.get("reason") != "complete":
+                        raise ProtocolError(f"session ended: {message.get('reason')}")
                     return 0
                 else:
                     raise ProtocolError(f"unknown message type {kind!r}")

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -243,36 +243,6 @@ def expectation(state: Statevector, observables: Sequence[SiteObservable]) -> fl
     for values, p in dist.items():
         total += math.prod(values) * p
     return total
-
-
-def sample(
-    state: Statevector, observables: Sequence[SiteObservable], seed: int
-) -> OutcomeTuple:
-    """Draw one outcome tuple; equal seeds give equal results."""
-    dist = joint_distribution(state, observables)
-    rng = np.random.default_rng(seed)
-    values = draw_from(dist, float(rng.random()))
-    return tuple(zip(tuple(observables), values))
-
-
-def draw_from(
-    dist: Mapping[tuple[int, ...], float], u: float
-) -> tuple[int, ...]:
-    """Pick the outcome whose cumulative probability interval contains u.
-
-    Iterates ``dist`` in its insertion order, which for distributions
-    produced here is the canonical +1-before--1 product order.
-    """
-    acc = 0.0
-    last = None
-    for values, p in dist.items():
-        acc += p
-        last = values
-        if u < acc:
-            return values
-    if last is None:
-        raise ValueError("cannot draw from an empty distribution")
-    return last  # u landed in the roundoff sliver at the top
 
 
 def reduced_spectrum(state: Statevector, keep: Iterable[int]) -> list[float]:

@@ -92,8 +92,8 @@ class QuantumStrategy:
             tables.append([_outcome_tapes(ctx, v, widths) for v in dist])
 
         def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
-            # quantum.draw_from's pick: the first outcome whose running total
-            # exceeds u, or the last one when u lands in the round-off sliver
+            # the first outcome whose running total exceeds u, or the last
+            # one when u lands in the round-off sliver
             outcomes = np.empty(len(contexts), dtype=np.intp)
             for i, total in enumerate(totals):
                 rows = contexts == i

@@ -41,6 +41,26 @@ def kron_projector_distribution(amplitudes, observables):
     return dist
 
 
+def draw_from(dist, u):
+    """Pick the outcome whose cumulative probability interval contains u.
+
+    Iterates ``dist`` in its insertion order, which for the package's
+    distributions is the canonical +1-before--1 product order; a u in the
+    round-off sliver at the top takes the last outcome. The reference for
+    the outcome pick of the quantum strategy's dealer.
+    """
+    acc = 0.0
+    last = None
+    for values, p in dist.items():
+        acc += p
+        last = values
+        if u < acc:
+            return values
+    if last is None:
+        raise ValueError("cannot draw from an empty distribution")
+    return last
+
+
 def python_maxsat(constraints):
     """(max satisfied, all maximizing assignments) by plain enumeration.
 
@@ -73,7 +93,8 @@ def enumerate_game_value(game) -> Fraction:
     per_party_strategies = []
     for questions in game.question_sets:
         spaces = [
-            [(q.id, answer) for answer in q.answer_space()] for q in questions
+            [(q.id, answer) for answer in itertools.product((+1, -1), repeat=q.answer_arity)]
+            for q in questions
         ]
         per_party_strategies.append(
             [dict(combo) for combo in itertools.product(*spaces)]

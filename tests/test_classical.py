@@ -70,10 +70,10 @@ def test_lambda_mu_satisfies_tested_equalities_for_all_bits():
 
 def test_automaton_answers():
     strategy = automaton_model()
-    assert strategy.answers_for(0, "x1x2") == (1, 1)
-    assert strategy.answers_for(0, "y1x2") == (1, 1)
-    assert strategy.answers_for(1, "y3z4") == (1, -1)
-    assert strategy.answers_for(1, "x3y4") == (1, 1)
+    assert strategy.answers[0]["x1x2"] == (1, 1)
+    assert strategy.answers[0]["y1x2"] == (1, 1)
+    assert strategy.answers[1]["y3z4"] == (1, -1)
+    assert strategy.answers[1]["x3y4"] == (1, 1)
 
 
 # ---------------------------------------------------------------------------

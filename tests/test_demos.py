@@ -1,9 +1,12 @@
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import nonlocalgames
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,6 +25,17 @@ def test_import_leaves_the_process_pool_unloaded():
         env=_env(), capture_output=True, text=True, timeout=60, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_package_namespace_is_what_the_demos_import():
+    imported = set()
+    for path in (ROOT / "demos").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "nonlocalgames":
+                imported |= {alias.name for alias in node.names}
+    assert sorted(nonlocalgames.__all__) == sorted(imported)
+    for name in imported:
+        assert getattr(nonlocalgames, name, None) is not None, name
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

@@ -1,4 +1,5 @@
 import json
+import pickle
 import socket
 import struct
 import threading
@@ -19,7 +20,6 @@ from nonlocalgames.games import (
 )
 from nonlocalgames.netplay import (
     PartyStrategy,
-    PlayerSpec,
     ProtocolError,
     RefereeServer,
     build_party_strategy,
@@ -30,7 +30,7 @@ from nonlocalgames.netplay import (
     run_local_session,
     run_player,
 )
-from nonlocalgames.trials import quantum_strategy, run_trials
+from nonlocalgames.trials import CATALOG, presample, quantum_strategy, resolve_strategy, run_trials
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +136,36 @@ def test_distributed_matches_in_process(game_builder, strategy_builder, rounds, 
     assert in_process.to_jsonl() == distributed.to_jsonl()
 
 
-def test_players_from_specs_match_too():
-    game = cabello_restricted()
-    strategy = automaton_model()
-    specs = [PlayerSpec("cabello-restricted", "automaton", party) for party in range(2)]
-    in_process = run_trials(game, strategy, rounds=100, seed=21)
-    distributed = run_local_session(
-        game, strategy, rounds=100, seed=21, player_specs=specs
-    )
-    assert in_process == distributed
+@pytest.mark.parametrize(
+    "name,strategy_name",
+    [
+        (name, strategy_name)
+        for name in sorted(CATALOG)
+        for strategy_name in ["quantum", "best-classical", *CATALOG[name].models]
+    ],
+)
+def test_players_cross_a_process_boundary_by_value(name, strategy_name):
+    # a player process started by spawn or forkserver gets its player pickled
+    game = GAME_BUILDERS[name]()
+    strategy = resolve_strategy(game, strategy_name)
+    plans = presample(game, strategy, 300, 17)
+    for party in range(game.parties):
+        player = build_party_strategy(game, strategy, party)
+        copy = pickle.loads(pickle.dumps(player))
+        tape = tuple(v for plan in plans for v in plan.tapes[party])
+        player.set_tape(tape)
+        copy.set_tape(tape)
+        for r, plan in enumerate(plans):
+            question = plan.context.questions[party]
+            observables = [(o.qubit, o.kind.value) for o in question.measured]
+            expected = list(plan.answers[party])
+            assert player.answer(r, observables) == expected
+            assert copy.answer(r, observables) == expected
+
+
+def test_a_player_without_a_strategy_has_no_questions():
+    with pytest.raises(ProtocolError, match="party 0: asked a foreign question"):
+        PartyStrategy(party=0).answer(0, [(1, "x"), (2, "x")])
 
 
 WINDOW_CASES = [
@@ -398,8 +419,8 @@ def test_reset_after_hello_yields_incomplete_log():
     assert not log.complete
     assert log.abort_reason.startswith("party 0 disconnected")
     assert log.records == []
-    # the player that stayed is not left waiting
-    assert list(statuses) == [1]
+    # the player that stayed is not left waiting, and reports the abort
+    assert statuses == {1: 4}
 
 
 def test_silent_client_before_the_players_is_dropped(monkeypatch):
@@ -437,7 +458,64 @@ def test_stalled_player_times_out(monkeypatch):
     assert log.abort_reason == "party 0 timed out after 0.5 s"
     assert log.records == []
     assert elapsed < 2 * deadline
-    assert list(statuses) == [1]
+    assert statuses == {1: 4}
+
+
+def _trickle(sock, data, server):
+    """Send ``data`` one byte every 0.3 s while the ``server`` thread runs."""
+    for byte in data:
+        try:
+            sock.sendall(bytes([byte]))
+        except OSError:
+            return
+        server.join(timeout=0.3)
+        if not server.is_alive():
+            return
+
+
+def test_trickling_client_before_the_players_is_dropped(monkeypatch):
+    # every byte comes inside the deadline, the whole hello does not
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", 0.5)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    address, thread, box = _serve_in_thread(game, strategy, 100, 4)
+    with socket.create_connection(address) as trickler:
+        threads, statuses = _players_in_threads(address, game, strategy, [0, 1])
+        _trickle(trickler, _hello(0), thread)
+        thread.join(timeout=10)
+        for t in threads:
+            t.join(timeout=10)
+    assert not thread.is_alive()
+    assert box["log"] == run_trials(game, strategy, rounds=100, seed=4)
+    assert statuses == {0: 0, 1: 0}
+
+
+def test_trickling_answer_times_out(monkeypatch):
+    deadline = 0.5
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", deadline)
+    game = cabello_restricted()
+    strategy = automaton_model()
+    address, thread, box = _serve_in_thread(game, strategy, 50, 0)
+    with socket.create_connection(address) as trickler:
+        trickler.sendall(_hello(0))
+        threads, statuses = _players_in_threads(address, game, strategy, [1])
+        f = trickler.makefile("rb")
+        decode_message(f.readline())  # dealt
+        decode_message(f.readline())  # question round 0
+        start = time.monotonic()
+        answer = encode_message({"type": "answer", "round": 0, "values": [1, 1]})
+        _trickle(trickler, answer, thread)
+        thread.join(timeout=10)
+        elapsed = time.monotonic() - start
+        for t in threads:
+            t.join(timeout=10)
+    assert not thread.is_alive()
+    log = box["log"]
+    assert not log.complete
+    assert log.abort_reason == "party 0 timed out after 0.5 s"
+    assert log.records == []
+    assert elapsed < 2 * deadline
+    assert statuses == {1: 4}
 
 
 def test_session_with_a_tape_over_the_line_limit(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocalgames import games, quantum
+from nonlocalgames import games
 from nonlocalgames.quantum import (
     ObservableKind,
     SiteObservable,
@@ -16,13 +16,12 @@ from nonlocalgames.quantum import (
     make_ghz,
     make_psi,
     reduced_spectrum,
-    sample,
     site,
     sites,
     verify_constraints,
 )
 
-from oracles import kron_projector_distribution
+from oracles import draw_from, kron_projector_distribution
 
 
 def as_pairs(observables):
@@ -208,22 +207,6 @@ def test_expectations_from_the_equalities():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_deterministic_given_seed():
-    psi = make_psi()
-    observables = sites("x1 x2 y3 y4")
-    first = sample(psi, observables, seed=123)
-    second = sample(psi, observables, seed=123)
-    assert first == second
-    assert sample(psi, observables, seed=124) != first or True  # may collide
-
-
-def test_sample_respects_sure_constraints():
-    psi = make_psi()
-    for seed in range(25):
-        outcome = dict(sample(psi, sites("z1 z3"), seed=seed))
-        assert outcome[site("z1")] == outcome[site("z3")]
-
-
 def test_sampling_frequencies_converge():
     # 1e5 draws from the (x1, x2) distribution: empirical TV below 0.02
     # and the x1 marginal lands in [0.47, 0.53].
@@ -233,7 +216,7 @@ def test_sampling_frequencies_converge():
     counts = {}
     draws = 100_000
     for u in rng.random(draws):
-        values = quantum.draw_from(dist, float(u))
+        values = draw_from(dist, float(u))
         counts[values] = counts.get(values, 0) + 1
     tv = 0.5 * sum(
         abs(counts.get(k, 0) / draws - p) for k, p in dist.items()
@@ -331,8 +314,3 @@ def test_slightly_unnormalized_state_is_usable_throughout():
     dist = joint_distribution(state, sites("x1 x2 y3 y4"))
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-8)
     assert reduced_spectrum(state, {1, 2}) == pytest.approx([0.25] * 4)
-
-
-def test_draw_from_rejects_an_empty_distribution():
-    with pytest.raises(ValueError):
-        quantum.draw_from({}, 0.5)

@@ -29,7 +29,9 @@ from nonlocalgames.trials import (
     run_trials,
     statistics,
 )
-from nonlocalgames.quantum import draw_from, joint_distribution, make_ghz
+from nonlocalgames.quantum import joint_distribution, make_ghz
+
+from oracles import draw_from
 
 
 def test_quantum_strategy_states():
