@@ -1,11 +1,13 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-budget exceeded, 4 protocol error or aborted session, from ``serve`` and
-``play`` alike; ``serve`` aborts when a player's message is not whole
-within 30 s. All output is deterministic given the flags and seed. The
-solver budget can be overridden with the ``NONLOCALGAMES_BUDGET``
-environment variable (an explicit ``--budget`` flag wins over it).
+budget exceeded (the solver's budget, or memory the process cannot get,
+such as for a session too large to hold), 4 protocol error or aborted
+session, from ``serve`` and ``play`` alike; ``serve`` aborts when a
+player's message is not whole within 30 s. All output is deterministic
+given the flags and seed. The solver budget can be overridden with the
+``NONLOCALGAMES_BUDGET`` environment variable (an explicit ``--budget``
+flag wins over it).
 """
 
 from __future__ import annotations
@@ -284,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except classical.BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_BUDGET
     except netplay.ProtocolError as exc:
         print(f"protocol error: {exc}", file=sys.stderr)

@@ -149,31 +149,19 @@ class Context:
     predicate: ParityConstraint | None
     weight: Fraction
 
-    @cached_property
-    def _rows(self) -> dict[Answers, Row]:
-        return {}
-
     def row(self, answers: Sequence[Sequence[int]]) -> Row:
         """The scored row of one round's answers (one tuple per party):
-        (context id, question ids, answers as tuples, win).
-
-        Each distinct answer set is scored once; later calls return the
-        same tuple, so the records of rounds with equal answers share its
-        objects.
-        """
-        key = tuple(map(tuple, answers))
-        row = self._rows.get(key)
-        if row is None:
-            outcomes: dict[SiteObservable, int] = {}
-            for q, values in zip(self.questions, key):
-                outcomes.update(zip(q.measured, values))
-            row = self._rows[key] = (
-                self.id,
-                tuple(q.id for q in self.questions),
-                key,
-                predicate_eval(self.predicate, outcomes),
-            )
-        return row
+        (context id, question ids, answers as tuples, win)."""
+        answers = tuple(map(tuple, answers))
+        outcomes: dict[SiteObservable, int] = {}
+        for q, values in zip(self.questions, answers):
+            outcomes.update(zip(q.measured, values))
+        return (
+            self.id,
+            tuple(q.id for q in self.questions),
+            answers,
+            predicate_eval(self.predicate, outcomes),
+        )
 
 
 @dataclass(frozen=True)

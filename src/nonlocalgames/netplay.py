@@ -70,7 +70,7 @@ from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
 from .games import NonlocalGame, Question
-from .trials import Strategy, TrialLog, _record_for, presample
+from .trials import Strategy, TrialLog, TrialRecord, presample
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
@@ -424,13 +424,14 @@ class RefereeServer:
                         for r in window
                     ])
                 for r in window:
-                    context = plans[r].context
+                    plan = plans[r]
                     head = b'%s%d,"values":' % (_ANSWER_HEAD, r)
-                    answers = [
+                    answers = tuple([
                         seat.read_answer(r, head, tails, arity)
-                        for seat, (_, arity, tails) in zip(order, asked[context.id])
-                    ]
-                    log.records.append(_record_for(game, r, context, answers))
+                        for seat, (_, arity, tails) in zip(order, asked[plan.context.id])
+                    ])
+                    row = plan.row if answers == plan.answers else plan.context.row(answers)
+                    log.records.append(TrialRecord(r, *row))
 
             for seat in order:
                 seat.send([encode_message({"type": "end", "reason": "complete"})])

@@ -137,7 +137,7 @@ class Statevector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state is not normalized (norm {norm!r})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -226,7 +226,7 @@ def joint_distribution(
     probs = np.transpose(probs, rank)
     probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
     k = len(observables)
     dist: dict[tuple[int, ...], float] = {}
@@ -267,7 +267,7 @@ def reduced_spectrum(state: Statevector, keep: Iterable[int]) -> list[float]:
     rho = mat @ mat.conj().T
     eigvals = np.linalg.eigvalsh(rho).real
     eigvals = np.clip(eigvals, 0.0, None)
-    if abs(float(eigvals.sum()) - 1.0) > SUM_TOL:
+    if not abs(float(eigvals.sum()) - 1.0) <= SUM_TOL:
         raise ValueError("reduced spectrum does not sum to 1")
     return sorted((float(v) for v in eigvals), reverse=True)
 

@@ -18,12 +18,15 @@ these columns to one code per round, and rounds with the same context
 and code share one ``RoundPlan``.
 
 A game has few distinct rounds (at most 14 x 16 in the four-party game),
-so each distinct (context, answers) row is scored once, by
-``Context.row``, and the records of rounds that repeat it share its
-objects. ``TrialLog.to_jsonl`` encodes each shared row once,
-``TrialLog.from_jsonl`` decodes each distinct row once, and
-``statistics`` counts each once, weighted by its rounds. Logs and reports
-are byte for byte what scoring and encoding every round on its own gives.
+so each is scored once, by ``Context.row``, in its ``RoundPlan``. A
+record is its round number followed by its row, and rows are compared by
+value: ``TrialLog.to_jsonl`` encodes each distinct row once,
+``TrialLog.from_jsonl`` decodes each distinct row text once, and
+``statistics`` and ``nested_subgame_report`` count each distinct row
+once, weighted by its rounds. Logs and reports are byte for byte what
+scoring and encoding every round on its own gives. Rows hold the package's
+value types (strings, tuples of strings, tuples of +-1 ints, a bool);
+``from_jsonl`` rejects any other.
 """
 
 from __future__ import annotations
@@ -47,7 +50,15 @@ from .classical import (
     classical_value,
     lambda_mu_model,
 )
-from .games import ALWAYS_WIN, Context, NonlocalGame, Question, game_by_name, nested_ghz_contexts
+from .games import (
+    ALWAYS_WIN,
+    Context,
+    NonlocalGame,
+    Question,
+    Row,
+    game_by_name,
+    nested_ghz_contexts,
+)
 from .quantum import Statevector, make_ghz, make_psi, site
 
 LOG_FORMAT_VERSION = 1
@@ -179,14 +190,24 @@ _CANONICAL_ROUND = re.compile(re.escape(_ROUND_PREFIX) + r"(-?(?:0|[1-9][0-9]{0,
 _ROW_FIELDS = {"context", "questions", "answers", "win"}
 
 
-def _row_of(rec: dict) -> tuple:
-    """A decoded round's fields after the round number, as TrialRecord holds them."""
-    return (
-        rec["context"],
-        tuple(rec["questions"]),
-        tuple(tuple(a) for a in rec["answers"]),
-        rec["win"],
-    )
+def _row_of(rec: dict) -> Row:
+    """A decoded round's fields after the round number, as TrialRecord holds
+    them; raises ValueError naming a field whose values the package never
+    writes."""
+    context = rec["context"]
+    questions = tuple(rec["questions"])
+    answers = tuple(tuple(a) for a in rec["answers"])
+    win = rec["win"]
+    if type(context) is not str:
+        raise ValueError(f"round field 'context' must be a string, got {context!r}")
+    if any(type(q) is not str for q in questions):
+        raise ValueError(f"round field 'questions' must hold strings, got {rec['questions']!r}")
+    # true equals 1, so it is rejected by type
+    if any(type(v) is not int or v not in (1, -1) for a in answers for v in a):
+        raise ValueError(f"round field 'answers' must hold +1 and -1, got {rec['answers']!r}")
+    if type(win) is not bool:
+        raise ValueError(f"round field 'win' must be true or false, got {win!r}")
+    return context, questions, answers, win
 
 
 def _decode_row(rows: dict[str, tuple], text: str) -> tuple | None:
@@ -202,16 +223,6 @@ def _decode_row(rows: dict[str, tuple], text: str) -> tuple | None:
             return None
         row = rows[text] = _row_of(fields)
     return row
-
-
-def _row_key(record: TrialRecord) -> tuple[int, int, int, int]:
-    """Identity of a record's row objects.
-
-    Records scored or decoded from one row share its objects, so this finds
-    the repeats; equal rows built apart stay apart, which keeps every
-    result exact whatever the value types.
-    """
-    return id(record.context_id), id(record.questions), id(record.answers), id(record.win)
 
 
 @dataclass
@@ -236,12 +247,11 @@ class TrialLog:
             header["abort_reason"] = self.abort_reason
         lines = [json.dumps(header)]
         # each distinct row is encoded once; a line adds only its round number
-        tails: dict[tuple[int, int, int, int], str] = {}
+        tails: dict[tuple, str] = {}
         for r in self.records:
-            key = _row_key(r)
-            tail = tails.get(key)
+            tail = tails.get(r[1:])
             if tail is None:
-                tail = tails[key] = json.dumps(
+                tail = tails[r[1:]] = json.dumps(
                     {
                         "context": r.context_id,
                         "questions": list(r.questions),
@@ -292,11 +302,13 @@ class TrialLog:
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """Everything round r needs: the context, answers, and dealt tapes."""
+    """Everything round r needs: the context, the dealt tapes, the answers
+    they give, and the row those answers score (``Context.row``)."""
 
     context: Context
     answers: tuple[tuple[int, ...], ...]
     tapes: Tapes
+    row: Row
 
 
 def _session_draws(
@@ -351,7 +363,7 @@ def _plan_session(
         answers = tuple(
             strategy.respond(party, q, tapes[party]) for party, q in enumerate(context.questions)
         )
-        plans.append(RoundPlan(context, answers, tapes))
+        plans.append(RoundPlan(context, answers, tapes, context.row(answers)))
     return plans, index.tolist()
 
 
@@ -372,7 +384,7 @@ def presample(
     bits are the top bits of the following 32-bit halves, low half first,
     with a half left over carried into the next round (``_session_draws``;
     equal to per-call draws on numpy 2.4.6). Rounds with the same context
-    and tapes share one ``RoundPlan``.
+    and tapes share one ``RoundPlan``, scored once.
     """
     plans, index = _plan_session(game, strategy, rounds, seed)
     return [plans[i] for i in index]
@@ -381,6 +393,7 @@ def presample(
 def _record_for(
     game: NonlocalGame, round_index: int, context: Context, answers: Sequence[tuple[int, ...]]
 ) -> TrialRecord:
+    """One round's record, scored on its own (perfbench times this per round)."""
     return TrialRecord(round_index, *context.row(answers))
 
 
@@ -389,7 +402,7 @@ def run_trials(
 ) -> TrialLog:
     """Play ``rounds`` seeded rounds with an in-process referee."""
     plans, index = _plan_session(game, strategy, rounds, seed)
-    rows = [plan.context.row(plan.answers) for plan in plans]
+    rows = [plan.row for plan in plans]
     log = TrialLog(game=game.name, strategy=strategy.name, seed=seed)
     log.records = [TrialRecord(r, *rows[i]) for r, i in enumerate(index)]
     return log
@@ -400,6 +413,16 @@ def run_trials(
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"([xyz])(\d+)")
+
+
+def _distinct_rows(records: Sequence[TrialRecord]) -> list[tuple[TrialRecord, int]]:
+    """Each distinct row, as the first record holding it and its number of
+    records, in order of first occurrence; so a pass over these fills
+    every dict in the order a round-by-round pass would."""
+    repeats: dict[tuple, list] = {}
+    for rec in records:
+        repeats.setdefault(rec[1:], [rec, 0])[1] += 1
+    return [(rec, n) for rec, n in repeats.values()]
 
 
 def _round_values(rec: TrialRecord) -> list[tuple[str, int]]:
@@ -496,17 +519,12 @@ def statistics(
     distributions against exact reference distributions (TV distance)."""
     if not log.records:
         raise ValueError("empty trial log")
-    # rounds that share a row are counted together, first occurrence first,
-    # so every dict below fills in the order a round-by-round pass would
-    repeats: dict[tuple[int, int, int, int], list] = {}
-    for rec in log.records:
-        repeats.setdefault(_row_key(rec), [rec, 0])[1] += 1
     asked: dict[str, int] = {}
     won: dict[str, int] = {}
     joint: dict[str, dict[tuple[int, ...], int]] = {}
     plus: dict[str, int] = {}
     seen: dict[str, int] = {}
-    for rec, n in repeats.values():
+    for rec, n in _distinct_rows(log.records):
         asked[rec.context_id] = asked.get(rec.context_id, 0) + n
         won[rec.context_id] = won.get(rec.context_id, 0) + n * int(rec.win)
         pairs = _round_values(rec)
@@ -578,7 +596,7 @@ def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]
     embedded = {s: {c.vars: c for c in nested_ghz_contexts(s)} for s in (+1, -1)}
     game = game_by_name(log.game)
     report: dict[str, dict[str, tuple[int, int]]] = {"shared": {}, "+1": {}, "-1": {}}
-    for rec in log.records:
+    for rec, n in _distinct_rows(log.records):
         values = {site(tok): value for tok, value in _round_values(rec)}
         predicate = game.context_by_id(rec.context_id).predicate
         if predicate is ALWAYS_WIN:
@@ -591,5 +609,5 @@ def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]
         bucket = f"{selector:+d}" if selected else "shared"
         text = constraint.text()
         checked, satisfied = report[bucket].get(text, (0, 0))
-        report[bucket][text] = (checked + 1, satisfied + constraint.holds(values))
+        report[bucket][text] = (checked + n, satisfied + n * constraint.holds(values))
     return report

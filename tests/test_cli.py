@@ -1,6 +1,10 @@
 import json
 import multiprocessing
+import os
+import resource
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -164,6 +168,27 @@ def test_simulate_unknown_strategy_exit_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "four-party", "--strategy", "psychic")
     assert code == 2
     assert err.startswith("unknown strategy 'psychic' for game four-party")
+
+
+def _lower_address_space():
+    # this child alone; 1 GiB is far below the sessions asked for below
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("rounds", ["100000000", "10000000000000"])
+def test_session_too_large_for_memory_exits_3(rounds):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "nonlocalgames.cli", "simulate", "four-party", "--rounds", rounds],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=_lower_address_space,
+    )
+    assert done.returncode == cli.EXIT_BUDGET, done.stderr
+    assert done.stderr.startswith("out of memory: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stdout == ""
 
 
 def test_output_deterministic(capsys):

@@ -267,6 +267,16 @@ def test_four_party_game_structure():
         assert len(ctx.questions) == 4
 
 
+def test_context_row_scores_without_keeping_state():
+    ctx = four_party_game().context_by_id("eq03")  # x1 = x3 z4
+    before = dict(vars(ctx))
+    row = ctx.row([[1], [-1], [1], [1]])
+    assert row == ("eq03", ("x1", "z2", "x3", "z4"), ((1,), (-1,), (1,), (1,)), True)
+    assert ctx.row([(-1,), (1,), (1,), (1,)])[3] is False
+    assert ctx.row([[1], [-1], [1], [1]]) == row
+    assert vars(ctx) == before
+
+
 def test_four_party_quantum_wins_every_context():
     game = four_party_game()
     psi = make_psi()

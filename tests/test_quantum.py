@@ -65,6 +65,26 @@ def test_statevector_validation():
     assert not sv.amplitudes.flags.writeable
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes the non-finite values
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0), complex(0, np.inf)],
+    ids=["nan", "inf", "-inf", "complex-nan", "imaginary-inf"],
+)
+def test_non_finite_amplitudes_are_rejected(bad):
+    # NaN compares false with every tolerance, so it must fail the check
+    with pytest.raises(ValueError, match="not normalized"):
+        Statevector(2, np.array([bad, 0, 0, 0], dtype=complex))
+    # past a bypassed construction, the total-probability checks catch it
+    state = make_psi()
+    amps = state.amplitudes.copy()
+    amps[0] = bad
+    object.__setattr__(state, "amplitudes", amps)
+    with pytest.raises(ValueError, match="sum to"):
+        joint_distribution(state, sites("x1 x2 y3 y4"))
+    with pytest.raises(ValueError):  # numpy's LinAlgError is a ValueError
+        reduced_spectrum(state, {1, 2})
+
+
 def test_site_parsing():
     assert site("x1") == SiteObservable(1, ObservableKind.X)
     assert str(site("z4")) == "z4"

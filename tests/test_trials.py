@@ -222,6 +222,8 @@ PINNED_NESTED_REPORTS = [
      "c55425c7bf8175c390a2fbe2e975d904479e75ca878cbbdcd52d462725d0f39d"),
     ("cabello-extended", "quantum", 3000, 3,
      "03b2e4d18bab9ccbd2a3f96f1c838288bbb6912cf6565a29232774fc931dd5a5"),
+    ("cabello-restricted", "lambda-mu", 4000, 25,
+     "ff1543d113800d67209859f7268bfe8607e1d417af9b2b7217db9e5722e04a95"),
 ]
 
 
@@ -501,6 +503,34 @@ def test_statistics_are_pinned(
         assert hashlib.sha256(text.encode()).hexdigest() == text_digest
 
 
+def _unshared(record):
+    """The record rebuilt from fresh objects, sharing none with any other."""
+    return TrialRecord(
+        record.round,
+        record.context_id.encode().decode(),
+        tuple([q.encode().decode() for q in record.questions]),
+        tuple(tuple(list(a)) for a in record.answers),
+        record.win,
+    )
+
+
+@pytest.mark.parametrize("game_name,strategy_name,rounds,seed", [
+    case[:4] for case in PINNED_STATISTICS
+])
+def test_rows_are_grouped_by_value_not_identity(game_name, strategy_name, rounds, seed):
+    game = game_by_name(game_name)
+    log = run_trials(game, resolve_strategy(game, strategy_name), rounds=rounds, seed=seed)
+    fresh = TrialLog(log.game, log.strategy, log.seed, [_unshared(r) for r in log.records])
+    first, *rest = fresh.records
+    repeat = next(r for r in rest if r[1:] == first[1:])
+    assert repeat.answers is not first.answers and repeat.questions is not first.questions
+    assert fresh.to_jsonl() == log.to_jsonl()
+    reference = quantum_reference(game)
+    assert statistics(fresh, reference).to_records() == statistics(log, reference).to_records()
+    assert statistics(fresh).to_text() == statistics(log).to_text()
+    assert json.dumps(nested_subgame_report(fresh)) == json.dumps(nested_subgame_report(log))
+
+
 # ---------------------------------------------------------------------------
 # JSONL decoding matches a plain per-line json.loads decoder
 # ---------------------------------------------------------------------------
@@ -601,3 +631,35 @@ def test_from_jsonl_raises_as_plain_decoder(bad_line):
     with pytest.raises(type(expected.value)) as got:
         TrialLog.from_jsonl(text)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("win", 2),
+        ("win", 1),
+        ("win", None),
+        ("answers", [["a"], [1]]),
+        ("answers", [[True], [1]]),
+        ("answers", [[2], [1]]),
+        ("answers", [[1.0], [1]]),
+        ("answers", [[0], [-1]]),
+        ("context", 5),
+        ("context", None),
+        ("questions", [1, "x3z4"]),
+    ],
+    ids=["win-2", "win-1", "win-null", "answer-text", "answer-true", "answer-2",
+         "answer-float", "answer-0", "context-number", "context-null", "question-number"],
+)
+@pytest.mark.parametrize("canonical", [True, False], ids=["canonical", "reordered"])
+def test_from_jsonl_rejects_row_values_never_written(field, value, canonical):
+    game = cabello_restricted()
+    log = run_trials(game, automaton_model(), rounds=3, seed=6)
+    header, *rounds = log.to_jsonl().splitlines()
+    body = json.loads(rounds[1])
+    body[field] = value
+    if not canonical:
+        body = dict(reversed(list(body.items())))
+    rounds[1] = json.dumps(body)
+    with pytest.raises(ValueError, match=f"round field '{field}'"):
+        TrialLog.from_jsonl("\n".join([header, *rounds]) + "\n")
