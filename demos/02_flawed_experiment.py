@@ -18,6 +18,7 @@ from nonlocalgames import (
     model_distribution,
     noncontextual_value,
     run_trials,
+    tv_distance,
     win_probability,
 )
 
@@ -45,8 +46,7 @@ psi = make_psi()
 for ctx in game.contexts:
     model_dist = model_distribution(lambda_mu_model(), game, ctx)
     quantum_dist = joint_distribution(psi, game.measured_observables(ctx))
-    keys = set(model_dist) | set(quantum_dist)
-    tv = 0.5 * sum(abs(float(model_dist.get(k, 0)) - quantum_dist.get(k, 0.0)) for k in keys)
+    tv = tv_distance(quantum_dist, model_dist)
     tag = "tested " if ctx.predicate is not None else "untested"
     print(f"  {ctx.id:<10} {tag}  TV distance = {tv:.3f}")
 print(

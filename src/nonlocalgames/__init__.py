@@ -27,7 +27,7 @@ from .quantum import (
     sites,
     verify_constraints,
 )
-from .trials import nested_subgame_report, quantum_strategy, run_trials
+from .trials import nested_subgame_report, quantum_strategy, run_trials, tv_distance
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,7 @@ __all__ = [
     "run_local_session",
     "run_trials",
     "sites",
+    "tv_distance",
     "verify_constraints",
     "win_probability",
 ]

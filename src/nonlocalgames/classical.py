@@ -115,7 +115,7 @@ class LocalModel:
             return bits @ weights
 
         def tapes(context: int, code: int) -> Tapes:
-            return (tuple(1 - 2 * ((code >> i) & 1) for i in range(k)),) * parties
+            return (_answer(code, range(k)),) * parties
 
         return Dealer(uniforms=0, bits=k, codes=codes, tapes=tapes)
 
@@ -284,7 +284,7 @@ def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
     for ctx in game.contexts:
         observables = game.measured_observables(ctx)
         for values, p in model_distribution(strategy, game, ctx).items():
-            if predicate_eval(ctx.predicate, zip(observables, values)):
+            if predicate_eval(ctx.predicate, dict(zip(observables, values))):
                 total += ctx.weight * p
     return total
 

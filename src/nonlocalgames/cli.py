@@ -130,13 +130,8 @@ def _cmd_maxsat(args: argparse.Namespace) -> int:
     else:
         if args.set is None:
             raise CliError(EXIT_USAGE, "need an equation-set name or --file")
-        try:
-            constraints = list(EQUATION_SETS[args.set]())
-        except KeyError:
-            known = ", ".join(sorted(EQUATION_SETS))
-            raise CliError(
-                EXIT_USAGE, f"unknown equation set {args.set!r}; known: {known}"
-            )
+        # argparse's choices have already rejected an unknown set name
+        constraints = list(EQUATION_SETS[args.set]())
     result = classical.noncontextual_maxsat(constraints)
     print(f"{result.max_satisfied}/{len(constraints)} satisfied")
     print(f"maximizing assignments: {len(result.witnesses)}")

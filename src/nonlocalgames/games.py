@@ -16,7 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .quantum import ObservableKind, OutcomeTuple, SiteObservable, sites
+from .quantum import ObservableKind, SiteObservable, sites
 
 #: predicate value meaning the referee accepts any answers for the context
 ALWAYS_WIN = None
@@ -41,25 +41,20 @@ class ParityConstraint:
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
-    @classmethod
-    def from_text(cls, var_text: str, sign: int) -> "ParityConstraint":
-        return cls(frozenset(sites(var_text)), sign)
-
     @property
     def sorted_vars(self) -> tuple[SiteObservable, ...]:
         return tuple(sorted(self.vars))
 
-    def holds(self, outcomes: Mapping[SiteObservable, int] | OutcomeTuple) -> bool:
+    def holds(self, outcomes: Mapping[SiteObservable, int]) -> bool:
         """Whether the variables' +-1 outcomes multiply to ``sign``. ``outcomes``
-        maps each measured observable to its value (an iterable of pairs is
-        accepted too); a variable missing from it raises ValueError."""
-        mapping = outcomes if isinstance(outcomes, Mapping) else dict(outcomes)
+        maps each measured observable to its value; a variable missing from
+        it raises ValueError."""
         prod = 1
         for var in self.vars:
             try:
-                prod *= mapping[var]
+                prod *= outcomes[var]
             except KeyError:
-                raise ValueError(f"outcome for {var} missing from {mapping}") from None
+                raise ValueError(f"outcome for {var} missing from {outcomes}") from None
         return prod == self.sign
 
     def text(self) -> str:
@@ -89,8 +84,7 @@ def parse_constraint_line(line: str) -> ParityConstraint:
 
 
 def predicate_eval(
-    predicate: ParityConstraint | None,
-    outcomes: Mapping[SiteObservable, int] | OutcomeTuple,
+    predicate: ParityConstraint | None, outcomes: Mapping[SiteObservable, int]
 ) -> bool:
     """Evaluate a context predicate on measured outcomes: ``ALWAYS_WIN``
     evaluates to True, a parity constraint to ``predicate.holds(outcomes)``."""
@@ -256,30 +250,29 @@ class NonlocalGame:
 
 # Every other table of equalities in the package (the restricted game's tested
 # contexts, the contradicting four, the embedded three-party games) is read off
-# these by variable sets. The order fixes the context ids eq01..eq14.
-_FOURTEEN_SPECS: tuple[tuple[int, str], ...] = (
-    (+1, "z1 z3"),
-    (+1, "z2 z4"),
-    (+1, "x1 x3 z4"),
-    (+1, "x2 z3 x4"),
-    (+1, "x1 z2 x3"),
-    (+1, "z1 x2 x4"),
-    (-1, "y1 y3 z4"),
-    (-1, "y2 z3 y4"),
-    (-1, "y1 z2 y3"),
-    (-1, "z1 y2 y4"),
-    (+1, "x1 x2 y3 y4"),
-    (+1, "x1 y2 y3 x4"),
-    (+1, "y1 x2 x3 y4"),
-    (+1, "y1 y2 x3 x4"),
+# these by variable sets. The order fixes the context ids eq01..eq14. The lines
+# are in the equation-file format that ``maxsat --file`` reads.
+_FOURTEEN = (
+    "+1 z1 z3",
+    "+1 z2 z4",
+    "+1 x1 x3 z4",
+    "+1 x2 z3 x4",
+    "+1 x1 z2 x3",
+    "+1 z1 x2 x4",
+    "-1 y1 y3 z4",
+    "-1 y2 z3 y4",
+    "-1 y1 z2 y3",
+    "-1 z1 y2 y4",
+    "+1 x1 x2 y3 y4",
+    "+1 x1 y2 y3 x4",
+    "+1 y1 x2 x3 y4",
+    "+1 y1 y2 x3 x4",
 )
 
 
 def fourteen_equalities() -> tuple[ParityConstraint, ...]:
     """The fourteen parity equalities the four-qubit state satisfies surely."""
-    return tuple(
-        ParityConstraint.from_text(text, sign) for sign, text in _FOURTEEN_SPECS
-    )
+    return tuple(parse_constraint_line(line) for line in _FOURTEEN)
 
 
 def contradiction_subset() -> tuple[ParityConstraint, ...]:
@@ -342,22 +335,12 @@ def cabello_extended() -> NonlocalGame:
     question protocol can be substituted.
     """
     eqs = fourteen_equalities()
-    alice: list[Question] = []
-    bob: list[Question] = []
     contexts = []
-
-    def intern(pool: list[Question], q: Question) -> Question:
-        for existing in pool:
-            if existing == q:
-                return existing
-        pool.append(q)
-        return q
-
     for idx, eq in enumerate(eqs):
         a_text = " ".join(str(v) for v in eq.sorted_vars if v.qubit <= 2)
         b_text = " ".join(str(v) for v in eq.sorted_vars if v.qubit >= 3)
-        qa = intern(alice, make_question((1, 2), a_text))
-        qb = intern(bob, make_question((3, 4), b_text))
+        qa = make_question((1, 2), a_text)
+        qb = make_question((3, 4), b_text)
         contexts.append(
             Context(
                 id=equation_label(idx),
@@ -370,7 +353,8 @@ def cabello_extended() -> NonlocalGame:
         name="cabello-extended",
         parties=2,
         qubit_ownership=((1, 0), (2, 0), (3, 1), (4, 1)),
-        question_sets=(tuple(alice), tuple(bob)),
+        # each question occurs in one context; a repeat would be a duplicate id
+        question_sets=tuple(tuple(ctx.questions[p] for ctx in contexts) for p in (0, 1)),
         contexts=tuple(contexts),
     )
 

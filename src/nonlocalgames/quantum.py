@@ -113,10 +113,6 @@ def sites(text: str) -> tuple[SiteObservable, ...]:
     return tuple(SiteObservable.from_text(tok) for tok in text.split())
 
 
-#: one sampled outcome: the measured observables paired with their values
-OutcomeTuple = tuple[tuple[SiteObservable, int], ...]
-
-
 @dataclass(frozen=True)
 class Statevector:
     """Normalized pure state on ``num_qubits`` qubits.
@@ -296,7 +292,7 @@ def verify_constraints(
         dist = joint_distribution(state, observables)
         mass = 0.0
         for values, p in dist.items():
-            if not constraint.holds(zip(observables, values)):
+            if not constraint.holds(dict(zip(observables, values))):
                 mass += p
         reports.append(
             ConstraintReport(constraint, holds_surely=mass < PROB_TOL, violation_mass=mass)

@@ -269,19 +269,32 @@ class TrialLog:
         if not lines:
             raise ValueError("empty trial log")
         header = json.loads(lines[0])
-        if header.get("type") != "header":
+        if type(header) is not dict or header.get("type") != "header":
             raise ValueError("trial log must start with a header record")
         if header.get("version") != LOG_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported trial log version {header.get('version')!r}, "
                 f"expected {LOG_FORMAT_VERSION}"
             )
+        # the game name is not looked up: logs of hand-built games carry their own
+        for name in ("game", "strategy"):
+            if type(header.get(name)) is not str:
+                raise ValueError(f"header field '{name}' must be a string, got {header.get(name)!r}")
+        seed, complete = header.get("seed"), header.get("complete", True)
+        reason = header.get("abort_reason")
+        # true equals 1, so it is rejected by type
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"header field 'seed' must be an int >= 0, got {seed!r}")
+        if type(complete) is not bool:
+            raise ValueError(f"header field 'complete' must be true or false, got {complete!r}")
+        if "abort_reason" in header and type(reason) is not str:
+            raise ValueError(f"header field 'abort_reason' must be a string, got {reason!r}")
         log = cls(
             game=header["game"],
             strategy=header["strategy"],
-            seed=header["seed"],
-            complete=header.get("complete", True),
-            abort_reason=header.get("abort_reason"),
+            seed=seed,
+            complete=complete,
+            abort_reason=reason,
         )
         # a line of the form to_jsonl writes is split into its round number
         # and its row, and each distinct row is decoded once; any other line

@@ -31,6 +31,7 @@ from nonlocalgames.games import (
     game_by_name,
     make_question,
     mermin_ghz,
+    parse_constraint_line,
 )
 from nonlocalgames.quantum import site
 
@@ -227,7 +228,7 @@ def test_maxsat_contradiction_subset():
 
 
 def test_maxsat_single_constraint():
-    result = noncontextual_maxsat([ParityConstraint.from_text("x1 y2", -1)])
+    result = noncontextual_maxsat([parse_constraint_line("-1 x1 y2")])
     assert result.max_satisfied == 1
 
 
@@ -239,7 +240,7 @@ def test_maxsat_witness_cap():
 
 def test_maxsat_var_limit():
     constraints = [
-        ParityConstraint.from_text(f"x{q} y{q} z{q}", +1) for q in range(1, 8)
+        parse_constraint_line(f"+1 x{q} y{q} z{q}") for q in range(1, 8)
     ]  # 21 distinct variables
     with pytest.raises(BudgetExceededError):
         noncontextual_maxsat(constraints)

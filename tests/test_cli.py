@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nonlocalgames import cli
+from nonlocalgames import cli, verification
 from nonlocalgames.trials import TrialLog
 
 
@@ -255,6 +255,24 @@ def test_verify_reports_every_criterion(capsys):
     # the verdict line is the last one
     assert out.strip().splitlines()[-1] == "11/11 checks passed"
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "criterion,row",
+    [
+        (3, lambda n, claim, bound_s, check: (n, claim, bound_s, lambda: (False, "patched"))),
+        (7, lambda n, claim, bound_s, check: (n, claim, 0.0, check)),  # every run overruns
+    ],
+    ids=["check-fails", "check-overruns-its-bound"],
+)
+def test_verify_fails_when_one_criterion_does(capsys, monkeypatch, criterion, row):
+    rows = [row(*r) if r[0] == criterion else r for r in verification.CRITERIA]
+    monkeypatch.setattr(verification, "CRITERIA", tuple(rows))
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert out.count("[FAIL]") == 1
+    assert f"[FAIL] criterion {criterion:02d}" in out
+    assert out.strip().splitlines()[-1] == "10/11 checks passed"
 
 
 def test_play_rejects_a_strategy_the_game_lacks_before_connecting(capsys):

@@ -59,7 +59,7 @@ def test_constraint_validation():
 
 
 def test_constraint_line_round_trip():
-    eq = ParityConstraint.from_text("y1 x2 z4", -1)
+    eq = ParityConstraint(frozenset(sites("y1 x2 z4")), -1)
     assert parse_constraint_line("-1 y1 x2 z4") == eq
     with pytest.raises(ValueError):
         parse_constraint_line("0 x1 x2")
@@ -73,17 +73,15 @@ def test_constraint_line_round_trip():
 
 
 def test_predicate_eval_basic():
-    eq = ParityConstraint.from_text("x1 x3 z4", +1)
+    eq = parse_constraint_line("+1 x1 x3 z4")
     assert predicate_eval(eq, {site("x1"): -1, site("x3"): +1, site("z4"): -1})
-    eq10 = ParityConstraint.from_text("y1 y3 z4", -1)
+    eq10 = parse_constraint_line("-1 y1 y3 z4")
     assert not predicate_eval(eq10, {site("y1"): +1, site("y3"): +1, site("z4"): +1})
     assert predicate_eval(ALWAYS_WIN, {})
 
 
 def test_predicate_eval_accepts_outcome_pairs_and_rejects_missing():
-    eq = ParityConstraint.from_text("z1 z3", +1)
-    outcome = ((site("z1"), +1), (site("z3"), +1))
-    assert predicate_eval(eq, outcome)
+    eq = parse_constraint_line("+1 z1 z3")
     with pytest.raises(ValueError):
         predicate_eval(eq, {site("z1"): +1})
 
@@ -139,7 +137,7 @@ def _tiny_game(weight_fix=Fraction(1, 2), predicate_vars="z1 z2"):
         qubit_ownership=((1, 0), (2, 1)),
         question_sets=((q0,), (q1,)),
         contexts=(
-            Context("a", (q0, q1), ParityConstraint.from_text(predicate_vars, 1), weight_fix),
+            Context("a", (q0, q1), parse_constraint_line(f"+1 {predicate_vars}"), weight_fix),
             Context("b", (q0, q1), ALWAYS_WIN, 1 - weight_fix),
         ),
     )

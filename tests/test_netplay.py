@@ -5,8 +5,11 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nonlocalgames import netplay
 from nonlocalgames.classical import automaton_model, lambda_mu_model
@@ -534,6 +537,119 @@ def test_session_with_a_tape_over_the_line_limit(monkeypatch):
         dealt = [line for line in sent if decode_message(line)["type"] == "dealt"]
         assert len(dealt) > 1
         assert all(len(line) <= 256 for line in sent)
+
+
+#: what a hostile player does once the question it misbehaves at arrives
+MISBEHAVIOURS = ("stall", "close", "reset", "not-json", "wrong-round", "wrong-arity", "too-long")
+#: the sessions the fuzz plays: game name -> strategy name
+FUZZ_SESSIONS = {"cabello-restricted": "lambda-mu", "four-party": "quantum"}
+
+
+def _hostile_player(address, player, behaviour, at):
+    """Say hello and play in lock step until round ``at``'s question comes,
+    then misbehave as ``behaviour`` says; return once the referee closes."""
+    sock = socket.create_connection(address, timeout=10)
+    f = sock.makefile("rb")
+    try:
+        sock.sendall(_hello(player.party))
+        tape = []
+        for line in f:
+            message = decode_message(line)
+            if message["type"] == "dealt":
+                tape.extend(decode_tape(message["tape"]))
+                player.set_tape(tuple(tape))
+                continue
+            if message["type"] != "question":
+                return
+            r = message["round"]
+            values = player.answer(r, [(o["slot"], o["kind"]) for o in message["observables"]])
+            if r < at:
+                sock.sendall(encode_message({"type": "answer", "round": r, "values": values}))
+                continue
+            if behaviour == "reset":
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            if behaviour in ("close", "reset"):
+                return
+            sock.sendall({
+                "stall": b"",
+                "not-json": b"not json\n",
+                "wrong-round": encode_message({"type": "answer", "round": r - 1, "values": values}),
+                "wrong-arity": encode_message({"type": "answer", "round": r, "values": values + [1]}),
+                "too-long": b'{"type":"answer",' + b" " * netplay._MAX_LINE + b"}\n",
+            }[behaviour])
+            for _ in f:  # stay connected, answering nothing, until the referee closes
+                pass
+            return
+    except OSError:
+        pass  # the referee closed first
+    finally:
+        f.close()
+        sock.close()
+
+
+@st.composite
+def hostile_sessions(draw):
+    """A session: game, rounds, window, seed, and per party None (faithful)
+    or a misbehaviour and the round it starts at."""
+    name = draw(st.sampled_from(sorted(FUZZ_SESSIONS)))
+    rounds = draw(st.integers(1, 12))
+    misbehaviour = st.tuples(st.sampled_from(MISBEHAVIOURS), st.integers(0, rounds - 1))
+    parties = GAME_BUILDERS[name]().parties
+    behaviours = draw(st.lists(st.none() | misbehaviour, min_size=parties, max_size=parties))
+    return name, rounds, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1)), behaviours
+
+
+@settings(max_examples=20, deadline=None)
+@given(session=hostile_sessions())
+@example(session=("four-party", 10, 3, 7, [None] * 4))
+@example(session=("cabello-restricted", 12, 5, 1, [None, ("too-long", 6)]))
+def test_hostile_players_end_the_session_in_time_and_are_named(session):
+    name, rounds, window, seed, behaviours = session
+    game = GAME_BUILDERS[name]()
+    strategy = resolve_strategy(game, FUZZ_SESSIONS[name])
+    misbehaving = {p for p, b in enumerate(behaviours) if b is not None}
+    faithful = [p for p, b in enumerate(behaviours) if b is None]
+    deadline = 0.2
+    bound = (len(misbehaving) + 1) * deadline + 2
+    with (
+        patch.object(netplay, "_PEER_TIMEOUT_S", deadline),
+        patch.object(netplay, "_WINDOW", window),
+        patch.object(netplay, "_MAX_LINE", 256),
+    ):
+        address, thread, box = _serve_in_thread(game, strategy, rounds, seed)
+        start = time.monotonic()
+        threads, statuses = _players_in_threads(address, game, strategy, faithful)
+        hostile = [
+            threading.Thread(
+                target=_hostile_player,
+                args=(address, build_party_strategy(game, strategy, p), *behaviours[p]),
+                daemon=True,
+            )
+            for p in misbehaving
+        ]
+        for t in hostile:
+            t.start()
+        thread.join(timeout=bound)
+        elapsed = time.monotonic() - start
+        for t in threads + hostile:
+            t.join(timeout=10)
+    assert not thread.is_alive() and elapsed < bound
+    assert not any(t.is_alive() for t in threads + hostile)
+    if not misbehaving:
+        assert box["log"] == run_trials(game, strategy, rounds=rounds, seed=seed)
+        assert statuses == dict.fromkeys(faithful, 0)
+        return
+    if "error" in box:
+        assert isinstance(box["error"], ProtocolError)
+        blamed = box["error"].party
+    else:
+        log = box["log"]
+        assert not log.complete
+        blamed = int(log.abort_reason.split()[1])
+        assert log.abort_reason.startswith(f"party {blamed} ")
+    assert blamed in misbehaving
+    # every faithful player hears of the abort
+    assert statuses == dict.fromkeys(faithful, 4)
 
 
 @dataclass

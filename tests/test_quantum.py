@@ -309,14 +309,14 @@ def test_all_fourteen_hold_surely_on_psi():
 
 
 def test_negated_equality_fails_with_full_mass():
-    flipped = games.ParityConstraint.from_text("x1 x2 y3 y4", -1)
+    flipped = games.parse_constraint_line("-1 x1 x2 y3 y4")
     (report,) = verify_constraints(make_psi(), [flipped])
     assert not report.holds_surely
     assert report.violation_mass == pytest.approx(1.0)
 
 
 def test_ghz_parity_constraint():
-    constraint = games.ParityConstraint.from_text("z1 z2 z3 z4", +1)
+    constraint = games.parse_constraint_line("+1 z1 z2 z3 z4")
     (report,) = verify_constraints(make_ghz(4), [constraint])
     assert report.holds_surely
 

@@ -279,6 +279,46 @@ def test_from_jsonl_rejects_unknown_version():
         TrialLog.from_jsonl(json.dumps(header) + "\n" + body)
 
 
+@pytest.mark.parametrize(
+    "change,error",
+    [
+        ({"strategy": 5}, "header field 'strategy'"),
+        ({"strategy": ...}, "header field 'strategy'"),
+        ({"game": ["four-party"]}, "header field 'game'"),
+        ({"seed": "x"}, "header field 'seed'"),
+        ({"seed": -1}, "header field 'seed'"),
+        ({"seed": True}, "header field 'seed'"),
+        ({"seed": 1.0}, "header field 'seed'"),
+        ({"complete": "maybe"}, "header field 'complete'"),
+        ({"complete": 1}, "header field 'complete'"),
+        ({"abort_reason": 7}, "header field 'abort_reason'"),
+        ({"abort_reason": None}, "header field 'abort_reason'"),
+        ([1, 2], "must start with a header record"),
+    ],
+    ids=["strategy-number", "strategy-missing", "game-list", "seed-text", "seed-negative",
+         "seed-true", "seed-float", "complete-text", "complete-1", "reason-number",
+         "reason-null", "not-an-object"],
+)
+def test_from_jsonl_rejects_header_values_never_written(change, error):
+    text = run_trials(cabello_restricted(), automaton_model(), rounds=3, seed=0).to_jsonl()
+    header, _, body = text.partition("\n")
+    header = json.loads(header)
+    if isinstance(change, dict):  # a field set to ... is left out
+        header = {k: v for k, v in {**header, **change}.items() if v is not ...}
+    else:
+        header = change
+    with pytest.raises(ValueError, match=error):
+        TrialLog.from_jsonl(json.dumps(header) + "\n" + body)
+
+
+def test_from_jsonl_keeps_a_header_the_package_writes():
+    header = {"type": "header", "version": 1, "game": "hand-built", "strategy": "s", "seed": 0}
+    log = TrialLog.from_jsonl(json.dumps(header) + "\n")
+    assert (log.game, log.complete, log.abort_reason) == ("hand-built", True, None)
+    aborted = TrialLog("hand-built", "s", 3, complete=False, abort_reason="party 1 closed")
+    assert TrialLog.from_jsonl(aborted.to_jsonl()) == aborted
+
+
 # ---------------------------------------------------------------------------
 # per-seed stream identity
 # ---------------------------------------------------------------------------
