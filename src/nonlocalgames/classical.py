@@ -11,16 +11,22 @@ every context. The classical value gives each (party, question, slot)
 one bit: it equals the maximum over deterministic strategies (shared
 randomness only mixes deterministic ones), and with all parties but one
 fixed, each question of the remaining "responder" can be answered on its
-own. So one search serves both: it enumerates outer bits in numpy
-chunks, counting parities with ``np.bitwise_count``, and for each group
-of parities sharing free bits (one responder question) adds the best
-weight any choice of those bits wins.
+own. So one search serves both: each group of parities sharing free
+bits (one responder question) adds the best weight any choice of those
+bits wins. Groups that share no outer bit cannot constrain each other,
+so the search splits them into connected components and enumerates each
+component's own outer bits in numpy chunks, counting parities with
+``np.bitwise_count``; the value is the sum of the components' bests. A
+game whose contexts each ask their own questions, like the extended
+two-observer experiment, is many tiny scans instead of one huge one.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -38,14 +44,17 @@ from .games import (
 )
 from .quantum import SiteObservable
 
-#: default cap on (outer strategies x contexts) evaluations per solve
+#: default cap on (outer indices x parities) evaluations per solve, summed
+#: over the search's components
 DEFAULT_BUDGET = 10**8
 
 _CHUNK = 1 << 19
 
 
 class BudgetExceededError(Exception):
-    """The requested search would exceed the evaluation budget."""
+    """The search would exceed the evaluation budget: the sum over its
+    components of (outer indices x parities), or for max-sat the number of
+    assignments, is more than allowed."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
@@ -338,13 +347,12 @@ def _target(sign: int) -> int:
 
 
 def _answer_scores(
-    group: _Group, idx: np.ndarray, dtype: np.dtype
+    group: _Group, outer: Sequence[np.ndarray], dtype: np.dtype
 ) -> Iterator[np.ndarray]:
     """Per choice of the group's free bits, in order, the weight its
-    parities win at each outer index."""
-    outer = [np.bitwise_count(idx & p.outer_mask) & 1 for p in group.parities]
+    parities win, given each parity's outer-bit parity at every index."""
     for free in range(1 << group.free_bits):
-        won = np.zeros(idx.shape, dtype=dtype)
+        won = np.zeros(outer[0].shape, dtype=dtype)
         for p, bits in zip(group.parities, outer):
             need = p.target ^ ((free & p.free_mask).bit_count() & 1)
             won += (bits == need) * dtype.type(p.weight)
@@ -360,43 +368,120 @@ def _best_in(
     dtype = search.dtype
     score = np.full(idx.shape, search.base, dtype=dtype)
     for group in search.groups:
-        score += functools.reduce(np.maximum, _answer_scores(group, idx, dtype))
+        outer = [np.bitwise_count(idx & p.outer_mask) & 1 for p in group.parities]
+        score += functools.reduce(np.maximum, _answer_scores(group, outer, dtype))
     best = int(score.max())
     return best, (np.flatnonzero(score == best)[:limit] + lo).tolist()
 
 
+def _spread(local: int, positions: Sequence[int]) -> int:
+    """The index with bit ``positions[k]`` set for each set bit k of ``local``."""
+    return sum(1 << b for k, b in enumerate(positions) if local >> k & 1)
+
+
+def _gather(index: int, positions: Sequence[int]) -> int:
+    """The local index with bit k set when bit ``positions[k]`` of ``index`` is."""
+    return sum(1 << k for k, b in enumerate(positions) if index >> b & 1)
+
+
+def _components(search: _Search) -> list[tuple[tuple[int, ...], _Search]]:
+    """The search split into independent parts: groups join when their
+    parities share an outer bit. Each part is its global outer bits,
+    ascending, and a base-0 search in which bit k stands for the k-th."""
+    parts: list[tuple[int, list[_Group]]] = []
+    for group in search.groups:
+        mask = functools.reduce(operator.or_, (p.outer_mask for p in group.parities), 0)
+        groups = [group]
+        for part in [part for part in parts if part[0] & mask]:
+            parts.remove(part)
+            mask |= part[0]
+            groups = part[1] + groups
+        parts.append((mask, groups))
+    components = []
+    for mask, groups in parts:
+        positions = tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+        local = tuple(
+            _Group(g.free_bits, tuple(
+                _Parity(p.weight, p.target, _gather(p.outer_mask, positions), p.free_mask)
+                for p in g.parities
+            ))
+            for g in groups
+        )
+        components.append((positions, _Search(len(positions), 0, local)))
+    return components
+
+
+def _smallest_sums(a: list[int], b: list[int], limit: int | None) -> list[int]:
+    """The ``limit`` smallest sums x + y, x from ``a`` and y from ``b``
+    (both ascending), in ascending order; ``None`` keeps every sum."""
+    sums = heapq.merge(*(map(x.__add__, b) for x in a[:limit]))
+    return list(itertools.islice(sums, limit))
+
+
 def _run_search(
-    search: _Search, limit: int | None, workers: int = 1
-) -> tuple[int, list[int]]:
-    """Best score and the first ``limit`` outer indices reaching it
-    (``None`` keeps all); chunks run in a process pool when ``workers > 1``,
-    with the same result as the sequential scan."""
+    search: _Search, limit: int | None, workers: int = 1, budget: int | None = None
+) -> tuple[int, list[int], int]:
+    """Best score, the first ``limit`` outer indices reaching it (``None``
+    keeps all) and how many outer indices were scanned.
+
+    Each component is scanned over its own outer bits only, in chunks that
+    run in a process pool when ``workers > 1`` with the same result as the
+    sequential scan. The best score is ``base`` plus the components' bests.
+    The indices reaching it are every sum of one optimal pattern per
+    component and any values of the outer bits no parity touches; the bits
+    are disjoint, so merging the components one at a time and keeping the
+    ``limit`` smallest sums after each merge is exact. Raises
+    ``BudgetExceededError`` before any scan if the components need more
+    than ``budget`` (outer indices x parities) evaluations in all.
+    """
     if limit is not None and limit < 0:
         raise ValueError(f"witness limit must be >= 0, got {limit}")
-    size = 1 << search.outer_bits
-    chunk = min(_CHUNK, -(-size // max(workers, 1)))
-    los = range(0, size, chunk)
-    his = [min(lo + chunk, size) for lo in los]
-    args = ([search] * len(los), los, his, [limit] * len(los))
-    if workers > 1 and len(los) > 1:
+    components = _components(search)
+    required = sum(
+        (1 << part.outer_bits) * sum(len(g.parities) for g in part.groups)
+        for _, part in components
+    )
+    if budget is not None and required > budget:
+        raise BudgetExceededError(required, budget)
+    owners, tasks = [], []
+    for n, (_, part) in enumerate(components):
+        size = 1 << part.outer_bits
+        chunk = min(_CHUNK, -(-size // max(workers, 1)))
+        for lo in range(0, size, chunk):
+            owners.append(n)
+            tasks.append((part, lo, min(lo + chunk, size), limit))
+    if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_best_in, *args))
+            results = list(pool.map(_best_in, *zip(*tasks)))
     else:
-        results = list(map(_best_in, *args))
-    best = max(chunk_best for chunk_best, _ in results)
-    winners = [i for chunk_best, found in results if chunk_best == best for i in found]
-    return best, winners[:limit]
+        results = [_best_in(*task) for task in tasks]
+
+    best, winners, touched = search.base, [0], set()
+    for n, pairs in itertools.groupby(zip(owners, results), key=lambda pair: pair[0]):
+        found = [result for _, result in pairs]
+        top = max(chunk_best for chunk_best, _ in found)
+        local = [i for chunk_best, idx in found if chunk_best == top for i in idx][:limit]
+        positions = components[n][0]
+        best += top
+        winners = _smallest_sums(winners, [_spread(i, positions) for i in local], limit)
+        touched.update(positions)
+    for bit in sorted(set(range(search.outer_bits)) - touched):
+        winners = _smallest_sums(winners, [0, 1 << bit], limit)
+    return best, winners, sum(1 << part.outer_bits for _, part in components)
 
 
 def _best_answers(search: _Search, indices: list[int]) -> list[np.ndarray]:
-    """Per group, at each of the outer ``indices``, the first choice of its
-    free bits that scores best."""
-    idx = np.array(indices, dtype=np.int64)
-    return [
-        np.stack(list(_answer_scores(group, idx, search.dtype))).argmax(axis=0)
-        for group in search.groups
-    ]
+    """Per group, at each of the outer ``indices`` (Python ints of any
+    size), the first choice of its free bits that scores best."""
+    picks = []
+    for group in search.groups:
+        outer = [
+            np.array([(i & p.outer_mask).bit_count() & 1 for i in indices], dtype=np.int64)
+            for p in group.parities
+        ]
+        picks.append(np.stack(list(_answer_scores(group, outer, search.dtype))).argmax(axis=0))
+    return picks
 
 
 def _answer(bits: int, positions: Sequence[int]) -> tuple[int, ...]:
@@ -419,11 +504,17 @@ def classical_value(
     highest bit, so outer indices count through the strategies in the
     order of their answer spaces. Each responder question is a group whose
     free bits are chosen per outer index, which is exact because no
-    context asks the responder two questions. ``workers > 1`` runs the
-    scan's chunks in a process pool with an identical result.
+    context asks the responder two questions. Groups whose parities share
+    no outer bit are scanned apart, each component over its own outer bits
+    only, so ``strategies_examined`` is the sum over components of
+    2**(component outer bits); witnesses are still the first
+    ``max_witnesses`` optimal strategies in outer index order, and indices
+    are exact at any size. ``workers > 1`` runs the scans' chunks in a
+    process pool with an identical result.
 
-    Raises ``BudgetExceededError`` up front if the scan would need more
-    than ``budget`` (outer strategies x contexts) evaluations.
+    Raises ``BudgetExceededError`` up front, before any scan, if the
+    components would need more than ``budget`` evaluations in all: the sum
+    over components of 2**(outer bits) x (parities in the component).
     """
     responder = max(
         range(game.parties),
@@ -441,10 +532,6 @@ def classical_value(
             ]
             if party != responder:
                 outer_bits += q.answer_arity
-    required = (1 << outer_bits) * len(game.contexts)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-
     denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
     base = 0
     grouped: dict[str, list[_Parity]] = {}
@@ -473,7 +560,7 @@ def classical_value(
             for qid, parities in grouped.items()
         ),
     )
-    best, winners = _run_search(search, max_witnesses, workers)
+    best, winners, examined = _run_search(search, max_witnesses, workers, budget)
 
     picks = dict(zip(grouped, _best_answers(search, winners)))
     strategies = []
@@ -495,7 +582,7 @@ def classical_value(
     return GameValueResult(
         value=Fraction(best, denominator),
         optimal_strategies=tuple(strategies),
-        strategies_examined=1 << outer_bits,
+        strategies_examined=examined,
     )
 
 
@@ -517,7 +604,7 @@ def _best_assignment(
     )
     # one group per constraint: no bits are free, and no constraint's bits are held
     groups = tuple(_Group(0, (p,)) for p in parities)
-    best, winners = _run_search(_Search(len(variables), base, groups), limit)
+    best, winners, _ = _run_search(_Search(len(variables), base, groups), limit)
     return best, variables, winners
 
 

@@ -182,10 +182,16 @@ def check_extended_solver() -> tuple[bool, str]:
         for party, questions in enumerate(game.question_sets)
     )
     witness = classical.win_probability(game, result.optimal_strategies[0])
-    ok = result.value == 1 == witness and single_use and bound == Fraction(6, 7)
+    # so the solver scans each context alone: at most 4 patterns apiece
+    scanned = result.strategies_examined
+    ok = (
+        result.value == 1 == witness and single_use and scanned == 44
+        and bound == Fraction(6, 7)
+    )
     return ok, (
         f"contextual classical value={result.value}, witness value={witness}, "
         f"every question in one context={single_use}, "
+        f"outer strategies examined={scanned}, "
         f"best noncontextual assignment value={bound}"
     )
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,13 @@ from nonlocalgames.classical import (
     noncontextual_value,
     win_probability,
 )
+from nonlocalgames.classical import _smallest_sums
 from nonlocalgames.games import (
     ALWAYS_WIN,
     Context,
     NonlocalGame,
     ParityConstraint,
+    Question,
     cabello_extended,
     cabello_restricted,
     contradiction_subset,
@@ -33,9 +36,9 @@ from nonlocalgames.games import (
     mermin_ghz,
     parse_constraint_line,
 )
-from nonlocalgames.quantum import site
+from nonlocalgames.quantum import SiteObservable, site
 
-from oracles import FOURTEEN, enumerate_game_value, python_maxsat
+from oracles import FOURTEEN, enumerate_game_value, python_maxsat, strategy_value
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +335,20 @@ def test_classical_value_extended_is_one():
 
     result = classical_value(game)
     assert result.value == 1
-    assert result.strategies_examined == 2**6 * 4**8
+    # one scan per context: 6 one-bit and 8 two-bit questions of party 0,
+    # not the 2**6 * 4**8 joint strategies
+    assert result.strategies_examined == 6 * 2 + 8 * 4
 
 
 def test_classical_value_budget_error():
+    # four-party is one component: 8**3 outer strategies x 14 parities
+    with pytest.raises(BudgetExceededError) as raised:
+        classical_value(four_party_game(), budget=1000)
+    assert raised.value.required == 512 * 14
+    # the budget counts each component's own scan
+    assert classical_value(cabello_extended(), budget=44).value == 1
     with pytest.raises(BudgetExceededError):
-        classical_value(cabello_extended(), budget=1000)
+        classical_value(cabello_extended(), budget=43)
 
 
 def test_classical_value_workers_deterministic():
@@ -368,6 +379,93 @@ def test_classical_value_monotone_under_context_removal():
             contexts=rescaled,
         )
         assert classical_value(smaller).value >= base
+
+
+def _fan_game(questions: int = 20) -> NonlocalGame:
+    """Party 0's ``questions`` one-slot questions, each paired with party
+    1's question z21 in one context: one group, so one component of
+    2**questions outer indices. Party 1 also holds ``questions - 1``
+    questions no context asks, so that its answer slots tie party 0's and
+    it is the responder."""
+    asked = tuple(make_question((q,), f"x{q}") for q in range(1, questions + 1))
+    held = tuple(
+        make_question((q,), f"z{q}") for q in range(questions + 1, 2 * questions + 1)
+    )
+    contexts = tuple(
+        Context(
+            f"c{a.id}",
+            (a, held[0]),
+            ParityConstraint(frozenset(a.measured + held[0].measured), (-1) ** n),
+            Fraction(1, questions),
+        )
+        for n, a in enumerate(asked)
+    )
+    return NonlocalGame(
+        name="fan",
+        parties=2,
+        qubit_ownership=tuple((q, int(q > questions)) for q in range(1, 2 * questions + 1)),
+        question_sets=(asked, held),
+        contexts=contexts,
+    )
+
+
+def test_process_pool_scans_a_large_component_like_one_worker(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    game = _fan_game()
+    single = classical_value(game, max_witnesses=4)
+    assert not pools
+    pooled = classical_value(game, max_witnesses=4, workers=2)
+    assert pools == [{"max_workers": 2}]
+    # 2**20 indices are two full chunks, one per worker
+    assert single.strategies_examined == pooled.strategies_examined == 2**20
+    assert single.value == pooled.value == 1
+    # party 0 answers x_n = (-1)**n * z21, for either answer of z21
+    assert len(single.optimal_strategies) == 2
+    assert single.optimal_strategies == pooled.optimal_strategies
+
+
+def test_indices_past_int64_are_exact():
+    # 40 contexts of two two-slot questions, each asked once; each parity
+    # wants party 0's two answers to differ, so every optimal index sets
+    # one bit of every pair and all of them are above 2**63
+    asked, held, contexts = [], [], []
+    for n in range(40):
+        a = make_question((2 * n + 1, 2 * n + 2), f"x{2 * n + 1} x{2 * n + 2}")
+        b = make_question((2 * n + 81, 2 * n + 82), f"z{2 * n + 81} z{2 * n + 82}")
+        asked.append(a)
+        held.append(b)
+        contexts.append(Context(
+            f"c{n}", (a, b), ParityConstraint(frozenset(a.measured), -1), Fraction(1, 40)
+        ))
+    game = NonlocalGame(
+        name="forty-pairs",
+        parties=2,
+        qubit_ownership=tuple((q, int(q > 80)) for q in range(1, 161)),
+        question_sets=(tuple(asked), tuple(held)),
+        contexts=tuple(contexts),
+    )
+    result = classical_value(game, max_witnesses=4)
+    assert result.value == 1
+    assert result.strategies_examined == 40 * 4
+    # the last question takes the lowest two bits; the smallest optimal
+    # pattern of a pair answers (+1, -1), the next one (-1, +1)
+    first = sum(4**k for k in range(40))
+    assert first > 2**63
+    assert [s.name for s in result.optimal_strategies] == [
+        f"best-classical[{first + d}]" for d in (0, 1, 4, 5)
+    ]
+    assert set(result.optimal_strategies[0].answers[0].values()) == {(1, -1)}
+    for strategy in result.optimal_strategies:
+        assert strategy_value(game, strategy.answers) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +532,110 @@ def test_solver_matches_joint_enumeration(game):
     assert noncontextual_value(game) == Fraction(always + oracle_best, len(game.contexts))
 
 
+def _joined(first: NonlocalGame, second: NonlocalGame, share: Fraction) -> NonlocalGame:
+    """Two games on disjoint questions and qubits played as one: the second
+    game's qubits move past the first's, and a round plays the first game
+    with probability ``share``, the second otherwise."""
+    shift = first.num_qubits
+
+    def moved(question: Question) -> Question:
+        return Question(tuple((q + shift, k) for q, k in question.measurements))
+
+    def moved_context(ctx: Context) -> Context:
+        predicate = ctx.predicate
+        if predicate is not ALWAYS_WIN:
+            predicate = ParityConstraint(
+                frozenset(SiteObservable(v.qubit + shift, v.kind) for v in predicate.vars),
+                predicate.sign,
+            )
+        questions = tuple(map(moved, ctx.questions))
+        return Context(f"second-{ctx.id}", questions, predicate, ctx.weight * (1 - share))
+
+    return NonlocalGame(
+        name="joined",
+        parties=first.parties,
+        qubit_ownership=first.qubit_ownership
+        + tuple((q + shift, party) for q, party in second.qubit_ownership),
+        question_sets=tuple(
+            a + tuple(map(moved, b)) for a, b in zip(first.question_sets, second.question_sets)
+        ),
+        contexts=tuple(replace(c, weight=c.weight * share) for c in first.contexts)
+        + tuple(map(moved_context, second.contexts)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    first=small_games(),
+    second=small_games(),
+    share=st.sampled_from((Fraction(1, 2), Fraction(1, 3))),
+)
+def test_solver_matches_joint_enumeration_on_joined_games(first, second, share):
+    game = _joined(first, second, share)
+    result = classical_value(game, max_witnesses=16)
+    assert result.value == enumerate_game_value(game)
+    assert result.optimal_strategies
+    for strategy in result.optimal_strategies:
+        assert strategy_value(game, strategy.answers) == result.value
+    indices = [
+        int(s.name.removeprefix("best-classical[").removesuffix("]"))
+        for s in result.optimal_strategies
+    ]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    # and they are the first 16 optimal tables of the non-responder, whose
+    # index counts through its answers with the first slot most significant
+    slots = [sum(q.answer_arity for q in qs) for qs in game.question_sets]
+    responder = max((n, p) for p, n in enumerate(slots))[1]
+
+    def tables(party):
+        questions = game.question_sets[party]
+        spaces = [itertools.product((1, -1), repeat=q.answer_arity) for q in questions]
+        return [dict(zip((q.id for q in questions), a)) for a in itertools.product(*spaces)]
+
+    optimal = [
+        n for n, table in enumerate(tables(1 - responder))
+        if any(
+            strategy_value(game, (table, reply) if responder else (reply, table))
+            == result.value
+            for reply in tables(responder)
+        )
+    ]
+    assert indices == optimal[:16]
+    # the max-sat search splits the same way: every maximizing assignment
+    tested = [c.predicate for c in game.contexts if c.predicate is not ALWAYS_WIN]
+    if tested:
+        found = noncontextual_maxsat(tested)
+        best, witnesses = python_maxsat(
+            [(tuple((v.kind.value, v.qubit) for v in c.vars), c.sign) for c in tested]
+        )
+        assert found.max_satisfied == best
+        assert sorted(
+            sorted((v.kind.value, v.qubit, b) for v, b in w.items()) for w in found.witnesses
+        ) == sorted(sorted((k, q, b) for (k, q), b in w.items()) for w in witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_smallest_sums_merge_matches_brute_force(data):
+    # fields of scattered, disjoint bits, each with its own set of patterns
+    widths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    order = data.draw(st.permutations(range(sum(widths))))
+    fields, start = [], 0
+    for width in widths:
+        bits = order[start:start + width]
+        start += width
+        patterns = data.draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1))
+        fields.append(sorted(
+            sum(1 << b for k, b in enumerate(bits) if pattern >> k & 1) for pattern in patterns
+        ))
+    brute = sorted(sum(combo) for combo in itertools.product(*fields))
+    for k in (0, 1, 16, None):
+        merged = [0]
+        for patterns in fields:
+            merged = _smallest_sums(merged, patterns, k)
+        assert merged == brute[:k]
+
+
 # ---------------------------------------------------------------------------
 # solver output identity
 # ---------------------------------------------------------------------------
@@ -464,9 +666,9 @@ def _solver_stream(name: str) -> str:
 #: sha256 of _solver_stream(name); a change here changes `solve` and `maxsat` output
 PINNED_SOLVES = [
     ("cabello-restricted",
-     "b1fb66487a7d71cb1ad622c0778f630ec6e044c7a5ac1e081a1b826faa0b3619"),
+     "74a4c13d5a0f9f0429b9fd3f30c5936b5c0c411607668da102003704284ee340"),
     ("cabello-extended",
-     "ae20690eaab55122670a6735969b9f879d829d879a46800a7f54304def258d28"),
+     "a30ff8ce938b7eac3b680e2165c4061d19970e0d102f92f635ef9acdecc6e35f"),
     ("four-party",
      "964f26ee954dca34797d69d6785771817fae6fdd9e6d14f514dc776838453b18"),
     ("mermin-ghz",

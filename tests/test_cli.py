@@ -53,15 +53,21 @@ def test_solve_unknown_game_exit_2(capsys):
 
 
 def test_solve_budget_exit_3(capsys):
-    code, _, err = run_cli(capsys, "solve", "cabello-extended", "--budget", "100")
+    # four-party is one component of 8**3 outer strategies x 14 parities
+    code, _, err = run_cli(capsys, "solve", "four-party", "--budget", "100")
     assert code == 3
     assert "budget" in err
+    # the extended game's 14 components need 44 evaluations in all
+    code, out, _ = run_cli(capsys, "solve", "cabello-extended", "--budget", "100")
+    assert code == 0
+    assert "outer strategies examined: 44" in out
 
 
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "100")
-    code, _, err = run_cli(capsys, "solve", "cabello-extended")
+    code, _, err = run_cli(capsys, "solve", "four-party")
     assert code == 3
+    assert "budget" in err
     # explicit flag wins over the environment
     code, out, _ = run_cli(capsys, "solve", "four-party", "--budget", "100000")
     assert code == 0
