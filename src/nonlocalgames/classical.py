@@ -15,10 +15,11 @@ own. So one search serves both: each group of parities sharing free
 bits (one responder question) adds the best weight any choice of those
 bits wins. Groups that share no outer bit cannot constrain each other,
 so the search splits them into connected components and enumerates each
-component's own outer bits in numpy chunks, counting parities with
-``np.bitwise_count``; the value is the sum of the components' bests. A
-game whose contexts each ask their own questions, like the extended
-two-observer experiment, is many tiny scans instead of one huge one.
+component's own outer bits in numpy chunks in this one process, counting
+parities with ``np.bitwise_count``; the value is the sum of the
+components' bests. A game whose contexts each ask their own questions,
+like the extended two-observer experiment, is many tiny scans instead of
+one huge one.
 """
 
 from __future__ import annotations
@@ -419,17 +420,17 @@ def _smallest_sums(a: list[int], b: list[int], limit: int | None) -> list[int]:
 
 
 def _run_search(
-    search: _Search, limit: int | None, workers: int = 1, budget: int | None = None
+    search: _Search, limit: int | None, budget: int | None = None
 ) -> tuple[int, list[int], int]:
     """Best score, the first ``limit`` outer indices reaching it (``None``
     keeps all) and how many outer indices were scanned.
 
-    Each component is scanned over its own outer bits only, in chunks that
-    run in a process pool when ``workers > 1`` with the same result as the
-    sequential scan. The best score is ``base`` plus the components' bests.
-    The indices reaching it are every sum of one optimal pattern per
-    component and any values of the outer bits no parity touches; the bits
-    are disjoint, so merging the components one at a time and keeping the
+    Each component is scanned in this process over its own outer bits only,
+    in ``_CHUNK``-index chunks that bound memory; its best is the top chunk
+    best. The best score is ``base`` plus the components' bests. The
+    indices reaching it are every sum of one optimal pattern per component
+    and any values of the outer bits no parity touches; the bits are
+    disjoint, so merging the components one at a time and keeping the
     ``limit`` smallest sums after each merge is exact. Raises
     ``BudgetExceededError`` before any scan if the components need more
     than ``budget`` (outer indices x parities) evaluations in all.
@@ -443,26 +444,14 @@ def _run_search(
     )
     if budget is not None and required > budget:
         raise BudgetExceededError(required, budget)
-    owners, tasks = [], []
-    for n, (_, part) in enumerate(components):
-        size = 1 << part.outer_bits
-        chunk = min(_CHUNK, -(-size // max(workers, 1)))
-        for lo in range(0, size, chunk):
-            owners.append(n)
-            tasks.append((part, lo, min(lo + chunk, size), limit))
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_best_in, *zip(*tasks)))
-    else:
-        results = [_best_in(*task) for task in tasks]
-
     best, winners, touched = search.base, [0], set()
-    for n, pairs in itertools.groupby(zip(owners, results), key=lambda pair: pair[0]):
-        found = [result for _, result in pairs]
+    for positions, part in components:
+        size = 1 << part.outer_bits
+        found = [
+            _best_in(part, lo, min(lo + _CHUNK, size), limit) for lo in range(0, size, _CHUNK)
+        ]
         top = max(chunk_best for chunk_best, _ in found)
         local = [i for chunk_best, idx in found if chunk_best == top for i in idx][:limit]
-        positions = components[n][0]
         best += top
         winners = _smallest_sums(winners, [_spread(i, positions) for i in local], limit)
         touched.update(positions)
@@ -509,8 +498,9 @@ def classical_value(
     only, so ``strategies_examined`` is the sum over components of
     2**(component outer bits); witnesses are still the first
     ``max_witnesses`` optimal strategies in outer index order, and indices
-    are exact at any size. ``workers > 1`` runs the scans' chunks in a
-    process pool with an identical result.
+    are exact at any size. ``workers`` is accepted and unused: every scan
+    runs in this process. The keyword stays only because the benchmark
+    harness (``perfbench/worker.py``) still passes it.
 
     Raises ``BudgetExceededError`` up front, before any scan, if the
     components would need more than ``budget`` evaluations in all: the sum
@@ -560,7 +550,7 @@ def classical_value(
             for qid, parities in grouped.items()
         ),
     )
-    best, winners, examined = _run_search(search, max_witnesses, workers, budget)
+    best, winners, examined = _run_search(search, max_witnesses, budget)
 
     picks = dict(zip(grouped, _best_answers(search, winners)))
     strategies = []

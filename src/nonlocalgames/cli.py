@@ -7,12 +7,15 @@ session, from ``serve`` and ``play`` alike; ``serve`` aborts when a
 player's message is not whole within 30 s. All output is deterministic
 given the flags and seed. The solver budget can be overridden with the
 ``NONLOCALGAMES_BUDGET`` environment variable (an explicit ``--budget``
-flag wins over it).
+flag wins over it). ``solve`` has no ``--workers`` flag (exit 2, as for
+any unknown flag). ``serve`` opens ``--out`` and binds ``--bind`` before
+it accepts a player, and exits 2 with one line if either fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -94,11 +97,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
     budget = _default_budget(args.budget)
-    _check_at_least("--workers", args.workers, 1)
     _check_at_least("--witnesses", args.witnesses, 0)
-    result = classical.classical_value(
-        game, budget=budget, workers=args.workers, max_witnesses=args.witnesses
-    )
+    result = classical.classical_value(game, budget=budget, max_witnesses=args.witnesses)
     print(f"game {game.name}")
     print(f"classical value: {_fraction_text(result.value)}")
     print(f"outer strategies examined: {result.strategies_examined}")
@@ -175,11 +175,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _check_at_least("--seed", args.seed, 0)
     strategy = _resolve_strategy(game, args.strategy)
     address = _parse_host_port(args.bind)
-    server = netplay.RefereeServer(game, args.rounds, args.seed, strategy)
-    server.bind(address)
-    log = server.serve()
-    if args.out is not None:
-        Path(args.out).write_text(log.to_jsonl())
+    try:
+        out = open(args.out, "w") if args.out is not None else contextlib.nullcontext()
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {args.out}: {exc.strerror}") from None
+    with out:
+        server = netplay.RefereeServer(game, args.rounds, args.seed, strategy)
+        try:
+            server.bind(address)
+        except OSError as exc:
+            raise CliError(EXIT_USAGE, f"cannot bind {args.bind}: {exc.strerror or exc}") from None
+        log = server.serve()
+        if args.out is not None:
+            out.write(log.to_jsonl())
     if not log.complete:
         print(f"session aborted: {log.abort_reason}", file=sys.stderr)
         return EXIT_PROTOCOL
@@ -227,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact classical value of a game")
     p.add_argument("game")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--witnesses", type=int, default=1)
     p.set_defaults(fn=_cmd_solve)

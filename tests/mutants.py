@@ -1,0 +1,268 @@
+"""Mutation gate: each row breaks the package on purpose, and the tests it
+names must catch it.
+
+Run from anywhere, with the test requirements installed::
+
+    python tests/mutants.py            # every row
+    python tests/mutants.py int64      # rows whose name contains "int64"
+
+For each row the gate copies ``src/``, ``tests/`` and ``pyproject.toml``
+into a fresh temporary directory (tests that start subprocesses find the
+``src/`` beside them, so they run the copy too), replaces the row's exact
+old text with its new text, and runs the row's tests there with pytest.
+The row is killed when those tests fail, or when they run past the row's
+timeout: a mutant may hang by design, such as a read without a deadline.
+First, the unmutated copy must pass every test the chosen rows name.
+
+Exit status 0 means every row was killed. Anything else fails the gate:
+a surviving row, an unmutated copy that fails, pytest unable to run the
+named tests, or an anchor that does not occur exactly once in its file
+("anchor missing"). A refactor that moves an anchor updates its row on
+purpose; the gate never skips one. This file is not collected by the
+tier-1 suite (it does not match ``test_*.py``).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/nonlocalgames
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    timeout_s: float = 60.0
+
+
+MUTANTS = (
+    # the solver
+    Mutant(
+        "components-never-join",
+        "classical.py",
+        "for part in [part for part in parts if part[0] & mask]:",
+        "for part in []:",
+        ("tests/test_classical.py::test_classical_value_four_party",),
+    ),
+    Mutant(
+        "chain-for-the-sum-merge",
+        "classical.py",
+        "sums = heapq.merge(*(map(x.__add__, b) for x in a[:limit]))",
+        "sums = itertools.chain(*(map(x.__add__, b) for x in a[:limit]))",
+        ("tests/test_classical.py::test_smallest_sums_merge_matches_brute_force",),
+    ),
+    Mutant(
+        "indices-wrap-to-int64",
+        "classical.py",
+        "return sum(1 << b for k, b in enumerate(positions) if local >> k & 1)",
+        "return (sum(1 << b for k, b in enumerate(positions) if local >> k & 1)"
+        " + 2**63) % 2**64 - 2**63",
+        ("tests/test_classical.py::test_indices_past_int64_are_exact",),
+    ),
+    Mutant(
+        "untouched-bits-not-merged",
+        "classical.py",
+        "for bit in sorted(set(range(search.outer_bits)) - touched):",
+        "for bit in []:",
+        ("tests/test_classical.py::test_an_outer_question_no_context_asks_takes_either_answer",),
+    ),
+    Mutant(
+        "lower-chunk-bests-kept",
+        "classical.py",
+        "for chunk_best, idx in found if chunk_best == top for i in idx",
+        "for chunk_best, idx in found for i in idx",
+        ("tests/test_classical.py::test_chunk_boundaries_do_not_change_results",),
+    ),
+    # games, quantum layer and trials
+    Mutant(
+        "holds-ignores-the-sign",
+        "games.py",
+        "return prod == self.sign",
+        "return prod == abs(self.sign)",
+        ("tests/test_quantum.py::test_negated_equality_fails_with_full_mass",),
+    ),
+    Mutant(
+        "nan-passes-the-norm-check",
+        "quantum.py",
+        "if not abs(norm - 1.0) <= NORM_TOL:",
+        "if abs(norm - 1.0) > NORM_TOL:",
+        ("tests/test_quantum.py::test_non_finite_amplitudes_are_rejected",),
+    ),
+    Mutant(
+        "nan-passes-the-sum-check",
+        "quantum.py",
+        "if not abs(total - 1.0) <= SUM_TOL:",
+        "if abs(total - 1.0) > SUM_TOL:",
+        ("tests/test_quantum.py::test_non_finite_amplitudes_are_rejected",),
+    ),
+    Mutant(
+        "context-search-on-the-left",
+        "trials.py",
+        'contexts = np.searchsorted(bounds, doubles[:, 0], side="right")',
+        'contexts = np.searchsorted(bounds, doubles[:, 0], side="left")',
+        ("tests/test_trials.py::test_a_context_uniform_on_a_running_weight_takes_the_next_context",),
+    ),
+    Mutant(
+        "outcome-search-on-the-left",
+        "trials.py",
+        'picked = np.searchsorted(total, uniforms[rows, 0], side="right")',
+        'picked = np.searchsorted(total, uniforms[rows, 0], side="left")',
+        ("tests/test_trials.py::test_quantum_outcomes_follow_draw_from",),
+    ),
+    Mutant(
+        "high-half-word-first",
+        "trials.py",
+        "halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()",
+        "halves = np.stack([words >> 32, words & 0xFFFFFFFF], axis=1).ravel()",
+        ("tests/test_trials.py::test_session_draws_match_per_call_draws",),
+    ),
+    Mutant(
+        "header-seed-may-be-a-bool",
+        "trials.py",
+        "if type(seed) is not int or seed < 0:",
+        "if not isinstance(seed, int) or seed < 0:",
+        ("tests/test_trials.py::test_from_jsonl_rejects_header_values_never_written",),
+    ),
+    Mutant(
+        "row-answers-may-be-bools",
+        "trials.py",
+        "if any(type(v) is not int or v not in (1, -1) for a in answers for v in a):",
+        "if any(v not in (1, -1) for a in answers for v in a):",
+        ("tests/test_trials.py::test_from_jsonl_rejects_row_values_never_written",),
+    ),
+    # the referee, the player and the CLI
+    Mutant(
+        "read-without-a-deadline",
+        "netplay.py",
+        "self._deadline = time.monotonic() + _PEER_TIMEOUT_S",
+        "self._deadline = time.monotonic() + 3600",
+        ("tests/test_netplay.py::test_stalled_player_times_out",),
+    ),
+    Mutant(
+        "player-exits-0-on-a-protocol-error",
+        "netplay.py",
+        'print(f"player {party_strategy.party}: {exc}", file=sys.stderr)\n        return 4',
+        'print(f"player {party_strategy.party}: {exc}", file=sys.stderr)\n        return 0',
+        ("tests/test_netplay.py::test_player_rejects_unknown_message_type",),
+    ),
+    Mutant(
+        "out-of-memory-is-a-traceback",
+        "cli.py",
+        "except MemoryError as exc:",
+        "except ArithmeticError as exc:",
+        ("tests/test_cli.py::test_session_too_large_for_memory_exits_3",),
+    ),
+    Mutant(
+        "serve-bind-error-is-a-traceback",
+        "cli.py",
+        "server.bind(address)\n        except OSError as exc:",
+        "server.bind(address)\n        except ValueError as exc:",
+        ("tests/test_cli.py::test_serve_on_a_port_in_use_exits_2",),
+    ),
+    Mutant(
+        "serve-out-error-is-a-traceback",
+        "cli.py",
+        'except OSError as exc:\n        raise CliError(EXIT_USAGE, f"cannot write',
+        'except ValueError as exc:\n        raise CliError(EXIT_USAGE, f"cannot write',
+        ("tests/test_cli.py::test_serve_with_an_unwritable_out_exits_2_before_binding",),
+    ),
+)
+
+
+class GateError(Exception):
+    """The gate cannot judge a row: its anchor or its tests are broken."""
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    shutil.copytree(ROOT / "src", dest / "src", ignore=skip)
+    shutil.copytree(ROOT / "tests", dest / "tests", ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _mutate(dest: Path, mutant: Mutant) -> None:
+    path = dest / "src" / "nonlocalgames" / mutant.file
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise GateError(
+            f"{mutant.name}: anchor missing ({found} occurrences in {mutant.file}): "
+            f"{mutant.old!r}"
+        )
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _run_tests(dest: Path, tests: tuple[str, ...], timeout_s: float) -> tuple[str, str]:
+    """("passed" | "failed" | "timeout", pytest's output) for ``tests`` run
+    in ``dest``; any other pytest outcome (no such test, a collection
+    error) raises GateError."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=dest, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,  # so a timeout ends the players a test started too
+    )
+    try:
+        out, _ = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        return "timeout", out
+    if proc.returncode == 0:
+        return "passed", out
+    if proc.returncode == 1:
+        return "failed", out
+    raise GateError(f"pytest exited {proc.returncode} on {' '.join(tests)}:\n{out}")
+
+
+def _in_a_copy(mutant: Mutant | None, tests: tuple[str, ...], timeout_s: float):
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        dest = Path(tmp)
+        _copy_tree(dest)
+        if mutant is not None:
+            _mutate(dest, mutant)
+        return _run_tests(dest, tests, timeout_s)
+
+
+def main(argv: list[str]) -> int:
+    rows = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    if not rows:
+        print(f"no row matches {argv}", file=sys.stderr)
+        return 2
+    begin = time.monotonic()
+    try:
+        named = tuple(dict.fromkeys(t for m in rows for t in m.tests))
+        outcome, out = _in_a_copy(None, named, 300.0)
+        if outcome != "passed":
+            print(f"unmutated copy {outcome}:\n{out}", file=sys.stderr)
+            return 1
+        print(f"unmutated copy passes {len(named)} tests")
+        survivors = []
+        for mutant in rows:
+            start = time.monotonic()
+            outcome, out = _in_a_copy(mutant, mutant.tests, mutant.timeout_s)
+            verdict = "survived" if outcome == "passed" else f"killed ({outcome})"
+            print(f"{mutant.name}: {verdict}, {time.monotonic() - start:.1f}s", flush=True)
+            if outcome == "passed":
+                survivors.append(mutant.name)
+    except GateError as exc:
+        print(f"gate error: {exc}", file=sys.stderr)
+        return 1
+    killed = len(rows) - len(survivors)
+    print(f"{killed}/{len(rows)} mutants killed in {time.monotonic() - begin:.1f}s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonlocalgames import classical
 from nonlocalgames.classical import (
     BudgetExceededError,
     DeterministicStrategy,
@@ -22,6 +23,7 @@ from nonlocalgames.classical import (
 from nonlocalgames.classical import _smallest_sums
 from nonlocalgames.games import (
     ALWAYS_WIN,
+    GAME_BUILDERS,
     Context,
     NonlocalGame,
     ParityConstraint,
@@ -351,17 +353,6 @@ def test_classical_value_budget_error():
         classical_value(cabello_extended(), budget=43)
 
 
-def test_classical_value_workers_deterministic():
-    game = four_party_game()
-    sequential = classical_value(game, max_witnesses=8)
-    pooled = classical_value(game, max_witnesses=8, workers=2)
-    assert sequential.value == pooled.value
-    assert sequential.strategies_examined == pooled.strategies_examined
-    assert [s.answers for s in sequential.optimal_strategies] == [
-        s.answers for s in pooled.optimal_strategies
-    ]
-
-
 def test_classical_value_monotone_under_context_removal():
     game = mermin_ghz()
     base = classical_value(game).value
@@ -409,28 +400,56 @@ def _fan_game(questions: int = 20) -> NonlocalGame:
     )
 
 
-def test_process_pool_scans_a_large_component_like_one_worker(monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+def test_a_component_larger_than_a_chunk_is_solved_whole():
     game = _fan_game()
-    single = classical_value(game, max_witnesses=4)
-    assert not pools
-    pooled = classical_value(game, max_witnesses=4, workers=2)
-    assert pools == [{"max_workers": 2}]
-    # 2**20 indices are two full chunks, one per worker
-    assert single.strategies_examined == pooled.strategies_examined == 2**20
-    assert single.value == pooled.value == 1
+    result = classical_value(game, max_witnesses=4)
+    # 2**20 indices are two full chunks of one component
+    assert result.strategies_examined == 2**20 == 2 * classical._CHUNK
+    assert result.value == 1
     # party 0 answers x_n = (-1)**n * z21, for either answer of z21
-    assert len(single.optimal_strategies) == 2
-    assert single.optimal_strategies == pooled.optimal_strategies
+    assert len(result.optimal_strategies) == 2
+
+
+def test_an_outer_question_no_context_asks_takes_either_answer():
+    # party 1 is the responder (slots tie, the later party wins); party 0's
+    # x2 is asked by no context, so its outer bit is in no component
+    x1, x2, z3, z4 = (make_question((q,), f"{k}{q}") for k, q in zip("xxzz", range(1, 5)))
+    game = NonlocalGame(
+        name="idle-question",
+        parties=2,
+        qubit_ownership=((1, 0), (2, 0), (3, 1), (4, 1)),
+        question_sets=((x1, x2), (z3, z4)),
+        contexts=(Context("c", (x1, z3), parse_constraint_line("+1 x1 z3"), Fraction(1)),),
+    )
+    result = classical_value(game)
+    assert result.value == 1 and result.strategies_examined == 2
+    # both values of x1 (answered by z3) times both values of x2
+    assert [s.name for s in result.optimal_strategies] == [
+        f"best-classical[{i}]" for i in range(4)
+    ]
+
+
+def _solves(game: NonlocalGame) -> list:
+    """Everything the search returns for ``game``, in comparable form."""
+    solved = []
+    for limit in (0, 1, 16):
+        result = classical_value(game, max_witnesses=limit)
+        solved.append((
+            result.value,
+            result.strategies_examined,
+            [(s.name, s.answers) for s in result.optimal_strategies],
+        ))
+    return solved + [noncontextual_value(game)]
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 64])
+def test_chunk_boundaries_do_not_change_results(monkeypatch, chunk):
+    names = sorted(GAME_BUILDERS)
+    expected = [_solves(game_by_name(name)) for name in names]
+    maxsat = noncontextual_maxsat(fourteen_equalities(), max_witnesses=None)
+    monkeypatch.setattr(classical, "_CHUNK", chunk)
+    assert [_solves(game_by_name(name)) for name in names] == expected
+    assert noncontextual_maxsat(fourteen_equalities(), max_witnesses=None) == maxsat
 
 
 def test_indices_past_int64_are_exact():

@@ -14,7 +14,10 @@ from nonlocalgames.trials import TrialLog
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -111,15 +114,14 @@ def test_maxsat_needs_a_set(capsys):
         (["play", "four-party", "--party", "0", "--connect", "127.0.0.1:65536"], None, None),
         (["simulate", "four-party", "--seed", "-1"], None, None),
         (["serve", "four-party", "--seed", "-2", "--bind", "127.0.0.1:0"], None, None),
-        (["solve", "four-party", "--workers", "0"], None, None),
-        (["solve", "four-party", "--workers", "-3"], None, None),
+        (["solve", "four-party", "--workers", "2"], None, None),
         (["solve", "four-party", "--budget", "-1"], None, None),
         (["solve", "four-party"], None, {cli.BUDGET_ENV: "-1"}),
     ],
     ids=["negative-witnesses", "simulate-no-rounds", "serve-no-rounds",
          "missing-file", "bad-variable", "bad-sign", "repeated-variable",
          "serve-port-too-large", "play-port-too-large", "simulate-negative-seed",
-         "serve-negative-seed", "no-workers", "negative-workers", "negative-budget",
+         "serve-negative-seed", "workers-flag-is-gone", "negative-budget",
          "negative-budget-env"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, file_text, env):
@@ -133,6 +135,30 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, file_text, env):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.strip() and not out
+
+
+def _serve_on_a_held_port(capsys, *argv):
+    """Run ``serve`` bound to a port a test socket already listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        bind = "127.0.0.1:%d" % held.getsockname()[1]
+        code, out, err = run_cli(capsys, "serve", "cabello-restricted", "--bind", bind, *argv)
+    assert code == 2
+    assert not out
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return bind, err
+
+
+def test_serve_on_a_port_in_use_exits_2(capsys):
+    bind, err = _serve_on_a_held_port(capsys)
+    assert err.startswith(f"cannot bind {bind}: ")
+
+
+def test_serve_with_an_unwritable_out_exits_2_before_binding(tmp_path, capsys):
+    # the port is held too: a bind tried first would be the error named
+    path = tmp_path / "missing" / "log.jsonl"
+    _, err = _serve_on_a_held_port(capsys, "--out", str(path))
+    assert err.startswith(f"cannot write {path}: ")
+    assert not path.parent.exists()
 
 
 def test_simulate_lambda_mu(capsys):

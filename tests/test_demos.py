@@ -18,8 +18,15 @@ def _env():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only a solve with workers > 1 needs it
-    code = "import sys, nonlocalgames; print('concurrent.futures' in sys.modules)"
+    # the solver scans in one process: neither importing the package nor
+    # solving every catalog game loads a process pool
+    code = (
+        "import sys\n"
+        "from nonlocalgames import classical, games\n"
+        "for name in games.GAME_BUILDERS:\n"
+        "    classical.classical_value(games.game_by_name(name))\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=_env(), capture_output=True, text=True, timeout=60, check=True,

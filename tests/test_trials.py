@@ -8,6 +8,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
+from nonlocalgames import trials
 from nonlocalgames.classical import HiddenVariableModel, automaton_model, lambda_mu_model
 from nonlocalgames.games import (
     cabello_extended,
@@ -428,6 +429,21 @@ def test_quantum_outcomes_follow_draw_from(game):
     )
     for i, u, code in zip(contexts, uniforms, codes.tolist()):
         assert list(dists[i])[code] == draw_from(dists[i], u)
+
+
+def test_a_context_uniform_on_a_running_weight_takes_the_next_context(monkeypatch):
+    # as the search ``u < bound`` in _per_round_plans does; a seeded uniform
+    # lands on a running total with probability 2**-53, so the draws are patched
+    game = mermin_ghz()
+    totals = [float(b) for b in accumulate(ctx.weight for ctx in game.contexts)][:-1]
+    doubles = np.array([[0.0]] + [[t] for t in totals])
+    monkeypatch.setattr(
+        trials,
+        "_session_draws",
+        lambda seed, rounds, uniforms, bits: (doubles, np.zeros((rounds, bits), dtype=np.intp)),
+    )
+    plans = presample(game, resolve_strategy(game, "best-classical"), len(doubles), 0)
+    assert [plan.context for plan in plans] == list(game.contexts)
 
 
 def _per_round_plans(game, strategy, rounds, seed):
