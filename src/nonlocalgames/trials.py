@@ -19,24 +19,36 @@ and code share one ``RoundPlan``.
 
 A game has few distinct rounds (at most 14 x 16 in the four-party game),
 so each is scored once, by ``Context.row``, in its ``RoundPlan``. A
-record is its round number followed by its row, and rows are compared by
-value: ``TrialLog.to_jsonl`` encodes each distinct row once,
-``TrialLog.from_jsonl`` decodes each distinct row text once, and
-``statistics`` and ``nested_subgame_report`` count each distinct row
-once, weighted by its rounds. Logs and reports are byte for byte what
-scoring and encoding every round on its own gives. Rows hold the package's
-value types (strings, tuples of strings, tuples of +-1 ints, a bool);
-``from_jsonl`` rejects any other.
+``TrialLog`` is a table, not a list of rounds: its distinct rows
+(``rows``), one numpy integer column giving each round's row as a
+position in ``rows`` (``index``), and a column of round numbers
+(``round_numbers``) only when they are not 0..n-1, as in some hand-made
+logs. ``run_trials`` fills the table from the plans as they are, and
+``from_jsonl`` decodes each distinct row text once, so a line the form
+``to_jsonl`` writes, numbered by its position, is one dict lookup.
+``to_jsonl`` encodes each row once, and ``statistics`` and
+``nested_subgame_report`` count each row's rounds with one
+``np.bincount`` and visit the rows in order of first occurrence, so every
+dict fills in the order a round-by-round pass would. ``records`` is a
+view that builds a ``TrialRecord`` (round number, then row) for a round
+when asked. It has a list's length, iteration, indexing, slices, repr and
+``==``, against a list or another log's records whatever the order of
+either table's rows, and its ``append`` adds a round. Logs and reports
+are byte for byte what scoring and encoding every round on its own
+gives. Rows hold the package's value types (strings, tuples of strings,
+tuples of +-1 ints, a bool) and are compared by value; ``from_jsonl``
+rejects any other, and a record whose row cannot be hashed, such as one
+holding lists, raises ``TypeError`` when it is added.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -210,29 +222,169 @@ def _row_of(rec: dict) -> Row:
     return context, questions, answers, win
 
 
-def _decode_row(rows: dict[str, tuple], text: str) -> tuple | None:
-    """The row a canonical line's text after its round number holds, or
-    None when that text is not exactly the four row fields."""
-    row = rows.get(text)
-    if row is None:
+def _decode_line(line: str) -> tuple[object, Row, str | None]:
+    """A round line's round number and row, and its text after the round
+    number when the line is of the form to_jsonl writes; any other line is
+    decoded whole by json.loads and must be of type "round"."""
+    match = _CANONICAL_ROUND.match(line)
+    if match:
+        tail = line[match.end() :]
         try:
-            fields = json.loads("{" + text)
+            fields = json.loads("{" + tail)
         except json.JSONDecodeError:
-            return None
-        if fields.keys() != _ROW_FIELDS:
-            return None
-        row = rows[text] = _row_of(fields)
-    return row
+            fields = {}
+        if fields.keys() == _ROW_FIELDS:
+            return int(match[1]), _row_of(fields), tail
+    rec = json.loads(line)
+    if rec["type"] != "round":
+        raise ValueError(f"expected a round record, got type {rec['type']!r}")
+    return rec["round"], _row_of(rec), None
 
 
-@dataclass
+class TrialRecords:
+    """A log's rounds as a list of ``TrialRecord``s, each built when asked;
+    ``append`` adds a round to the log."""
+
+    __slots__ = ("_log",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, log: "TrialLog") -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return self._log._size
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        rows = self._log.rows
+        for number, i in zip(self._log._numbers(), self._log.index.tolist()):
+            yield TrialRecord(number, *rows[i])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[p] for p in range(len(self))[key]]
+        p = range(len(self))[key]
+        return TrialRecord(self._log._numbers()[p], *self._log.rows[self._log.index[p]])
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TrialRecords):
+            return self._log._same_rounds(other._log)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def append(self, record: Sequence) -> None:
+        self._log._add(record[0], tuple(record[1:]))
+
+
 class TrialLog:
-    game: str
-    strategy: str
-    seed: int
-    records: list[TrialRecord] = field(default_factory=list)
-    complete: bool = True
-    abort_reason: str | None = None
+    """A header and a table of rounds: the distinct rows (``rows``), each
+    round's row as an index into them (``index``), and the round numbers
+    (``round_numbers``) only when they are not 0..n-1. ``records`` views
+    the rounds as ``TrialRecord``s."""
+
+    def __init__(
+        self,
+        game: str,
+        strategy: str,
+        seed: int,
+        records: Iterable[Sequence] = (),
+        complete: bool = True,
+        abort_reason: str | None = None,
+    ) -> None:
+        self.game, self.strategy, self.seed = game, strategy, seed
+        self.complete, self.abort_reason = complete, abort_reason
+        self._fill([], np.empty(0, dtype=np.intp))
+        for record in records:
+            self.records.append(record)
+
+    def _fill(self, rows: list[Row], index: np.ndarray, round_numbers: list | None = None) -> None:
+        self.rows, self._index, self._added = rows, index, []
+        self.round_numbers = round_numbers
+        self._ids: dict[Row, int] | None = None  # row -> its first position, made by _row_id
+
+    @property
+    def index(self) -> np.ndarray:
+        """Each round's row, as a position in ``rows``."""
+        if self._added:
+            self._index = np.concatenate([self._index, np.array(self._added, dtype=np.intp)])
+            self._added = []
+        return self._index
+
+    @property
+    def _size(self) -> int:
+        return len(self._index) + len(self._added)
+
+    @property
+    def records(self) -> TrialRecords:
+        return TrialRecords(self)
+
+    def _numbers(self) -> Sequence:
+        return range(self._size) if self.round_numbers is None else self.round_numbers
+
+    def _row_id(self, row: Row) -> int:
+        """The position of the first row equal to ``row`` in ``rows``, which
+        is added if there is none; raises TypeError when it cannot be hashed."""
+        if self._ids is None:
+            self._ids = {}
+            for i, known in enumerate(self.rows):
+                self._ids.setdefault(known, i)
+        i = self._ids.get(row)
+        if i is None:
+            i = self._ids[row] = len(self.rows)
+            self.rows.append(row)
+        return i
+
+    def _add(self, number: object, row: Row) -> None:
+        n = self._size
+        self._added.append(self._row_id(row))
+        if self.round_numbers is None and (type(number) is not int or number != n):
+            self.round_numbers = list(range(n))
+        if self.round_numbers is not None:
+            self.round_numbers.append(number)
+
+    def _same_rounds(self, other: "TrialLog") -> bool:
+        """Whether both logs hold equal rounds, whatever the order of rows
+        in either table: each row is mapped to its first equal row in
+        either table, and the mapped index columns are compared."""
+        if self._size != other._size:
+            return False
+        ids: dict[Row, int] = {}
+        mine = np.array([ids.setdefault(row, len(ids)) for row in self.rows], dtype=np.intp)
+        theirs = np.array([ids.setdefault(row, len(ids)) for row in other.rows], dtype=np.intp)
+        if not np.array_equal(mine[self.index], theirs[other.index]):
+            return False
+        both_sequential = self.round_numbers is None and other.round_numbers is None
+        return both_sequential or list(self._numbers()) == list(other._numbers())
+
+    def _first_records(self) -> list[tuple[TrialRecord, int]]:
+        """Each row in use, as the first record holding it and its number of
+        rounds, in order of first occurrence; so a pass over these fills
+        every dict in the order a round-by-round pass would."""
+        index = self.index
+        counts = np.bincount(index, minlength=len(self.rows))
+        first = np.full(len(self.rows), len(index))
+        np.minimum.at(first, index, np.arange(len(index)))
+        used = np.flatnonzero(counts)
+        order = used[np.argsort(first[used])]
+        return [(self.records[p], n) for p, n in zip(first[order].tolist(), counts[order].tolist())]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialLog):
+            return NotImplemented
+        header = (self.game, self.strategy, self.seed, self.complete, self.abort_reason)
+        return header == (
+            other.game, other.strategy, other.seed, other.complete, other.abort_reason
+        ) and self.records == other.records
+
+    def __repr__(self) -> str:
+        return (
+            f"TrialLog(game={self.game!r}, strategy={self.strategy!r}, seed={self.seed!r}, "
+            f"records={self.records!r}, complete={self.complete!r}, "
+            f"abort_reason={self.abort_reason!r})"
+        )
 
     def to_jsonl(self) -> str:
         header = {
@@ -245,27 +397,33 @@ class TrialLog:
         }
         if self.abort_reason is not None:
             header["abort_reason"] = self.abort_reason
-        lines = [json.dumps(header)]
-        # each distinct row is encoded once; a line adds only its round number
-        tails: dict[tuple, str] = {}
-        for r in self.records:
-            tail = tails.get(r[1:])
-            if tail is None:
-                tail = tails[r[1:]] = json.dumps(
-                    {
-                        "context": r.context_id,
-                        "questions": list(r.questions),
-                        "answers": [list(a) for a in r.answers],
-                        "win": r.win,
-                    }
-                )[1:]
-            number = str(r.round) if type(r.round) is int else json.dumps(r.round)
-            lines.append(f'{_ROUND_PREFIX}{number}, {tail}')
-        return "\n".join(lines) + "\n"
+        # each row is encoded once; a line adds only its round number
+        tails = [
+            json.dumps(
+                {
+                    "context": context,
+                    "questions": list(questions),
+                    "answers": [list(a) for a in answers],
+                    "win": win,
+                }
+            )[1:]
+            for context, questions, answers, win in self.rows
+        ]
+        numbers = (
+            range(self._size)
+            if self.round_numbers is None
+            else [str(r) if type(r) is int else json.dumps(r) for r in self.round_numbers]
+        )
+        lines = [
+            f"{_ROUND_PREFIX}{number}, {tails[i]}"
+            for number, i in zip(numbers, self.index.tolist())
+        ]
+        return "\n".join([json.dumps(header), *lines]) + "\n"
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TrialLog":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        # JSON Lines ends a line at "\n" only; json.loads takes a "\r" before it
+        lines = [ln for ln in text.split("\n") if ln.strip()]
         if not lines:
             raise ValueError("empty trial log")
         header = json.loads(lines[0])
@@ -296,20 +454,30 @@ class TrialLog:
             complete=complete,
             abort_reason=reason,
         )
-        # a line of the form to_jsonl writes is split into its round number
-        # and its row, and each distinct row is decoded once; any other line
-        # is decoded whole by json.loads and must be of type "round"
-        rows: dict[str, tuple] = {}
-        for ln in lines[1:]:
-            match = _CANONICAL_ROUND.match(ln)
-            row = _decode_row(rows, ln[match.end() :]) if match else None
-            if row is None:
-                rec = json.loads(ln)
-                if rec["type"] != "round":
-                    raise ValueError(f"expected a round record, got type {rec['type']!r}")
-                log.records.append(TrialRecord(rec["round"], *_row_of(rec)))
+        # a line of the form to_jsonl writes is split after its round number,
+        # and each distinct text after it is decoded once
+        tails: dict[str | None, int] = {}
+        index: list[int] = []
+        numbers: list | None = None  # made at the first round not numbered by its position
+        for k, ln in enumerate(lines[1:]):
+            head = f"{_ROUND_PREFIX}{k}, "
+            if ln.startswith(head):
+                number, tail = k, ln[len(head) :]
             else:
-                log.records.append(TrialRecord(int(match[1]), *row))
+                match = _CANONICAL_ROUND.match(ln)
+                number, tail = (int(match[1]), ln[match.end() :]) if match else (None, None)
+            i = tails.get(tail)
+            if i is None:
+                number, row, tail = _decode_line(ln)
+                i = log._row_id(row)
+                if tail is not None:
+                    tails[tail] = i
+            index.append(i)
+            if numbers is None and (type(number) is not int or number != k):
+                numbers = list(range(k))
+            if numbers is not None:
+                numbers.append(number)
+        log._fill(log.rows, np.array(index, dtype=np.intp), numbers)
         return log
 
 
@@ -355,7 +523,7 @@ def _session_draws(
 
 def _plan_session(
     game: NonlocalGame, strategy: Strategy, rounds: int, seed: int
-) -> tuple[list[RoundPlan], list[int]]:
+) -> tuple[list[RoundPlan], np.ndarray]:
     """A session's distinct rounds, and per round the index of its plan."""
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -377,7 +545,7 @@ def _plan_session(
             strategy.respond(party, q, tapes[party]) for party, q in enumerate(context.questions)
         )
         plans.append(RoundPlan(context, answers, tapes, context.row(answers)))
-    return plans, index.tolist()
+    return plans, index
 
 
 def presample(
@@ -400,7 +568,7 @@ def presample(
     and tapes share one ``RoundPlan``, scored once.
     """
     plans, index = _plan_session(game, strategy, rounds, seed)
-    return [plans[i] for i in index]
+    return [plans[i] for i in index.tolist()]
 
 
 def _record_for(
@@ -415,9 +583,8 @@ def run_trials(
 ) -> TrialLog:
     """Play ``rounds`` seeded rounds with an in-process referee."""
     plans, index = _plan_session(game, strategy, rounds, seed)
-    rows = [plan.row for plan in plans]
     log = TrialLog(game=game.name, strategy=strategy.name, seed=seed)
-    log.records = [TrialRecord(r, *rows[i]) for r, i in enumerate(index)]
+    log._fill([plan.row for plan in plans], index)
     return log
 
 
@@ -426,16 +593,6 @@ def run_trials(
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"([xyz])(\d+)")
-
-
-def _distinct_rows(records: Sequence[TrialRecord]) -> list[tuple[TrialRecord, int]]:
-    """Each distinct row, as the first record holding it and its number of
-    records, in order of first occurrence; so a pass over these fills
-    every dict in the order a round-by-round pass would."""
-    repeats: dict[tuple, list] = {}
-    for rec in records:
-        repeats.setdefault(rec[1:], [rec, 0])[1] += 1
-    return [(rec, n) for rec, n in repeats.values()]
 
 
 def _round_values(rec: TrialRecord) -> list[tuple[str, int]]:
@@ -537,7 +694,7 @@ def statistics(
     joint: dict[str, dict[tuple[int, ...], int]] = {}
     plus: dict[str, int] = {}
     seen: dict[str, int] = {}
-    for rec, n in _distinct_rows(log.records):
+    for rec, n in log._first_records():
         asked[rec.context_id] = asked.get(rec.context_id, 0) + n
         won[rec.context_id] = won.get(rec.context_id, 0) + n * int(rec.win)
         pairs = _round_values(rec)
@@ -560,7 +717,7 @@ def statistics(
 
     marginals = {tok: plus[tok] / seen[tok] for tok in seen}
     return StatReport(
-        rounds=len(log.records),
+        rounds=len(log.index),
         wins=sum(won.values()),
         per_context=per_context,
         marginals=marginals,
@@ -609,7 +766,7 @@ def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]
     embedded = {s: {c.vars: c for c in nested_ghz_contexts(s)} for s in (+1, -1)}
     game = game_by_name(log.game)
     report: dict[str, dict[str, tuple[int, int]]] = {"shared": {}, "+1": {}, "-1": {}}
-    for rec, n in _distinct_rows(log.records):
+    for rec, n in log._first_records():
         values = {site(tok): value for tok, value in _round_values(rec)}
         predicate = game.context_by_id(rec.context_id).predicate
         if predicate is ALWAYS_WIN:

@@ -85,7 +85,7 @@ def check_four_party_gap() -> tuple[bool, str]:
     game = games.four_party_game()
     value = classical.classical_value(game).value
     log = trials.run_trials(game, trials.quantum_strategy(game), rounds=10_000, seed=11)
-    wins = sum(r.win for r in log.records)
+    wins = trials.statistics(log).wins
     ok = value == Fraction(6, 7) and wins == 10_000
     return ok, f"classical value={value}, quantum wins {wins}/10000"
 

@@ -141,6 +141,20 @@ MUTANTS = (
         "if any(v not in (1, -1) for a in answers for v in a):",
         ("tests/test_trials.py::test_from_jsonl_rejects_row_values_never_written",),
     ),
+    Mutant(
+        "round-column-dropped",
+        "trials.py",
+        "numbers = list(range(k))",
+        "numbers = None",
+        ("tests/test_trials.py::test_from_jsonl_matches_plain_decoder",),
+    ),
+    Mutant(
+        "views-compared-without-remapping-rows",
+        "trials.py",
+        "np.array_equal(mine[self.index], theirs[other.index])",
+        "np.array_equal(self.index, other.index)",
+        ("tests/test_trials.py::test_trial_log_jsonl_round_trip",),
+    ),
     # the referee, the player and the CLI
     Mutant(
         "read-without-a-deadline",
@@ -148,6 +162,13 @@ MUTANTS = (
         "self._deadline = time.monotonic() + _PEER_TIMEOUT_S",
         "self._deadline = time.monotonic() + 3600",
         ("tests/test_netplay.py::test_stalled_player_times_out",),
+    ),
+    Mutant(
+        "over-long-line-accepted",
+        "netplay.py",
+        "if len(line) >= _MAX_LINE:",
+        "if len(line) >= 64 * _MAX_LINE:",
+        ("tests/test_netplay.py::test_a_valid_answer_over_the_line_limit_is_a_protocol_error",),
     ),
     Mutant(
         "player-exits-0-on-a-protocol-error",

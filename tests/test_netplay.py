@@ -343,6 +343,35 @@ def test_wrong_round_answer_is_a_protocol_error():
     assert "round" in str(error)
 
 
+def test_a_valid_answer_over_the_line_limit_is_a_protocol_error(monkeypatch):
+    monkeypatch.setattr(netplay, "_MAX_LINE", 256)
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", 2.0)
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 50, 0)
+
+    sockets = [socket.create_connection(address) for _ in range(2)]
+    files = [s.makefile("rwb") for s in sockets]
+    for party, f in enumerate(files):
+        f.write(_hello(party))
+        f.flush()
+    message = decode_message(files[0].readline())
+    while message["type"] == "dealt":
+        message = decode_message(files[0].readline())
+    assert message["type"] == "question" and message["round"] == 0
+    # a well-formed answer, padded past the limit by a field players may add
+    answer = {"type": "answer", "round": 0, "values": [1] * len(message["observables"])}
+    line = encode_message({**answer, "padding": "x" * 256})
+    assert len(line) > 256 and decode_message(line)["values"] == answer["values"]
+    files[0].write(line)
+    files[0].flush()
+    thread.join(timeout=10)
+    for s in sockets:
+        s.close()
+    error = box.get("error")
+    assert isinstance(error, ProtocolError) and error.party == 0
+    assert str(error) == "party 0: message longer than 256 bytes"
+
+
 @pytest.mark.parametrize("values", [[True, 1], [1.0, 1], [1]], ids=["bool", "float", "short"])
 def test_protocol_error_ends_every_player(values):
     game = cabello_restricted()

@@ -7,6 +7,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonlocalgames import trials
 from nonlocalgames.classical import HiddenVariableModel, automaton_model, lambda_mu_model
@@ -576,10 +578,14 @@ def _unshared(record):
 def test_rows_are_grouped_by_value_not_identity(game_name, strategy_name, rounds, seed):
     game = game_by_name(game_name)
     log = run_trials(game, resolve_strategy(game, strategy_name), rounds=rounds, seed=seed)
-    fresh = TrialLog(log.game, log.strategy, log.seed, [_unshared(r) for r in log.records])
-    first, *rest = fresh.records
+    unshared = [_unshared(r) for r in log.records]
+    first, *rest = unshared
     repeat = next(r for r in rest if r[1:] == first[1:])
     assert repeat.answers is not first.answers and repeat.questions is not first.questions
+    fresh = TrialLog(log.game, log.strategy, log.seed, unshared)
+    # equal rows built from different objects are held once
+    assert len(fresh.rows) == len(set(fresh.rows)) == len(set(log.rows))
+    assert fresh.records == log.records
     assert fresh.to_jsonl() == log.to_jsonl()
     reference = quantum_reference(game)
     assert statistics(fresh, reference).to_records() == statistics(log, reference).to_records()
@@ -719,3 +725,113 @@ def test_from_jsonl_rejects_row_values_never_written(field, value, canonical):
     rounds[1] = json.dumps(body)
     with pytest.raises(ValueError, match=f"round field '{field}'"):
         TrialLog.from_jsonl("\n".join([header, *rounds]) + "\n")
+
+
+@pytest.mark.parametrize("boundary", ["\u2028", "\u2029", "\x85"], ids=["u2028", "u2029", "u0085"])
+def test_from_jsonl_ends_lines_at_newline_only(boundary):
+    record = TrialRecord(0, f"eq{boundary}01", ("x1", "x2"), ((1,), (-1,)), True)
+    log = TrialLog("hand-built", "s", 0, [record, record._replace(round=1)])
+    # to_jsonl escapes the character; a hand-made log may hold it raw
+    escaped = json.dumps(boundary)[1:-1]
+    raw = log.to_jsonl().replace(escaped, boundary)
+    assert raw.count(boundary) == 2
+    assert TrialLog.from_jsonl(raw) == log
+    assert TrialLog.from_jsonl(raw.replace("\n", "\r\n")) == log
+
+
+# ---------------------------------------------------------------------------
+# the log's table: distinct rows, an index column, a round column if needed
+# ---------------------------------------------------------------------------
+
+#: rows of the package's value types, for hand-built records
+ROW_POOL = [
+    ("eq01", ("x1", "x2"), ((1,), (-1,)), True),
+    ("eq01", ("x1", "x2"), ((-1,), (-1,)), False),
+    ("eq02", ("x1z2", "y3"), ((1, -1), (1,)), False),
+    ("eq03", (), (), True),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    drawn=st.lists(
+        st.tuples(st.none() | st.integers(-2, 20) | st.booleans(), st.sampled_from(ROW_POOL)),
+        max_size=12,
+    ),
+    cut=st.integers(0, 12),
+)
+def test_hand_built_records_behave_like_a_list(drawn, cut):
+    # None numbers a round by its position
+    records = [
+        TrialRecord(p if number is None else number, *row)
+        for p, (number, row) in enumerate(drawn)
+    ]
+    log = TrialLog("hand-built", "s", 3, records[:cut])
+    for record in records[cut:]:
+        log.records.append(record)
+    view, n = log.records, len(records)
+    assert len(view) == n and len(log.index) == n
+    assert list(view) == records and all(type(r) is TrialRecord for r in view)
+    assert [view[i] for i in range(-n, n)] == records + records
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for key in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(5, 2)):
+        assert view[key] == records[key] and type(view[key]) is list
+    assert repr(view) == repr(records)
+    assert view == records and records == view and not view != records
+    assert view != records + [TrialRecord(n, *ROW_POOL[0])]
+    if records:
+        changed = records[-1]._replace(win=not records[-1].win)
+        assert view != records[:-1] + [changed]
+    # each row once, and equal rounds whatever the order of the table's rows
+    assert len(log.rows) == len(set(log.rows))
+    other = TrialLog("hand-built", "s", 3)
+    twice = log.rows[::-1] + log.rows
+    other._fill(
+        twice,
+        np.array([len(log.rows) - 1 - i if p % 2 else len(log.rows) + i
+                  for p, i in enumerate(log.index)], dtype=np.intp),
+        None if all(r.round == p and type(r.round) is int for p, r in enumerate(records))
+        else [r.round for r in records],
+    )
+    assert other.records == view and repr(other.records) == repr(records)
+    assert other == log
+    header = {"type": "header", "version": 1, "game": "hand-built", "strategy": "s",
+              "seed": 3, "complete": True}
+    text = "\n".join([json.dumps(header), *map(json.dumps, map(_round_line, records))]) + "\n"
+    assert log.to_jsonl() == other.to_jsonl() == text
+    back = TrialLog.from_jsonl(text)
+    assert back == log and repr(back.records) == repr(records) == repr(_plain_records(text))
+
+
+def test_a_record_holding_lists_is_rejected_when_added():
+    with pytest.raises(TypeError):
+        TrialLog("hand-built", "s", 0, [TrialRecord(0, "eq01", ["x1"], [[1]], True)])
+    log = TrialLog("hand-built", "s", 0)
+    with pytest.raises(TypeError):
+        log.records.append(TrialRecord(0, "eq01", ("x1",), ([1],), True))
+
+
+def test_run_trials_fills_the_table_from_the_plans(monkeypatch):
+    made, planned = [], []
+
+    class Counted(TrialRecord):
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+    plan_session = trials._plan_session
+    monkeypatch.setattr(trials, "TrialRecord", Counted)
+    monkeypatch.setattr(
+        trials, "_plan_session", lambda *args: planned.append(plan_session(*args)) or planned[0]
+    )
+    game = four_party_game()
+    strategy = quantum_strategy(game)
+    log = run_trials(game, strategy, rounds=3000, seed=4)
+    [(plans, index)] = planned
+    assert made == []
+    assert len(log.rows) == len(plans)
+    assert all(row is plan.row for row, plan in zip(log.rows, plans))
+    assert log.index.shape == (3000,) and np.array_equal(log.index, index)
+    assert log.round_numbers is None
