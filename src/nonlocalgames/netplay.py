@@ -50,6 +50,17 @@ was dealt before round 1 whatever the window. One window of answers
 smallest TCP receive buffer (4 KiB), so a referee still writing a window
 cannot deadlock against a player sending its answers.
 
+Both ends handle the lines ``encode_message`` writes through byte tables
+rather than the JSON codec; any other line is decoded whole. The referee
+builds its tables before round 1: each question's line after its round
+number (``_question_tail``) and each canonical answer ending
+(``_answer_tails``). A player fills its two as it plays. Each decoded
+question adds the text the referee writes after the round number for its
+fields (``_question_tail``), with its observables; each distinct answer
+adds its values, with its encoded line after the round number. A later
+question line with a known text and a canonical round number is answered
+from the two without the decoder.
+
 The referee gives each message from a player ``_PEER_TIMEOUT_S`` seconds
 in all, however its bytes trickle in, and each write to a player as long.
 A client whose hello is not whole by then is dropped, like one that
@@ -82,6 +93,8 @@ _RECV_BYTES = 1 << 16
 
 _QUESTION_HEAD = b'{"type":"question","round":'
 _ANSWER_HEAD = b'{"type":"answer","round":'
+#: a round number read without the decoder has at most this many digits
+_ROUND_DIGITS = 18
 
 
 class ProtocolError(Exception):
@@ -111,7 +124,8 @@ def encode_message(message: dict) -> bytes:
 def decode_message(line: bytes) -> dict:
     try:
         obj = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # also an int past Python's digit limit, which is a plain ValueError
+    except ValueError as exc:
         raise ProtocolError(f"undecodable message: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ProtocolError(f"message is not an object with a type: {obj!r}")
@@ -212,10 +226,10 @@ class PartyStrategy:
     def set_tape(self, values: tuple[int, ...]) -> None:
         self._tape = values
 
-    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
+    def answer(self, round_index: int, observables: Sequence[tuple[int, str]]) -> list[int]:
         question = self.questions.get(tuple(observables))
         if question is None:
-            raise ProtocolError(f"asked a foreign question {observables}", self.party)
+            raise ProtocolError(f"asked a foreign question {list(observables)}", self.party)
         lo = round_index * self.width
         row = self._tape[lo : lo + self.width]
         if round_index < 0 or len(row) != self.width:
@@ -245,10 +259,11 @@ def build_party_strategy(
 # ---------------------------------------------------------------------------
 
 
-def _question_tail(question: Question) -> bytes:
-    """A question line after its round number, as ``encode_message`` writes it."""
-    observables = [{"slot": o.qubit, "kind": o.kind.value} for o in question.measured]
-    return b"," + encode_message({"observables": observables})[1:]
+def _question_tail(observables: Sequence[tuple[int, str]]) -> bytes:
+    """A question line after its round number, as ``encode_message`` writes it,
+    for observables given as (slot, kind) pairs."""
+    listed = [{"slot": slot, "kind": kind} for slot, kind in observables]
+    return b"," + encode_message({"observables": listed})[1:]
 
 
 def _answer_tails(arity: int) -> dict[bytes, tuple[int, ...]]:
@@ -374,7 +389,11 @@ class RefereeServer:
         # the answer's arity, and the canonical endings of its answer line
         asked = {
             context.id: [
-                (_question_tail(q), q.answer_arity, _answer_tails(q.answer_arity))
+                (
+                    _question_tail([(o.qubit, o.kind.value) for o in q.measured]),
+                    q.answer_arity,
+                    _answer_tails(q.answer_arity),
+                )
                 for q in context.questions
             ]
             for context in game.contexts
@@ -511,6 +530,11 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
     Answers go out together, just before the player waits for more input.
+    A question whose text after the round number is in the question table,
+    with a canonical round number and no tape pending, is read from that
+    table and its answer line built from the answer table. Every other line
+    is decoded whole; a decoded question adds to the question table the
+    text ``_question_tail`` writes for its fields, not the text it came in.
     Returns 4 on protocol errors and aborted sessions (and prints the
     reason to stderr), which matches the CLI exit-code convention. The
     player waits on the referee without a deadline; the referee gives
@@ -534,42 +558,62 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     conn.sendall(b"".join(replies))
                     replies.clear()
 
+            # canonical question text after the round number and its comma ->
+            # observables, and answer values -> canonical answer text after
+            # the round number
+            asked: dict[bytes, tuple[tuple[int, str], ...]] = {}
+            answered: dict[tuple, bytes] = {}
             # the dealt pieces, handed to the strategy at the first question
             tape: list[tuple[int, ...]] = []
             for line in _lines(conn, send_replies):
-                message = decode_message(line)
-                kind = message["type"]
-                if kind == "dealt":
-                    # a player does not know the session length: take every bit
-                    tape.append(decode_tape(message.get("tape", "")))
-                elif kind == "question":
+                observables = None
+                if not tape and line.startswith(_QUESTION_HEAD):
+                    digits, _, rest = line[len(_QUESTION_HEAD) :].partition(b",")
+                    # int() refuses thousands of digits; "07" is not JSON
+                    if (
+                        len(digits) <= _ROUND_DIGITS
+                        and digits.isdigit()
+                        and b"%d" % int(digits) == digits
+                    ):
+                        observables = asked.get(rest)
+                if observables is not None:
+                    round_index = int(digits)
+                else:
+                    message = decode_message(line)
+                    kind = message["type"]
+                    if kind == "dealt":
+                        # a player does not know the session length: take every bit
+                        tape.append(decode_tape(message.get("tape", "")))
+                        continue
+                    if kind == "end":
+                        if message.get("reason") != "complete":
+                            raise ProtocolError(f"session ended: {message.get('reason')}")
+                        return 0
+                    if kind != "question":
+                        raise ProtocolError(f"unknown message type {kind!r}")
                     if tape:
                         party_strategy.set_tape(tuple(chain.from_iterable(tape)))
                         tape = []
                     try:
                         round_index = int(message["round"])
-                        observables = [
+                        observables = tuple(
                             (int(o["slot"]), str(o["kind"]))
                             for o in message.get("observables", [])
-                        ]
+                        )
                     except (KeyError, TypeError, ValueError):
                         raise ProtocolError(f"malformed question {message!r}") from None
-                    values = party_strategy.answer(round_index, observables)
-                    replies.append(
-                        encode_message(
-                            {
-                                "type": "answer",
-                                "round": round_index,
-                                "values": [int(v) for v in values],
-                            }
-                        )
+                    # keyed by what the referee writes for these fields, never by
+                    # this line, which may repeat a key, add spaces or fields
+                    asked[_question_tail(observables)[1:-1]] = observables
+                values = party_strategy.answer(round_index, observables)
+                key = tuple(values)
+                ending = answered.get(key)
+                if ending is None:
+                    answer = encode_message(
+                        {"type": "answer", "round": round_index, "values": [int(v) for v in values]}
                     )
-                elif kind == "end":
-                    if message.get("reason") != "complete":
-                        raise ProtocolError(f"session ended: {message.get('reason')}")
-                    return 0
-                else:
-                    raise ProtocolError(f"unknown message type {kind!r}")
+                    ending = answered[key] = answer[len(b"%s%d" % (_ANSWER_HEAD, round_index)) :]
+                replies.append(b"%s%d%s" % (_ANSWER_HEAD, round_index, ending))
             raise ProtocolError("referee closed the connection mid-session")
     except ProtocolError as exc:
         print(f"player {party_strategy.party}: {exc}", file=sys.stderr)

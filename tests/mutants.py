@@ -171,6 +171,46 @@ MUTANTS = (
         ("tests/test_netplay.py::test_a_valid_answer_over_the_line_limit_is_a_protocol_error",),
     ),
     Mutant(
+        "decoder-lets-a-huge-int-through",
+        "netplay.py",
+        'except ValueError as exc:\n        raise ProtocolError(f"undecodable message',
+        'except json.JSONDecodeError as exc:\n        raise ProtocolError(f"undecodable message',
+        (
+            "tests/test_netplay.py::test_a_hello_with_a_huge_party_is_a_protocol_error",
+            "tests/test_netplay.py::test_an_answer_with_a_huge_round_names_the_party",
+        ),
+    ),
+    Mutant(
+        "player-keys-questions-by-the-line-received",
+        "netplay.py",
+        "asked[_question_tail(observables)[1:-1]] = observables",
+        'asked[line[len(_QUESTION_HEAD) :].partition(b",")[2]] = observables',
+        (
+            "tests/test_netplay.py::test_player_replies_are_the_decoded_answers_in_canonical_bytes"
+            "[cabello-restricted-lambda-mu]",
+        ),
+    ),
+    Mutant(
+        "player-reads-a-leading-zero-round",
+        "netplay.py",
+        'and b"%d" % int(digits) == digits',
+        "and True",
+        (
+            "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
+            "[leading-zero]",
+        ),
+    ),
+    Mutant(
+        "player-round-digits-unbounded",
+        "netplay.py",
+        "len(digits) <= _ROUND_DIGITS",
+        "True",
+        (
+            "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
+            "[huge-int]",
+        ),
+    ),
+    Mutant(
         "player-exits-0-on-a-protocol-error",
         "netplay.py",
         'print(f"player {party_strategy.party}: {exc}", file=sys.stderr)\n        return 4',

@@ -77,7 +77,7 @@ def test_question_and_answer_templates_are_canonical(name):
     game = GAME_BUILDERS[name]()
     for context in game.contexts:
         for question in context.questions:
-            tail = netplay._question_tail(question)
+            tail = netplay._question_tail([(o.qubit, o.kind.value) for o in question.measured])
             for r in (0, 7, 63, 123456):
                 message = {
                     "type": "question",
@@ -569,7 +569,9 @@ def test_session_with_a_tape_over_the_line_limit(monkeypatch):
 
 
 #: what a hostile player does once the question it misbehaves at arrives
-MISBEHAVIOURS = ("stall", "close", "reset", "not-json", "wrong-round", "wrong-arity", "too-long")
+MISBEHAVIOURS = (
+    "stall", "close", "reset", "not-json", "wrong-round", "wrong-arity", "too-long", "huge-int"
+)
 #: the sessions the fuzz plays: game name -> strategy name
 FUZZ_SESSIONS = {"cabello-restricted": "lambda-mu", "four-party": "quantum"}
 
@@ -605,6 +607,8 @@ def _hostile_player(address, player, behaviour, at):
                 "wrong-round": encode_message({"type": "answer", "round": r - 1, "values": values}),
                 "wrong-arity": encode_message({"type": "answer", "round": r, "values": values + [1]}),
                 "too-long": b'{"type":"answer",' + b" " * netplay._MAX_LINE + b"}\n",
+                # past the 4,300 digits int() takes, which json.dumps cannot write
+                "huge-int": b'{"type":"answer","round":' + b"9" * 5000 + b',"values":[1]}\n',
             }[behaviour])
             for _ in f:  # stay connected, answering nothing, until the referee closes
                 pass
@@ -632,6 +636,7 @@ def hostile_sessions(draw):
 @given(session=hostile_sessions())
 @example(session=("four-party", 10, 3, 7, [None] * 4))
 @example(session=("cabello-restricted", 12, 5, 1, [None, ("too-long", 6)]))
+@example(session=("four-party", 6, 2, 3, [None, ("huge-int", 2), None, None]))
 def test_hostile_players_end_the_session_in_time_and_are_named(session):
     name, rounds, window, seed, behaviours = session
     game = GAME_BUILDERS[name]()
@@ -643,7 +648,8 @@ def test_hostile_players_end_the_session_in_time_and_are_named(session):
     with (
         patch.object(netplay, "_PEER_TIMEOUT_S", deadline),
         patch.object(netplay, "_WINDOW", window),
-        patch.object(netplay, "_MAX_LINE", 256),
+        # room for a huge-int line, yet a too-long one is quick to send
+        patch.object(netplay, "_MAX_LINE", 8192),
     ):
         address, thread, box = _serve_in_thread(game, strategy, rounds, seed)
         start = time.monotonic()
@@ -730,38 +736,53 @@ def test_bad_protocol_version_rejected():
     assert isinstance(box["error"], ProtocolError)
 
 
-def _play_against(messages, party=0):
-    """Run an automaton player against a fake referee that sends ``messages``
-    after the hello; return the player's status and what it sent back."""
+def _play_lines(lines, player, answers=0):
+    """Run ``player`` against a fake referee that sends ``lines`` after the
+    hello and, once it has read ``answers`` lines back, ends the session.
+    Return the player's status and every line the referee read back, up to
+    the end of the stream or two seconds of silence."""
     listener = socket.create_server(("127.0.0.1", 0))
     host, port = listener.getsockname()[:2]
-    box = {}
+    read = []
 
     def fake_referee():
         conn, _ = listener.accept()
         with conn:
+            conn.settimeout(2)
             f = conn.makefile("rwb")
             decode_message(f.readline())  # hello
-            for message in messages:
-                f.write(encode_message(message))
+            f.write(b"".join(lines))
             f.flush()
-            box["reply"] = f.readline()  # empty once the player gives up
+            try:
+                read.extend(f.readline() for _ in range(answers))
+                if answers:
+                    f.write(encode_message({"type": "end", "reason": "complete"}))
+                    f.flush()
+                read.extend(iter(f.readline, b""))
+            except OSError:
+                pass  # silence: a player waiting for more questions
 
     thread = threading.Thread(target=fake_referee, daemon=True)
     thread.start()
     try:
-        strategy = build_party_strategy(cabello_restricted(), automaton_model(), party)
-        status = run_player((host, port), strategy)
+        status = run_player((host, port), player)
         thread.join(timeout=10)
     finally:
         listener.close()
-    return status, box.get("reply")
+    assert not thread.is_alive()
+    return status, read
+
+
+def _play_against(messages, party=0):
+    """Run an automaton player against a fake referee that sends ``messages``."""
+    player = build_party_strategy(cabello_restricted(), automaton_model(), party)
+    return _play_lines([encode_message(m) for m in messages], player)
 
 
 def test_player_rejects_unknown_message_type():
-    status, reply = _play_against([{"type": "mystery"}])
+    status, read = _play_against([{"type": "mystery"}])
     assert status == 4
-    assert reply == b""
+    assert read == []
 
 
 def _question(round_index, *observables):
@@ -786,9 +807,9 @@ def _question(round_index, *observables):
     ids=["no-round", "foreign-question", "no-slot", "non-string-tape"],
 )
 def test_malformed_referee_message_is_a_protocol_error(messages, party):
-    status, reply = _play_against([{"type": "dealt", "tape": ""}] + messages, party)
+    status, read = _play_against([{"type": "dealt", "tape": ""}] + messages, party)
     assert status == 4
-    assert reply == b""
+    assert read == []
 
 
 def test_extra_fields_in_questions_are_ignored_by_players():
@@ -828,3 +849,129 @@ def test_extra_fields_in_questions_are_ignored_by_players():
     listener.close()
     assert status == 0
     assert answers["message"] == {"type": "answer", "round": 0, "values": [1, -1]}
+
+
+def _question_forms(observables, r):
+    """Question lines of round ``r`` a referee might send, each with the
+    round ``json.loads`` reads from it: the canonical line twice, so the
+    second is a repeat, then spaced, extra-field and repeated-key forms."""
+    obs = [{"slot": s, "kind": k} for s, k in observables]
+    listed = json.dumps(obs, separators=(",", ":")).encode()
+    question = {"type": "question", "round": r, "observables": obs}
+    extra = {**question, "observables": [{**o, "color": "red"} for o in obs], "hint": 42}
+    return [
+        (encode_message(question), r),
+        (encode_message({**question, "round": r + 1}), r + 1),
+        (json.dumps(question).encode() + b"\n", r),
+        (encode_message(extra), r),
+        # the last "round" wins, as in json.loads; each is sent twice
+        *[(b'{"type":"question","round":%d,"observables":%s,"round":%d}\n' % (r, listed, r + 2), r + 2)] * 2,
+        *[(b'{"type":"question","round":%d,"round":%d,"observables":%s}\n' % (r + 2, r, listed), r)] * 2,
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,strategy_name",
+    [
+        (name, strategy_name)
+        for name in sorted(CATALOG)
+        for strategy_name in ["quantum", "best-classical", *CATALOG[name].models]
+    ],
+)
+def test_player_replies_are_the_decoded_answers_in_canonical_bytes(name, strategy_name):
+    game = GAME_BUILDERS[name]()
+    strategy = resolve_strategy(game, strategy_name)
+    rounds = 4
+    for party in range(game.parties):
+        player = build_party_strategy(game, strategy, party)
+        oracle = build_party_strategy(game, strategy, party)
+        tape = tuple((-1) ** (i * 7 % 3) for i in range(player.width * rounds))
+        oracle.set_tape(tape)
+        lines, expected = [encode_message({"type": "dealt", "tape": encode_tape(tape)})], []
+        for observables in player.questions:
+            for line, r in _question_forms(observables, 0) + _question_forms(observables, 1):
+                assert decode_message(line)["round"] == r
+                values = oracle.answer(r, list(observables))
+                lines.append(line)
+                expected.append(encode_message({"type": "answer", "round": r, "values": values}))
+        status, read = _play_lines(lines, player, answers=len(expected))
+        assert status == 0
+        assert read == expected
+
+
+@pytest.mark.parametrize(
+    "round_text",
+    [b"07", b"-1", b"9" * 5000],
+    ids=["leading-zero", "negative", "huge-int"],
+)
+def test_a_question_with_a_round_never_written_ends_the_player_with_4(round_text):
+    game = cabello_restricted()
+    player = build_party_strategy(game, lambda_mu_model(), 0)
+    tape = (1, -1, 1) * 8
+    observables = [{"slot": 1, "kind": "x"}, {"slot": 2, "kind": "x"}]
+    question = encode_message({"type": "question", "round": 0, "observables": observables})
+    # the canonical question comes first, so its ending is already known
+    lines = [
+        encode_message({"type": "dealt", "tape": encode_tape(tape)}),
+        question,
+        question.replace(b'"round":0', b'"round":' + round_text),
+    ]
+    status, read = _play_lines(lines, player)
+    assert status == 4
+    assert all(decode_message(line)["round"] == 0 for line in read)
+
+
+def test_a_hello_with_a_huge_party_is_a_protocol_error():
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)
+    with socket.create_connection(address) as s:
+        # json.dumps cannot write an int past Python's 4,300-digit limit
+        s.sendall(b'{"type":"hello","party":' + b"9" * 5000 + b',"protocol_version":1}\n')
+        thread.join(timeout=10)
+    error = box.get("error")
+    assert isinstance(error, ProtocolError) and error.party is None
+    assert str(error).startswith("undecodable message")
+
+
+def test_an_answer_with_a_huge_round_names_the_party():
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 50, 0)
+    sockets = [socket.create_connection(address, timeout=10) for _ in range(2)]
+    files = [s.makefile("rwb") for s in sockets]
+    for party, f in enumerate(files):
+        f.write(_hello(party))
+        f.flush()
+    decode_message(files[0].readline())  # dealt
+    decode_message(files[0].readline())  # question round 0
+    files[0].write(b'{"type":"answer","round":' + b"9" * 5000 + b',"values":[1,1]}\n')
+    files[0].flush()
+    thread.join(timeout=10)
+    for s in sockets:
+        s.close()
+    error = box.get("error")
+    assert isinstance(error, ProtocolError) and error.party == 0
+    assert str(error).startswith("party 0: undecodable message")
+
+
+def test_a_repeated_canonical_question_skips_the_decoder():
+    player = build_party_strategy(cabello_restricted(), lambda_mu_model(), 0)
+    observables = [{"slot": 1, "kind": "x"}, {"slot": 2, "kind": "x"}]
+    questions = [
+        encode_message({"type": "question", "round": r, "observables": observables})
+        for r in range(3)
+    ]
+    spaced = json.dumps({"type": "question", "round": 3, "observables": observables}).encode()
+    dealt = encode_message({"type": "dealt", "tape": encode_tape((1, -1, 1) * 4)})
+    decoded = []
+    decode = netplay.decode_message
+
+    def recording(line):
+        decoded.append(line)
+        return decode(line)
+
+    with patch.object(netplay, "decode_message", recording):
+        status, read = _play_lines([dealt, *questions, spaced + b"\n"], player, answers=4)
+    assert status == 0 and len(read) == 4
+    end = encode_message({"type": "end", "reason": "complete"})
+    # the first question sets the tape; the spaced one is not canonical
+    assert decoded == [dealt[:-1], questions[0][:-1], spaced, end[:-1]]
