@@ -167,26 +167,15 @@ def _pack_tape(values: Sequence[int]) -> bytes:
     return bytes(bits)
 
 
-def encode_tape(values: Sequence[int]) -> str:
-    """Pack a +-1 sequence into base64; bit 1 encodes the value -1."""
-    return base64.b64encode(_pack_tape(values)).decode()
-
-
-def decode_tape(text: str, length: int | None = None) -> tuple[int, ...]:
-    """Unpack ``length`` values, or every bit the text holds when None."""
+def decode_tape(text: str) -> tuple[int, ...]:
+    """Unpack every bit a base64 tape holds; bit 1 is the value -1."""
     if not isinstance(text, str):
         raise ProtocolError(f"tape must be a string, got {type(text).__name__}")
     try:
         raw = base64.b64decode(text.encode())
     except ValueError as exc:
         raise ProtocolError(f"undecodable tape: {exc}") from None
-    if length is None:
-        length = len(raw) * 8
-    elif len(raw) < (length + 7) // 8:
-        raise ProtocolError(f"tape too short for {length} values")
-    return tuple(
-        -1 if raw[i // 8] & (1 << (i % 8)) else +1 for i in range(length)
-    )
+    return tuple(-1 if raw[i // 8] & (1 << (i % 8)) else +1 for i in range(len(raw) * 8))
 
 
 def _deal_lines(values: Sequence[int]) -> list[bytes]:
@@ -335,7 +324,8 @@ class _Seat:
             raise ProtocolError(str(exc), self.party) from None
         if message["type"] != "answer":
             raise ProtocolError(f"expected answer, got {message['type']!r}", self.party)
-        if message.get("round") != r:
+        # true and 1.0 equal 1, so they would be taken as round 1
+        if type(message.get("round")) is not int or message["round"] != r:
             raise ProtocolError(
                 f"answered round {message.get('round')!r}, asked {r}", self.party
             )
@@ -594,8 +584,11 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     if tape:
                         party_strategy.set_tape(tuple(chain.from_iterable(tape)))
                         tape = []
+                    round_index = message.get("round")
+                    # int() would answer 7.9 and true as rounds 7 and 1
+                    if type(round_index) is not int:
+                        raise ProtocolError(f"question round must be an int, got {round_index!r}")
                     try:
-                        round_index = int(message["round"])
                         observables = tuple(
                             (int(o["slot"]), str(o["kind"]))
                             for o in message.get("observables", [])

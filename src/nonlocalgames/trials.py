@@ -20,25 +20,25 @@ and code share one ``RoundPlan``.
 A game has few distinct rounds (at most 14 x 16 in the four-party game),
 so each is scored once, by ``Context.row``, in its ``RoundPlan``. A
 ``TrialLog`` is a table, not a list of rounds: its distinct rows
-(``rows``), one numpy integer column giving each round's row as a
-position in ``rows`` (``index``), and a column of round numbers
-(``round_numbers``) only when they are not 0..n-1, as in some hand-made
-logs. ``run_trials`` fills the table from the plans as they are, and
-``from_jsonl`` decodes each distinct row text once, so a line the form
-``to_jsonl`` writes, numbered by its position, is one dict lookup.
-``to_jsonl`` encodes each row once, and ``statistics`` and
+(``rows``) and one numpy integer column giving each round's row as a
+position in ``rows`` (``index``). Round r is the log's r-th round: its
+number is its position, so no log stores round numbers, and a record or
+line numbered otherwise raises ``ValueError``. ``run_trials`` fills the
+table from the plans as they are, and ``from_jsonl`` decodes each
+distinct row text once, so a line of the form ``to_jsonl`` writes is one
+dict lookup. ``to_jsonl`` encodes each row once, and ``statistics`` and
 ``nested_subgame_report`` count each row's rounds with one
 ``np.bincount`` and visit the rows in order of first occurrence, so every
 dict fills in the order a round-by-round pass would. ``records`` is a
-view that builds a ``TrialRecord`` (round number, then row) for a round
-when asked. It has a list's length, iteration, indexing, slices, repr and
+view that builds a ``TrialRecord`` (position, then row) for a round when
+asked. It has a list's length, iteration, indexing, slices, repr and
 ``==``, against a list or another log's records whatever the order of
-either table's rows, and its ``append`` adds a round. Logs and reports
-are byte for byte what scoring and encoding every round on its own
-gives. Rows hold the package's value types (strings, tuples of strings,
-tuples of +-1 ints, a bool) and are compared by value; ``from_jsonl``
-rejects any other, and a record whose row cannot be hashed, such as one
-holding lists, raises ``TypeError`` when it is added.
+either table's rows, and its ``append`` adds the next round. Logs and
+reports are byte for byte what scoring and encoding every round on its
+own gives. Rows hold the package's value types (strings, tuples of
+strings, tuples of +-1 ints, a bool) and are compared by value;
+``from_jsonl`` rejects any other, and a record whose row cannot be
+hashed, such as one holding lists, raises ``TypeError`` when it is added.
 """
 
 from __future__ import annotations
@@ -189,6 +189,9 @@ def resolve_strategy(game: NonlocalGame, name: str) -> Strategy:
 
 
 class TrialRecord(NamedTuple):
+    """One round: its position in the log (round r is the r-th), then its
+    row."""
+
     round: int
     context_id: str
     questions: tuple[str, ...]
@@ -197,8 +200,6 @@ class TrialRecord(NamedTuple):
 
 
 _ROUND_PREFIX = '{"type": "round", "round": '
-#: a round line as to_jsonl writes it, up to the row after the round number
-_CANONICAL_ROUND = re.compile(re.escape(_ROUND_PREFIX) + r"(-?(?:0|[1-9][0-9]{0,17})), ")
 _ROW_FIELDS = {"context", "questions", "answers", "win"}
 
 
@@ -222,23 +223,27 @@ def _row_of(rec: dict) -> Row:
     return context, questions, answers, win
 
 
-def _decode_line(line: str) -> tuple[object, Row, str | None]:
-    """A round line's round number and row, and its text after the round
-    number when the line is of the form to_jsonl writes; any other line is
-    decoded whole by json.loads and must be of type "round"."""
-    match = _CANONICAL_ROUND.match(line)
-    if match:
-        tail = line[match.end() :]
+def _decode_line(k: int, line: str, tail: str | None) -> tuple[Row, str | None]:
+    """Line k's row, and ``tail`` when the row was decoded from it alone.
+
+    ``tail`` is the line's text after ``_ROUND_PREFIX`` and k, when it
+    starts with them; holding the row's fields and nothing else, it is
+    decoded alone. Any other line is decoded whole by json.loads, must be
+    of type "round" and numbered k."""
+    if tail is not None:
         try:
             fields = json.loads("{" + tail)
         except json.JSONDecodeError:
             fields = {}
         if fields.keys() == _ROW_FIELDS:
-            return int(match[1]), _row_of(fields), tail
+            return _row_of(fields), tail
     rec = json.loads(line)
     if rec["type"] != "round":
         raise ValueError(f"expected a round record, got type {rec['type']!r}")
-    return rec["round"], _row_of(rec), None
+    # true equals 1, so it is rejected by type
+    if type(rec["round"]) is not int or rec["round"] != k:
+        raise ValueError(f"round {k} is numbered {rec['round']!r}; round r must be the r-th")
+    return _row_of(rec), None
 
 
 class TrialRecords:
@@ -256,14 +261,14 @@ class TrialRecords:
 
     def __iter__(self) -> Iterator[TrialRecord]:
         rows = self._log.rows
-        for number, i in zip(self._log._numbers(), self._log.index.tolist()):
-            yield TrialRecord(number, *rows[i])
+        for r, i in enumerate(self._log.index.tolist()):
+            yield TrialRecord(r, *rows[i])
 
     def __getitem__(self, key):
         if isinstance(key, slice):
             return [self[p] for p in range(len(self))[key]]
         p = range(len(self))[key]
-        return TrialRecord(self._log._numbers()[p], *self._log.rows[self._log.index[p]])
+        return TrialRecord(p, *self._log.rows[self._log.index[p]])
 
     def __repr__(self) -> str:
         return repr(list(self))
@@ -280,10 +285,11 @@ class TrialRecords:
 
 
 class TrialLog:
-    """A header and a table of rounds: the distinct rows (``rows``), each
-    round's row as an index into them (``index``), and the round numbers
-    (``round_numbers``) only when they are not 0..n-1. ``records`` views
-    the rounds as ``TrialRecord``s."""
+    """A header and a table of rounds: the distinct rows (``rows``) and
+    each round's row as an index into them (``index``). Round r is the
+    r-th round, so ``records``, which views the rounds as
+    ``TrialRecord``s, numbers them by position, and a record added with any
+    other number raises ``ValueError`` and leaves the log unchanged."""
 
     def __init__(
         self,
@@ -300,9 +306,8 @@ class TrialLog:
         for record in records:
             self.records.append(record)
 
-    def _fill(self, rows: list[Row], index: np.ndarray, round_numbers: list | None = None) -> None:
+    def _fill(self, rows: list[Row], index: np.ndarray) -> None:
         self.rows, self._index, self._added = rows, index, []
-        self.round_numbers = round_numbers
         self._ids: dict[Row, int] | None = None  # row -> its first position, made by _row_id
 
     @property
@@ -321,9 +326,6 @@ class TrialLog:
     def records(self) -> TrialRecords:
         return TrialRecords(self)
 
-    def _numbers(self) -> Sequence:
-        return range(self._size) if self.round_numbers is None else self.round_numbers
-
     def _row_id(self, row: Row) -> int:
         """The position of the first row equal to ``row`` in ``rows``, which
         is added if there is none; raises TypeError when it cannot be hashed."""
@@ -339,11 +341,10 @@ class TrialLog:
 
     def _add(self, number: object, row: Row) -> None:
         n = self._size
+        # true equals 1, so it is rejected by type
+        if type(number) is not int or number != n:
+            raise ValueError(f"round {n} is numbered {number!r}; round r must be the r-th")
         self._added.append(self._row_id(row))
-        if self.round_numbers is None and (type(number) is not int or number != n):
-            self.round_numbers = list(range(n))
-        if self.round_numbers is not None:
-            self.round_numbers.append(number)
 
     def _same_rounds(self, other: "TrialLog") -> bool:
         """Whether both logs hold equal rounds, whatever the order of rows
@@ -354,10 +355,7 @@ class TrialLog:
         ids: dict[Row, int] = {}
         mine = np.array([ids.setdefault(row, len(ids)) for row in self.rows], dtype=np.intp)
         theirs = np.array([ids.setdefault(row, len(ids)) for row in other.rows], dtype=np.intp)
-        if not np.array_equal(mine[self.index], theirs[other.index]):
-            return False
-        both_sequential = self.round_numbers is None and other.round_numbers is None
-        return both_sequential or list(self._numbers()) == list(other._numbers())
+        return np.array_equal(mine[self.index], theirs[other.index])
 
     def _first_records(self) -> list[tuple[TrialRecord, int]]:
         """Each row in use, as the first record holding it and its number of
@@ -409,15 +407,7 @@ class TrialLog:
             )[1:]
             for context, questions, answers, win in self.rows
         ]
-        numbers = (
-            range(self._size)
-            if self.round_numbers is None
-            else [str(r) if type(r) is int else json.dumps(r) for r in self.round_numbers]
-        )
-        lines = [
-            f"{_ROUND_PREFIX}{number}, {tails[i]}"
-            for number, i in zip(numbers, self.index.tolist())
-        ]
+        lines = [f"{_ROUND_PREFIX}{r}, {tails[i]}" for r, i in enumerate(self.index.tolist())]
         return "\n".join([json.dumps(header), *lines]) + "\n"
 
     @classmethod
@@ -454,30 +444,22 @@ class TrialLog:
             complete=complete,
             abort_reason=reason,
         )
-        # a line of the form to_jsonl writes is split after its round number,
-        # and each distinct text after it is decoded once
+        # a line of the form to_jsonl writes, numbered by its position, is
+        # split after its round number, and each distinct text after it is
+        # decoded once
         tails: dict[str | None, int] = {}
         index: list[int] = []
-        numbers: list | None = None  # made at the first round not numbered by its position
         for k, ln in enumerate(lines[1:]):
             head = f"{_ROUND_PREFIX}{k}, "
-            if ln.startswith(head):
-                number, tail = k, ln[len(head) :]
-            else:
-                match = _CANONICAL_ROUND.match(ln)
-                number, tail = (int(match[1]), ln[match.end() :]) if match else (None, None)
+            tail = ln[len(head) :] if ln.startswith(head) else None
             i = tails.get(tail)
             if i is None:
-                number, row, tail = _decode_line(ln)
+                row, tail = _decode_line(k, ln, tail)
                 i = log._row_id(row)
                 if tail is not None:
                     tails[tail] = i
             index.append(i)
-            if numbers is None and (type(number) is not int or number != k):
-                numbers = list(range(k))
-            if numbers is not None:
-                numbers.append(number)
-        log._fill(log.rows, np.array(index, dtype=np.intp), numbers)
+        log._fill(log.rows, np.array(index, dtype=np.intp))
         return log
 
 

@@ -142,11 +142,32 @@ MUTANTS = (
         ("tests/test_trials.py::test_from_jsonl_rejects_row_values_never_written",),
     ),
     Mutant(
-        "round-column-dropped",
+        "line-round-off-its-position",
         "trials.py",
-        "numbers = list(range(k))",
-        "numbers = None",
-        ("tests/test_trials.py::test_from_jsonl_matches_plain_decoder",),
+        'if type(rec["round"]) is not int or rec["round"] != k:',
+        'if type(rec["round"]) is not int:',
+        ("tests/test_trials.py::test_a_round_off_its_position_is_rejected[one-on-line-0]",),
+    ),
+    Mutant(
+        "line-round-may-be-a-bool",
+        "trials.py",
+        'if type(rec["round"]) is not int or rec["round"] != k:',
+        'if rec["round"] != k:',
+        ("tests/test_trials.py::test_a_round_off_its_position_is_rejected[true]",),
+    ),
+    Mutant(
+        "record-round-off-its-position",
+        "trials.py",
+        "if type(number) is not int or number != n:",
+        "if type(number) is not int:",
+        ("tests/test_trials.py::test_a_round_off_its_position_is_rejected[one-on-line-0]",),
+    ),
+    Mutant(
+        "record-round-may-be-a-bool",
+        "trials.py",
+        "if type(number) is not int or number != n:",
+        "if number != n:",
+        ("tests/test_trials.py::test_a_round_off_its_position_is_rejected[true]",),
     ),
     Mutant(
         "views-compared-without-remapping-rows",
@@ -208,6 +229,28 @@ MUTANTS = (
         (
             "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
             "[huge-int]",
+        ),
+    ),
+    Mutant(
+        "player-truncates-the-round",
+        "netplay.py",
+        'round_index = message.get("round")',
+        'round_index = int(message.get("round"))',
+        (
+            "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
+            "[true]",
+            "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
+            "[float]",
+        ),
+    ),
+    Mutant(
+        "referee-takes-a-round-equal-to-an-int",
+        "netplay.py",
+        'if type(message.get("round")) is not int or message["round"] != r:',
+        'if message.get("round") != r:',
+        (
+            "tests/test_netplay.py::"
+            "test_an_answer_numbered_by_a_round_equal_to_an_int_names_the_party[true]",
         ),
     ),
     Mutant(

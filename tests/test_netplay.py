@@ -29,7 +29,6 @@ from nonlocalgames.netplay import (
     decode_message,
     decode_tape,
     encode_message,
-    encode_tape,
     run_local_session,
     run_player,
 )
@@ -64,12 +63,15 @@ def test_malformed_messages_rejected():
 @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 30])
 def test_tape_round_trip(length):
     values = tuple((-1) ** i for i in range(length))
-    assert decode_tape(encode_tape(values), length) == values
+    [line] = netplay._deal_lines(values)
+    # a tape is whole bytes: the values, then +1 up to the byte's end
+    decoded = decode_tape(decode_message(line)["tape"])
+    assert decoded == values + (1,) * (-length % 8)
 
 
 def test_tape_rejects_non_pm_one():
     with pytest.raises(ValueError):
-        encode_tape((1, 0, -1))
+        netplay._deal_lines((1, 0, -1))
 
 
 @pytest.mark.parametrize("name", sorted(GAME_BUILDERS))
@@ -95,9 +97,9 @@ def test_question_and_answer_templates_are_canonical(name):
 
 def test_short_tape_is_dealt_in_one_line():
     for values in [(), (1, -1, -1), tuple((-1) ** (i // 3) for i in range(5000))]:
-        assert netplay._deal_lines(values) == [
-            encode_message({"type": "dealt", "tape": encode_tape(values)})
-        ]
+        [line] = netplay._deal_lines(values)
+        decoded = decode_tape(decode_message(line)["tape"])
+        assert decoded[: len(values)] == values and set(decoded[len(values) :]) <= {1}
 
 
 @pytest.mark.parametrize("max_line", [64, 65, 66, 67, 200])
@@ -887,7 +889,7 @@ def test_player_replies_are_the_decoded_answers_in_canonical_bytes(name, strateg
         oracle = build_party_strategy(game, strategy, party)
         tape = tuple((-1) ** (i * 7 % 3) for i in range(player.width * rounds))
         oracle.set_tape(tape)
-        lines, expected = [encode_message({"type": "dealt", "tape": encode_tape(tape)})], []
+        lines, expected = netplay._deal_lines(tape), []
         for observables in player.questions:
             for line, r in _question_forms(observables, 0) + _question_forms(observables, 1):
                 assert decode_message(line)["round"] == r
@@ -901,8 +903,8 @@ def test_player_replies_are_the_decoded_answers_in_canonical_bytes(name, strateg
 
 @pytest.mark.parametrize(
     "round_text",
-    [b"07", b"-1", b"9" * 5000],
-    ids=["leading-zero", "negative", "huge-int"],
+    [b"07", b"-1", b"9" * 5000, b"7.9", b"true", b'"1"'],
+    ids=["leading-zero", "negative", "huge-int", "float", "true", "text"],
 )
 def test_a_question_with_a_round_never_written_ends_the_player_with_4(round_text):
     game = cabello_restricted()
@@ -912,7 +914,7 @@ def test_a_question_with_a_round_never_written_ends_the_player_with_4(round_text
     question = encode_message({"type": "question", "round": 0, "observables": observables})
     # the canonical question comes first, so its ending is already known
     lines = [
-        encode_message({"type": "dealt", "tape": encode_tape(tape)}),
+        *netplay._deal_lines(tape),
         question,
         question.replace(b'"round":0', b'"round":' + round_text),
     ]
@@ -953,6 +955,29 @@ def test_an_answer_with_a_huge_round_names_the_party():
     assert str(error).startswith("party 0: undecodable message")
 
 
+@pytest.mark.parametrize("round_text", [b"true", b"1.0"], ids=["true", "float"])
+def test_an_answer_numbered_by_a_round_equal_to_an_int_names_the_party(round_text):
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 50, 0)
+    sockets = [socket.create_connection(address, timeout=10) for _ in range(2)]
+    files = [s.makefile("rwb") for s in sockets]
+    for party, f in enumerate(files):
+        f.write(_hello(party))
+        f.flush()
+    for f in files:
+        f.write(b'{"type":"answer","round":0,"values":[1,1]}\n')
+        f.flush()
+    # true and 1.0 equal 1 in Python, but the referee writes round 1 as 1
+    files[0].write(b'{"type":"answer","round":' + round_text + b',"values":[1,1]}\n')
+    files[0].flush()
+    thread.join(timeout=10)
+    for s in sockets:
+        s.close()
+    error = box.get("error")
+    assert isinstance(error, ProtocolError) and error.party == 0
+    assert str(error) == f"party 0: answered round {json.loads(round_text)!r}, asked 1"
+
+
 def test_a_repeated_canonical_question_skips_the_decoder():
     player = build_party_strategy(cabello_restricted(), lambda_mu_model(), 0)
     observables = [{"slot": 1, "kind": "x"}, {"slot": 2, "kind": "x"}]
@@ -961,7 +986,7 @@ def test_a_repeated_canonical_question_skips_the_decoder():
         for r in range(3)
     ]
     spaced = json.dumps({"type": "question", "round": 3, "observables": observables}).encode()
-    dealt = encode_message({"type": "dealt", "tape": encode_tape((1, -1, 1) * 4)})
+    [dealt] = netplay._deal_lines((1, -1, 1) * 4)
     decoded = []
     decode = netplay.decode_message
 

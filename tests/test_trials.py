@@ -255,14 +255,14 @@ def test_nested_subgame_report_reads_the_restricted_game_too():
 @pytest.mark.parametrize(
     "answers,error",
     [
-        (((1,), (1,), (1,), (1, -1)), "round 4: question z4 arity mismatch with answers"),
-        (((1,), (1,), (1,)), "round 4: 3 answers to 4 questions"),
+        (((1,), (1,), (1,), (1, -1)), "round 0: question z4 arity mismatch with answers"),
+        (((1,), (1,), (1,)), "round 0: 3 answers to 4 questions"),
     ],
     ids=["long-answer", "missing-answer"],
 )
 def test_mismatched_answers_are_rejected_not_truncated(answers, error):
     record = TrialRecord(
-        round=4, context_id="eq03", questions=("x1", "z2", "x3", "z4"),
+        round=0, context_id="eq03", questions=("x1", "z2", "x3", "z4"),
         answers=answers, win=True,
     )
     log = TrialLog(game="four-party", strategy="quantum", seed=0, records=[record])
@@ -599,12 +599,15 @@ def test_rows_are_grouped_by_value_not_identity(game_name, strategy_name, rounds
 
 
 def _plain_records(text):
-    """The reference decoder: json.loads on every round line."""
+    """The reference decoder: json.loads on every round line, which must be
+    numbered by its position."""
     records = []
-    for line in [ln for ln in text.splitlines() if ln.strip()][1:]:
+    for k, line in enumerate([ln for ln in text.splitlines() if ln.strip()][1:]):
         rec = json.loads(line)
         if rec["type"] != "round":
             raise ValueError(f"expected a round record, got type {rec['type']!r}")
+        if type(rec["round"]) is not int or rec["round"] != k:
+            raise ValueError(f"round {k} is numbered {rec['round']!r}; round r must be the r-th")
         records.append(
             TrialRecord(
                 round=rec["round"],
@@ -630,25 +633,27 @@ def _round_line(record, **extra):
     return body
 
 
-def _variants(log):
+def _variants(log, k):
     """Round lines that are not in the canonical form, each beside the
-    canonical line it resembles."""
+    canonical line it resembles, for lines k, k + 1, ... of a log: each is
+    numbered by its position."""
     first, second = log.records[:2]
-    canonical = json.dumps(_round_line(first))
-    tail = canonical.split(f'"round": {first.round}, ', 1)[1]
+    tail = json.dumps(_round_line(first)).split(f'"round": {first.round}, ', 1)[1]
+
+    def body(record, j):
+        return _round_line(record._replace(round=k + j))
+
     return [
-        canonical,
-        json.dumps(dict(reversed(list(_round_line(first).items())))),  # reordered keys
-        json.dumps(_round_line(second), separators=(" ,  ", " :  ")),  # extra whitespace
-        "  " + canonical,  # leading whitespace
-        canonical.replace("{", "{ ", 1),
-        '{"type": "round", "round": 3, "round": 99, ' + tail,  # duplicate round key
-        '{"type": "round", "round": 4, "context": "zz", ' + tail,  # duplicate context key
-        '{"type": "round", "round": true, ' + tail,
-        '{"type": "round", "round": -0, ' + tail,
-        '{"type": "round", "round": 5, ' + tail[:-1] + ', "extra": 1}',
-        '{"type": "round", "round": 7, "type": "round", ' + tail,
-        canonical,
+        json.dumps(body(first, 0)),
+        json.dumps(dict(reversed(list(body(first, 1).items())))),  # reordered keys
+        json.dumps(body(second, 2), separators=(" ,  ", " :  ")),  # extra whitespace
+        "  " + json.dumps(body(first, 3)),  # leading whitespace
+        json.dumps(body(first, 4)).replace("{", "{ ", 1),
+        f'{{"type": "round", "round": 99, "round": {k + 5}, ' + tail,  # duplicate round key
+        f'{{"type": "round", "round": {k + 6}, "context": "zz", ' + tail,  # duplicate context key
+        f'{{"type": "round", "round": {k + 7}, ' + tail[:-1] + ', "extra": 1}',
+        f'{{"type": "round", "round": {k + 8}, "type": "round", ' + tail,
+        json.dumps(body(first, 9)),
     ]
 
 
@@ -656,10 +661,51 @@ def test_from_jsonl_matches_plain_decoder():
     game = cabello_restricted()
     log = run_trials(game, automaton_model(), rounds=40, seed=6)
     header, *rounds = log.to_jsonl().splitlines()
-    text = "\n".join([header, *rounds[:10], *_variants(log), *rounds[10:]]) + "\n"
+    variants = _variants(log, 10)
+    text = "\n".join([header, *rounds[:10], *variants, *rounds[10 + len(variants) :]]) + "\n"
     back = TrialLog.from_jsonl(text)
     assert repr(back.records) == repr(_plain_records(text))
     assert back.records[:10] == log.records[:10]
+    assert back.records[20:] == log.records[20:]
+
+
+@pytest.mark.parametrize(
+    "line,bad_line",
+    [
+        (1, '{{"type": "round", "round": true, {tail}'),
+        (1, '{{"type": "round", "round": 1.0, {tail}'),
+        (1, '{{"type": "round", "round": "1", {tail}'),
+        (1, '{{"type": "round", "round": null, {tail}'),
+        (1, '{{"type": "round", "round": -0, {tail}'),
+        (0, '{{"type": "round", "round": 1, {tail}'),
+        (1, '{{"type": "round", "round": 1, "round": 99, {tail}'),
+    ],
+    ids=["true", "float", "text", "null", "minus-zero", "one-on-line-0", "duplicate-round-key"],
+)
+def test_a_round_off_its_position_is_rejected(line, bad_line):
+    game = cabello_restricted()
+    log = run_trials(game, automaton_model(), rounds=5, seed=6)
+    header, *rounds = log.to_jsonl().splitlines()
+    tail = rounds[0].split('"round": 0, ', 1)[1]
+    rounds[line] = bad_line.format(tail=tail)
+    text = "\n".join([header, *rounds]) + "\n"
+    number = json.loads(rounds[line])["round"]
+    error = f"round {line} is numbered {number!r}; round r must be the r-th"
+    with pytest.raises(ValueError) as expected:
+        _plain_records(text)
+    assert str(expected.value) == error
+    with pytest.raises(ValueError) as got:
+        TrialLog.from_jsonl(text)
+    assert str(got.value) == error
+    # a record is numbered by its position too, and a refused one changes nothing
+    record = log.records[line]._replace(round=number)
+    with pytest.raises(ValueError, match=f"round {line} is numbered"):
+        TrialLog(log.game, log.strategy, log.seed, [*log.records[:line], record])
+    kept = TrialLog(log.game, log.strategy, log.seed, log.records[:line])
+    before = (kept.to_jsonl(), list(kept.rows), kept.index.tolist())
+    with pytest.raises(ValueError, match=f"round {line} is numbered"):
+        kept.records.append(record)
+    assert (kept.to_jsonl(), list(kept.rows), kept.index.tolist()) == before
 
 
 @pytest.mark.parametrize(
@@ -668,11 +714,11 @@ def test_from_jsonl_matches_plain_decoder():
         '{{"type": "round", "round": 01, {tail}',
         '{{"type": "round", "round": 1, {tail} junk',
         '{{"type": "round", "round": 1, {tail}}}',
-        '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": 5, "win": true}}',
+        '{{"type": "round", "round": 5, "context": "a", "questions": [], "answers": 5, "win": true}}',
         '{{"type": "round", {tail}',
-        '{{"type": "round", "round": 1, "questions": 5, "context": "a", "answers": [], "win": true}}',
-        '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": [1], "win": true}}',
-        '{{"type": "round", "round": 1, "context": "a", "questions": [], "answers": []}}',
+        '{{"type": "round", "round": 5, "questions": 5, "context": "a", "answers": [], "win": true}}',
+        '{{"type": "round", "round": 5, "context": "a", "questions": [], "answers": [1], "win": true}}',
+        '{{"type": "round", "round": 5, "context": "a", "questions": [], "answers": []}}',
         '{{"type": "round", "round": 1, ',
         '["round"]',
         '{{"type": "turn", "round": 6, {tail}',
@@ -740,7 +786,7 @@ def test_from_jsonl_ends_lines_at_newline_only(boundary):
 
 
 # ---------------------------------------------------------------------------
-# the log's table: distinct rows, an index column, a round column if needed
+# the log's table: distinct rows and an index column, rounds numbered by position
 # ---------------------------------------------------------------------------
 
 #: rows of the package's value types, for hand-built records
@@ -753,19 +799,9 @@ ROW_POOL = [
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    drawn=st.lists(
-        st.tuples(st.none() | st.integers(-2, 20) | st.booleans(), st.sampled_from(ROW_POOL)),
-        max_size=12,
-    ),
-    cut=st.integers(0, 12),
-)
+@given(drawn=st.lists(st.sampled_from(ROW_POOL), max_size=12), cut=st.integers(0, 12))
 def test_hand_built_records_behave_like_a_list(drawn, cut):
-    # None numbers a round by its position
-    records = [
-        TrialRecord(p if number is None else number, *row)
-        for p, (number, row) in enumerate(drawn)
-    ]
+    records = [TrialRecord(p, *row) for p, row in enumerate(drawn)]
     log = TrialLog("hand-built", "s", 3, records[:cut])
     for record in records[cut:]:
         log.records.append(record)
@@ -792,8 +828,6 @@ def test_hand_built_records_behave_like_a_list(drawn, cut):
         twice,
         np.array([len(log.rows) - 1 - i if p % 2 else len(log.rows) + i
                   for p, i in enumerate(log.index)], dtype=np.intp),
-        None if all(r.round == p and type(r.round) is int for p, r in enumerate(records))
-        else [r.round for r in records],
     )
     assert other.records == view and repr(other.records) == repr(records)
     assert other == log
@@ -834,4 +868,4 @@ def test_run_trials_fills_the_table_from_the_plans(monkeypatch):
     assert len(log.rows) == len(plans)
     assert all(row is plan.row for row, plan in zip(log.rows, plans))
     assert log.index.shape == (3000,) and np.array_equal(log.index, index)
-    assert log.round_numbers is None
+    assert [r.round for r in log.records] == list(range(3000))
