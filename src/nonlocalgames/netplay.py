@@ -16,9 +16,9 @@ player only ever receives its own questions. No line is longer than
 ``_MAX_LINE`` bytes.
 
 Every strategy is played as a dealer plus local responders. The referee
-presamples the session (``trials.presample``): the strategy's dealer
-turns the session's draws, taken at once, into one tape per party per
-round, and each party's answer is a function of its own question and
+plans the session as ``run_trials`` does (``trials._plan_session``): the
+strategy's dealer turns the draws, taken at once, into distinct plans of
+tapes, and each party's answer is a function of its own question and
 tape alone. One player type, ``PartyStrategy``, plays every strategy:
 it holds one party's questions and dealt tape, and the strategy's
 ``respond`` gives each answer.
@@ -26,7 +26,7 @@ Before round 1 the referee deals each player the
 concatenation of its per-round tapes, ``tape_width`` values a round, and
 never sends shared randomness during play. A deterministic table deals
 nothing, a hidden-variable model deals its shared bits to every party,
-and the quantum strategy deals each party the presampled outcome values
+and the quantum strategy deals each party the drawn outcome values
 of its own slots. There is no entangled hardware here, so the quantum
 case is a trusted-dealer simulation: it preserves the joint statistics
 exactly, but it is not physics. A tape too long for one line is dealt in
@@ -81,7 +81,7 @@ from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
 from .games import NonlocalGame, Question
-from .trials import Strategy, TrialLog, TrialRecord, presample
+from .trials import Strategy, TrialLog, _plan_session
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
@@ -369,15 +369,23 @@ class RefereeServer:
         return self._listener.getsockname()
 
     def serve(self) -> TrialLog:
-        """Run the session; returns the log (flagged incomplete on abort)."""
+        """Run the session; returns the log (flagged incomplete on abort).
+
+        Plays from the session's plans and index (``trials._plan_session``);
+        only a round whose answers are not its plan's is scored, its row
+        looked up by value. The log is filled once, with the rounds whose
+        answers were all read: the session, or the rounds before an abort."""
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
         game = self.game
-        plans = presample(game, self.strategy, self.rounds, self.seed)
+        plans, index = _plan_session(game, self.strategy, self.rounds, self.seed)
+        ids = index.tolist()
         log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
-        # per context and party: the question line after its round number,
+        log.rows.extend(plan.row for plan in plans)
+        played = 0
+        # per plan and party: the question line after its round number,
         # the answer's arity, and the canonical endings of its answer line
-        asked = {
+        by_context = {
             context.id: [
                 (
                     _question_tail([(o.qubit, o.kind.value) for o in q.measured]),
@@ -388,6 +396,7 @@ class RefereeServer:
             ]
             for context in game.contexts
         }
+        asked = [by_context[plan.context.id] for plan in plans]
         seats: dict[int, _Seat] = {}
         opened: list[socket.socket] = []
         try:
@@ -422,40 +431,41 @@ class RefereeServer:
             order = [seats[party] for party in range(game.parties)]
 
             for seat in order:
-                tape = chain.from_iterable(plan.tapes[seat.party] for plan in plans)
-                seat.send(_deal_lines(tuple(tape)))
+                tapes = [plan.tapes[seat.party] for plan in plans]
+                seat.send(_deal_lines(tuple(chain.from_iterable(tapes[i] for i in ids))))
 
             for lo in range(0, self.rounds, _WINDOW):
                 window = range(lo, min(lo + _WINDOW, self.rounds))
                 for seat in order:
                     seat.send([
-                        b"%s%d%s" % (_QUESTION_HEAD, r, asked[plans[r].context.id][seat.party][0])
+                        b"%s%d%s" % (_QUESTION_HEAD, r, asked[ids[r]][seat.party][0])
                         for r in window
                     ])
                 for r in window:
-                    plan = plans[r]
+                    plan = plans[ids[r]]
                     head = b'%s%d,"values":' % (_ANSWER_HEAD, r)
                     answers = tuple([
                         seat.read_answer(r, head, tails, arity)
-                        for seat, (_, arity, tails) in zip(order, asked[plan.context.id])
+                        for seat, (_, arity, tails) in zip(order, asked[ids[r]])
                     ])
-                    row = plan.row if answers == plan.answers else plan.context.row(answers)
-                    log.records.append(TrialRecord(r, *row))
+                    if answers != plan.answers:
+                        index[r] = log._row_id(plan.context.row(answers))
+                    played = r + 1
 
             for seat in order:
                 seat.send([encode_message({"type": "end", "reason": "complete"})])
-            return log
         except PlayerDisconnected as exc:
             log.complete = False
             log.abort_reason = str(exc)
             self._end_all(seats, f"abort: {exc}")
-            return log
         except ProtocolError as exc:
             self._end_all(seats, f"abort: {exc}")
             raise
         finally:
             for conn in opened:
                 conn.close()
+        log._fill(log.rows, index[:played])
+        return log
 
     def _end_all(self, seats: dict[int, _Seat], reason: str) -> None:
         for seat in seats.values():

@@ -33,12 +33,14 @@ dict fills in the order a round-by-round pass would. ``records`` is a
 view that builds a ``TrialRecord`` (position, then row) for a round when
 asked. It has a list's length, iteration, indexing, slices, repr and
 ``==``, against a list or another log's records whatever the order of
-either table's rows, and its ``append`` adds the next round. Logs and
-reports are byte for byte what scoring and encoding every round on its
-own gives. Rows hold the package's value types (strings, tuples of
-strings, tuples of +-1 ints, a bool) and are compared by value;
-``from_jsonl`` rejects any other, and a record whose row cannot be
-hashed, such as one holding lists, raises ``TypeError`` when it is added.
+either table's rows, and its ``append`` adds the next round. Only
+hand-built logs and ``perfbench``'s traced split append: ``run_trials``,
+the referee and ``from_jsonl`` fill the table at once. Logs and reports
+are byte for byte what scoring and encoding every round on its own
+gives. Rows hold the package's value types (strings, tuples of strings,
+tuples of +-1 ints, a bool) and are compared by value; ``from_jsonl``
+rejects any other, and a record whose row cannot be hashed, such as one
+holding lists, raises ``TypeError`` when it is added.
 """
 
 from __future__ import annotations
@@ -106,13 +108,13 @@ class QuantumStrategy:
             )
         widths = [self.tape_width(game, party) for party in range(game.parties)]
         # per context: running totals of the outcome distribution, and the
-        # tapes dealt per outcome
+        # outcome values, whose tapes are built only when a session draws them
         totals: list[np.ndarray] = []
-        tables: list[list[Tapes]] = []
+        values: list[list[tuple[int, ...]]] = []
         for ctx in game.contexts:
             dist = quantum.joint_distribution(self.state, game.measured_observables(ctx))
             totals.append(np.cumsum(list(dist.values())))
-            tables.append([_outcome_tapes(ctx, v, widths) for v in dist])
+            values.append(list(dist))
 
         def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
             # the first outcome whose running total exceeds u, or the last
@@ -125,7 +127,7 @@ class QuantumStrategy:
             return outcomes
 
         def tapes(context: int, code: int) -> Tapes:
-            return tables[context][code]
+            return _outcome_tapes(game.contexts[context], values[context][code], widths)
 
         return Dealer(uniforms=1, bits=0, codes=codes, tapes=tapes)
 
@@ -200,27 +202,26 @@ class TrialRecord(NamedTuple):
 
 
 _ROUND_PREFIX = '{"type": "round", "round": '
-_ROW_FIELDS = {"context", "questions", "answers", "win"}
+_ROW_FIELDS = ("context", "questions", "answers", "win")
 
 
-def _row_of(rec: dict) -> Row:
-    """A decoded round's fields after the round number, as TrialRecord holds
-    them; raises ValueError naming a field whose values the package never
-    writes."""
-    context = rec["context"]
-    questions = tuple(rec["questions"])
-    answers = tuple(tuple(a) for a in rec["answers"])
-    win = rec["win"]
+def _row_of(k: int, rec: dict) -> Row:
+    """Round k's fields after the round number, as TrialRecord holds them;
+    raises ValueError naming the round and a field whose values the package
+    never writes."""
+    context, questions, answers, win = (rec[name] for name in _ROW_FIELDS)
     if type(context) is not str:
-        raise ValueError(f"round field 'context' must be a string, got {context!r}")
-    if any(type(q) is not str for q in questions):
-        raise ValueError(f"round field 'questions' must hold strings, got {rec['questions']!r}")
+        raise ValueError(f"round {k}: round field 'context' must be a string, got {context!r}")
+    if type(questions) is not list or any(type(q) is not str for q in questions):
+        raise ValueError(f"round {k}: round field 'questions' must list strings, got {questions!r}")
+    if type(answers) is not list or any(type(a) is not list for a in answers):
+        raise ValueError(f"round {k}: round field 'answers' must list lists, got {answers!r}")
     # true equals 1, so it is rejected by type
     if any(type(v) is not int or v not in (1, -1) for a in answers for v in a):
-        raise ValueError(f"round field 'answers' must hold +1 and -1, got {rec['answers']!r}")
+        raise ValueError(f"round {k}: round field 'answers' must hold +1 and -1, got {answers!r}")
     if type(win) is not bool:
-        raise ValueError(f"round field 'win' must be true or false, got {win!r}")
-    return context, questions, answers, win
+        raise ValueError(f"round {k}: round field 'win' must be true or false, got {win!r}")
+    return context, tuple(questions), tuple(tuple(a) for a in answers), win
 
 
 def _decode_line(k: int, line: str, tail: str | None) -> tuple[Row, str | None]:
@@ -229,21 +230,26 @@ def _decode_line(k: int, line: str, tail: str | None) -> tuple[Row, str | None]:
     ``tail`` is the line's text after ``_ROUND_PREFIX`` and k, when it
     starts with them; holding the row's fields and nothing else, it is
     decoded alone. Any other line is decoded whole by json.loads, must be
-    of type "round" and numbered k."""
+    an object of type "round" and numbered k."""
     if tail is not None:
         try:
             fields = json.loads("{" + tail)
         except json.JSONDecodeError:
             fields = {}
-        if fields.keys() == _ROW_FIELDS:
-            return _row_of(fields), tail
+        if fields.keys() == set(_ROW_FIELDS):
+            return _row_of(k, fields), tail
     rec = json.loads(line)
-    if rec["type"] != "round":
-        raise ValueError(f"expected a round record, got type {rec['type']!r}")
+    if type(rec) is not dict:
+        raise ValueError(f"round {k}: a round line must be an object, got {rec!r}")
+    if rec.get("type") != "round":
+        raise ValueError(f"round {k}: expected a round record, got type {rec.get('type')!r}")
+    missing = [name for name in ("round", *_ROW_FIELDS) if name not in rec]
+    if missing:
+        raise ValueError(f"round {k}: round field '{missing[0]}' is missing")
     # true equals 1, so it is rejected by type
     if type(rec["round"]) is not int or rec["round"] != k:
         raise ValueError(f"round {k} is numbered {rec['round']!r}; round r must be the r-th")
-    return _row_of(rec), None
+    return _row_of(k, rec), None
 
 
 class TrialRecords:
@@ -539,7 +545,8 @@ def presample(
     strategy's dealer draws that round's tapes: one uniform variate for a
     quantum outcome, fresh hidden bits for a hidden-variable model, nothing
     for a deterministic table. Each party then answers from its own
-    question and tape. Both referee modes consume this same plan.
+    question and tape. Both referee modes play this plan, from
+    ``_plan_session``'s distinct plans and index.
 
     All of it is drawn by one ``random_raw`` call and decoded in closed
     form: per round, the context uniform is word w as ``(w >> 11) *

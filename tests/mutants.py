@@ -142,6 +142,13 @@ MUTANTS = (
         ("tests/test_trials.py::test_from_jsonl_rejects_row_values_never_written",),
     ),
     Mutant(
+        "row-questions-may-be-a-string",
+        "trials.py",
+        "if type(questions) is not list or any(type(q) is not str for q in questions):",
+        "if any(type(q) is not str for q in questions):",
+        ("tests/test_trials.py::test_from_jsonl_raises_as_plain_decoder[questions-a-string]",),
+    ),
+    Mutant(
         "line-round-off-its-position",
         "trials.py",
         'if type(rec["round"]) is not int or rec["round"] != k:',
@@ -251,6 +258,23 @@ MUTANTS = (
         (
             "tests/test_netplay.py::"
             "test_an_answer_numbered_by_a_round_equal_to_an_int_names_the_party[true]",
+        ),
+    ),
+    Mutant(
+        "referee-logs-the-planned-row",
+        "netplay.py",
+        "if answers != plan.answers:",
+        "if False:",
+        ("tests/test_netplay.py::test_referee_scores_the_answers_sent",),
+    ),
+    Mutant(
+        "aborted-log-keeps-unplayed-rounds",
+        "netplay.py",
+        "log._fill(log.rows, index[:played])",
+        "log._fill(log.rows, index)",
+        (
+            "tests/test_netplay.py::test_an_aborted_session_keeps_exactly_the_rounds_played"
+            "[6-contrary]",
         ),
     ),
     Mutant(

@@ -727,6 +727,47 @@ def test_referee_scores_the_answers_sent():
     assert lost > 0
 
 
+@pytest.mark.parametrize("contrary", [False, True], ids=["faithful", "contrary"])
+@pytest.mark.parametrize("k", [0, 6])
+def test_an_aborted_session_keeps_exactly_the_rounds_played(monkeypatch, k, contrary):
+    # round 6 falls mid-window; party 1 leaves when round k's question comes
+    monkeypatch.setattr(netplay, "_WINDOW", 4)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    players = [build_party_strategy(game, strategy, party) for party in range(2)]
+    if contrary:
+        players[0] = Contrary(party=0, inner=players[0])
+        full = run_local_session(game, strategy, rounds=20, seed=8, player_specs=players)
+        planned = run_trials(game, strategy, rounds=20, seed=8).records
+        # the kept prefix holds the re-scored rows of its odd rounds
+        assert sum(sent != plan for sent, plan in zip(full.records[:k], planned)) == k // 2
+    else:
+        full = run_trials(game, strategy, rounds=20, seed=8)
+    address, thread, box = _serve_in_thread(game, strategy, 20, 8)
+    statuses = {}
+
+    def play():
+        statuses[0] = run_player(address, players[0])
+
+    threads = [
+        threading.Thread(target=play, daemon=True),
+        threading.Thread(
+            target=_hostile_player, args=(address, players[1], "close", k), daemon=True
+        ),
+    ]
+    for t in threads:
+        t.start()
+    thread.join(timeout=10)
+    for t in threads:
+        t.join(timeout=10)
+    log = box["log"]
+    assert not log.complete
+    assert log.abort_reason.startswith("party 1 disconnected")
+    assert len(log.records) == k
+    assert log.records == full.records[:k]
+    assert statuses == {0: 4}
+
+
 def test_bad_protocol_version_rejected():
     game = cabello_restricted()
     address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)

@@ -604,10 +604,25 @@ def _plain_records(text):
     records = []
     for k, line in enumerate([ln for ln in text.splitlines() if ln.strip()][1:]):
         rec = json.loads(line)
-        if rec["type"] != "round":
-            raise ValueError(f"expected a round record, got type {rec['type']!r}")
+        if not isinstance(rec, dict):
+            raise ValueError(f"round {k}: a round line must be an object, got {rec!r}")
+        if rec.get("type") != "round":
+            raise ValueError(f"round {k}: expected a round record, got type {rec.get('type')!r}")
+        for name in ("round", "context", "questions", "answers", "win"):
+            if name not in rec:
+                raise ValueError(f"round {k}: round field '{name}' is missing")
         if type(rec["round"]) is not int or rec["round"] != k:
             raise ValueError(f"round {k} is numbered {rec['round']!r}; round r must be the r-th")
+        if not isinstance(rec["questions"], list):
+            raise ValueError(
+                f"round {k}: round field 'questions' must list strings, got {rec['questions']!r}"
+            )
+        if not isinstance(rec["answers"], list) or not all(
+            isinstance(a, list) for a in rec["answers"]
+        ):
+            raise ValueError(
+                f"round {k}: round field 'answers' must list lists, got {rec['answers']!r}"
+            )
         records.append(
             TrialRecord(
                 round=rec["round"],
@@ -721,12 +736,16 @@ def test_a_round_off_its_position_is_rejected(line, bad_line):
         '{{"type": "round", "round": 5, "context": "a", "questions": [], "answers": []}}',
         '{{"type": "round", "round": 1, ',
         '["round"]',
+        "5",
+        '{{"type": "round", "round": 5, "context": "a", "questions": 5, "answers": [], "win": true}}',
+        '{{"type": "round", "round": 5, "context": "a", "questions": "x1", "answers": [], "win": true}}',
         '{{"type": "turn", "round": 6, {tail}',
         '{{"type": "round", "round": 7, "type": "turn", {tail}',
     ],
     ids=["leading-zero", "trailing-junk", "extra-brace", "answers-not-a-list", "no-round",
          "questions-not-a-list", "answer-not-a-list", "no-win", "cut-short",
-         "not-an-object", "another-type", "duplicate-type-key"],
+         "not-an-object", "bare-int", "questions-not-a-list-in-order", "questions-a-string",
+         "another-type", "duplicate-type-key"],
 )
 def test_from_jsonl_raises_as_plain_decoder(bad_line):
     game = cabello_restricted()
@@ -739,6 +758,9 @@ def test_from_jsonl_raises_as_plain_decoder(bad_line):
     with pytest.raises(type(expected.value)) as got:
         TrialLog.from_jsonl(text)
     assert str(got.value) == str(expected.value)
+    # a line that decodes names its position; one that does not is json's error
+    if not isinstance(got.value, json.JSONDecodeError):
+        assert type(got.value) is ValueError and str(got.value).startswith("round 5")
 
 
 @pytest.mark.parametrize(
