@@ -201,10 +201,12 @@ class GameValueResult:
 
 @dataclass(frozen=True)
 class MaxSatResult:
-    """Best count of simultaneously satisfiable parity constraints."""
+    """Best count of simultaneously satisfiable parity constraints, how
+    many assignments reach it, and a capped sample of them."""
 
     max_satisfied: int
     witnesses: tuple[dict[SiteObservable, int], ...]
+    count: int
 
 
 # ---------------------------------------------------------------------------
@@ -273,30 +275,49 @@ def model_distribution(
     Keys are the flattened answers in the same order as
     ``game.measured_observables(context)``, so the result is directly
     comparable with ``quantum.joint_distribution``. A deterministic
-    strategy has no hidden bits, so it gives a point mass.
+    strategy has no hidden bits, so it gives a point mass. The model is
+    checked against the game first (``model.check``), on every call.
     """
     model.check(game)
-    weight = Fraction(1, 2**model.hidden_bits)
-    dist: dict[tuple[int, ...], Fraction] = {}
+    draws = 2**model.hidden_bits
+    return {key: Fraction(n, draws) for key, n in _answer_counts(model, context).items()}
+
+
+def _answer_counts(model: LocalModel, context: Context) -> dict[tuple[int, ...], int]:
+    """How many of the model's ``2**hidden_bits`` hidden-bit draws give each
+    flattened answer in one context, keys in order of first occurrence.
+    The model must already have been checked against the game."""
+    counts: dict[tuple[int, ...], int] = {}
     for bits in itertools.product((+1, -1), repeat=model.hidden_bits):
         key = tuple(
             v
             for party, q in enumerate(context.questions)
             for v in model.respond(party, q, bits)
         )
-        dist[key] = dist.get(key, Fraction(0)) + weight
-    return dist
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
-    """Exact winning probability of a strategy under the referee weights."""
-    total = Fraction(0)
+    """Exact winning probability of a strategy under the referee weights.
+
+    The strategy is checked against the game once (``strategy.check``,
+    which raises ``ValueError`` for a partial strategy or a wrong answer
+    arity); then each context's answer counts are scored unchecked, summed
+    in integers over the weights' common denominator.
+    """
+    strategy.check(game)
+    denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
+    won = 0
     for ctx in game.contexts:
         observables = game.measured_observables(ctx)
-        for values, p in model_distribution(strategy, game, ctx).items():
-            if predicate_eval(ctx.predicate, dict(zip(observables, values))):
-                total += ctx.weight * p
-    return total
+        draws = sum(
+            n
+            for values, n in _answer_counts(strategy, ctx).items()
+            if predicate_eval(ctx.predicate, dict(zip(observables, values)))
+        )
+        won += draws * ctx.weight.numerator * (denominator // ctx.weight.denominator)
+    return Fraction(won, denominator << strategy.hidden_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +355,7 @@ class _Search:
     base: int
     groups: tuple[_Group, ...]
 
-    @property
+    @functools.cached_property
     def dtype(self) -> np.dtype:
         """The smallest unsigned type holding every score."""
         return np.min_scalar_type(
@@ -362,9 +383,9 @@ def _answer_scores(
 
 def _best_in(
     search: _Search, lo: int, hi: int, limit: int | None
-) -> tuple[int, list[int]]:
-    """Best score over outer indices [lo, hi) and at most ``limit`` of the
-    indices reaching it, in index order."""
+) -> tuple[int, int, list[int]]:
+    """Best score over outer indices [lo, hi), how many indices reach it,
+    and at most ``limit`` of them, in index order."""
     idx = np.arange(lo, hi, dtype=np.int64)
     dtype = search.dtype
     score = np.full(idx.shape, search.base, dtype=dtype)
@@ -372,7 +393,8 @@ def _best_in(
         outer = [np.bitwise_count(idx & p.outer_mask) & 1 for p in group.parities]
         score += functools.reduce(np.maximum, _answer_scores(group, outer, dtype))
     best = int(score.max())
-    return best, (np.flatnonzero(score == best)[:limit] + lo).tolist()
+    reached = np.flatnonzero(score == best)
+    return best, reached.size, (reached[:limit] + lo).tolist()
 
 
 def _spread(local: int, positions: Sequence[int]) -> int:
@@ -421,9 +443,10 @@ def _smallest_sums(a: list[int], b: list[int], limit: int | None) -> list[int]:
 
 def _run_search(
     search: _Search, limit: int | None, budget: int | None = None
-) -> tuple[int, list[int], int]:
+) -> tuple[int, list[int], int, int]:
     """Best score, the first ``limit`` outer indices reaching it (``None``
-    keeps all) and how many outer indices were scanned.
+    keeps all), how many outer indices were scanned, and how many reach
+    the best score.
 
     Each component is scanned in this process over its own outer bits only,
     in ``_CHUNK``-index chunks that bound memory; its best is the top chunk
@@ -431,7 +454,9 @@ def _run_search(
     indices reaching it are every sum of one optimal pattern per component
     and any values of the outer bits no parity touches; the bits are
     disjoint, so merging the components one at a time and keeping the
-    ``limit`` smallest sums after each merge is exact. Raises
+    ``limit`` smallest sums after each merge is exact. Their count is the
+    product of the components' counts of optimal local indices, times 2
+    per outer bit no parity touches. Raises
     ``BudgetExceededError`` before any scan if the components need more
     than ``budget`` (outer indices x parities) evaluations in all.
     """
@@ -444,23 +469,26 @@ def _run_search(
     )
     if budget is not None and required > budget:
         raise BudgetExceededError(required, budget)
-    best, winners, touched = search.base, [0], set()
+    best, winners, count, touched = search.base, [0], 1, set()
     for positions, part in components:
         size = 1 << part.outer_bits
         found = [
             _best_in(part, lo, min(lo + _CHUNK, size), limit) for lo in range(0, size, _CHUNK)
         ]
-        top = max(chunk_best for chunk_best, _ in found)
-        local = [i for chunk_best, idx in found if chunk_best == top for i in idx][:limit]
+        top = max(chunk_best for chunk_best, _, _ in found)
+        local = [i for chunk_best, _, idx in found if chunk_best == top for i in idx][:limit]
         best += top
+        count *= sum(reached for chunk_best, reached, _ in found if chunk_best == top)
         winners = _smallest_sums(winners, [_spread(i, positions) for i in local], limit)
         touched.update(positions)
-    for bit in sorted(set(range(search.outer_bits)) - touched):
+    untouched = sorted(set(range(search.outer_bits)) - touched)
+    for bit in untouched:
         winners = _smallest_sums(winners, [0, 1 << bit], limit)
-    return best, winners, sum(1 << part.outer_bits for _, part in components)
+    examined = sum(1 << part.outer_bits for _, part in components)
+    return best, winners, examined, count << len(untouched)
 
 
-def _best_answers(search: _Search, indices: list[int]) -> list[np.ndarray]:
+def _best_answers(search: _Search, indices: list[int]) -> list[list[int]]:
     """Per group, at each of the outer ``indices`` (Python ints of any
     size), the first choice of its free bits that scores best."""
     picks = []
@@ -469,7 +497,8 @@ def _best_answers(search: _Search, indices: list[int]) -> list[np.ndarray]:
             np.array([(i & p.outer_mask).bit_count() & 1 for i in indices], dtype=np.int64)
             for p in group.parities
         ]
-        picks.append(np.stack(list(_answer_scores(group, outer, search.dtype))).argmax(axis=0))
+        scores = np.stack(list(_answer_scores(group, outer, search.dtype)))
+        picks.append(scores.argmax(axis=0).tolist())
     return picks
 
 
@@ -489,18 +518,22 @@ def classical_value(
 
     Every answer slot of every party except the responder (the party with
     the most answer slots) is one outer bit; the last question of the last
-    party takes the lowest bits and each question's first slot is its
-    highest bit, so outer indices count through the strategies in the
-    order of their answer spaces. Each responder question is a group whose
-    free bits are chosen per outer index, which is exact because no
-    context asks the responder two questions. Groups whose parities share
-    no outer bit are scanned apart, each component over its own outer bits
-    only, so ``strategies_examined`` is the sum over components of
-    2**(component outer bits); witnesses are still the first
-    ``max_witnesses`` optimal strategies in outer index order, and indices
-    are exact at any size. ``workers`` is accepted and unused: every scan
-    runs in this process. The keyword stays only because the benchmark
-    harness (``perfbench/worker.py``) still passes it.
+    party takes the lowest bits, and each question's slots are consecutive
+    bits with its first slot the highest, so outer indices count through
+    the strategies in the order of their answer spaces. Each responder
+    question is a group whose free bits are chosen per outer index, which
+    is exact because no context asks the responder two questions. Groups
+    whose parities share no outer bit are scanned apart, each component
+    over its own outer bits only, so ``strategies_examined`` is the sum
+    over components of 2**(component outer bits); witnesses are still the
+    first ``max_witnesses`` optimal strategies in outer index order, and
+    indices are exact at any size. In a witness, a question of arity a
+    whose lowest bit is ``low`` answers ``(index >> low) & (2**a - 1)``
+    read from its top bit down, a set bit being -1; a responder question
+    answers its group's first best choice of free bits at that index, or
+    all +1 when no context asks it. ``workers`` is accepted and unused:
+    every scan runs in this process. The keyword stays only because the
+    benchmark harness (``perfbench/worker.py``) still passes it.
 
     Raises ``BudgetExceededError`` up front, before any scan, if the
     components would need more than ``budget`` evaluations in all: the sum
@@ -510,16 +543,14 @@ def classical_value(
         range(game.parties),
         key=lambda p: (sum(q.answer_arity for q in game.question_sets[p]), p),
     )
-    # (party, question id) -> bit of each answer slot: outer bits for the
+    # (party, question id) -> the lowest bit of the question's slots, which
+    # run from low + arity - 1 (slot 0) down to low: outer bits for the
     # enumerated parties, free bits of its group for the responder
-    slots: dict[tuple[int, str], list[int]] = {}
+    lowest: dict[tuple[int, str], int] = {}
     outer_bits = 0
     for party in reversed(range(game.parties)):
         for q in reversed(game.question_sets[party]):
-            first = 0 if party == responder else outer_bits
-            slots[party, q.id] = [
-                first + q.answer_arity - 1 - slot for slot in range(q.answer_arity)
-            ]
+            lowest[party, q.id] = 0 if party == responder else outer_bits
             if party != responder:
                 outer_bits += q.answer_arity
     denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
@@ -532,13 +563,14 @@ def classical_value(
             continue
         outer = free = 0
         for party, q in enumerate(ctx.questions):
+            top = lowest[party, q.id] + q.answer_arity - 1
             for slot, obs in enumerate(q.measured):
                 if obs not in ctx.predicate.vars:
                     continue
                 if party == responder:
-                    free |= 1 << slots[party, q.id][slot]
+                    free |= 1 << (top - slot)
                 else:
-                    outer |= 1 << slots[party, q.id][slot]
+                    outer |= 1 << (top - slot)
         grouped.setdefault(ctx.questions[responder].id, []).append(
             _Parity(weight, _target(ctx.predicate.sign), outer, free)
         )
@@ -550,28 +582,36 @@ def classical_value(
             for qid, parities in grouped.items()
         ),
     )
-    best, winners, examined = _run_search(search, max_witnesses, budget)
+    best, winners, examined, _ = _run_search(search, max_witnesses, budget)
 
     picks = dict(zip(grouped, _best_answers(search, winners)))
-    strategies = []
-    for n, index in enumerate(winners):
-        chosen = {qid: int(pick[n]) for qid, pick in picks.items()}
-        answers = tuple(
-            {
-                q.id: _answer(
-                    chosen.get(q.id, 0) if party == responder else index,
-                    slots[party, q.id],
-                )
-                for q in questions
-            }
-            for party, questions in enumerate(game.question_sets)
+    unasked = [0] * len(winners)
+    # per party, each question's id, arity and answer bits at every witness
+    columns: list[list[tuple[str, int, list[int]]]] = []
+    for party, questions in enumerate(game.question_sets):
+        columns.append([])
+        for q in questions:
+            if party == responder:
+                bits = picks.get(q.id, unasked)
+            else:
+                low, mask = lowest[party, q.id], (1 << q.answer_arity) - 1
+                bits = [(index >> low) & mask for index in winners]
+            columns[party].append((q.id, q.answer_arity, bits))
+    # the +-1 answer of each (arity, answer bits), built once per call
+    answer = functools.cache(lambda arity, bits: _answer(bits, range(arity - 1, -1, -1)))
+    strategies = tuple(
+        DeterministicStrategy(
+            name=f"best-classical[{index}]",
+            answers=tuple(
+                {qid: answer(arity, bits[n]) for qid, arity, bits in questions}
+                for questions in columns
+            ),
         )
-        strategies.append(
-            DeterministicStrategy(name=f"best-classical[{index}]", answers=answers)
-        )
+        for n, index in enumerate(winners)
+    )
     return GameValueResult(
         value=Fraction(best, denominator),
-        optimal_strategies=tuple(strategies),
+        optimal_strategies=strategies,
         strategies_examined=examined,
     )
 
@@ -581,10 +621,11 @@ _MAXSAT_VAR_LIMIT = 20
 
 def _best_assignment(
     weighted: Sequence[tuple[int, ParityConstraint]], base: int, limit: int | None
-) -> tuple[int, list[SiteObservable], list[int]]:
+) -> tuple[int, list[SiteObservable], list[int], int]:
     """Best ``base`` plus weight of the constraints one +-1 assignment
-    satisfies, the sorted variables, and at most ``limit`` maximizing
-    assignments as bit patterns (bit i set means variable i is -1)."""
+    satisfies, the sorted variables, at most ``limit`` maximizing
+    assignments as bit patterns (bit i set means variable i is -1), and
+    how many assignments maximize."""
     variables = sorted({v for _, c in weighted for v in c.vars})
     if len(variables) > _MAXSAT_VAR_LIMIT:
         raise BudgetExceededError(2 ** len(variables), 2**_MAXSAT_VAR_LIMIT)
@@ -594,8 +635,8 @@ def _best_assignment(
     )
     # one group per constraint: no bits are free, and no constraint's bits are held
     groups = tuple(_Group(0, (p,)) for p in parities)
-    best, winners, _ = _run_search(_Search(len(variables), base, groups), limit)
-    return best, variables, winners
+    best, winners, _, count = _run_search(_Search(len(variables), base, groups), limit)
+    return best, variables, winners, count
 
 
 def noncontextual_value(game: NonlocalGame) -> Fraction:
@@ -610,7 +651,7 @@ def noncontextual_value(game: NonlocalGame) -> Fraction:
     weights = [(int(c.weight * denominator), c.predicate) for c in game.contexts]
     always = sum(w for w, predicate in weights if predicate is ALWAYS_WIN)
     tested = [(w, predicate) for w, predicate in weights if predicate is not ALWAYS_WIN]
-    best, _, _ = _best_assignment(tested, always, limit=0)
+    best, _, _, _ = _best_assignment(tested, always, limit=0)
     return Fraction(best, denominator)
 
 
@@ -624,15 +665,24 @@ def noncontextual_maxsat(
     A single value is assigned to every outcome variable and reused across
     all constraints; this is the noncontextual ("preassigned values")
     model a local realist would need. Brute forces all 2^v assignments,
-    v <= 20. ``max_witnesses=None`` returns every maximizing assignment.
+    v <= 20. ``count`` is how many assignments maximize, counted without
+    building them; ``witnesses`` are the first ``max_witnesses`` of them
+    (``None`` returns every one), in the order of their bit patterns (bit
+    i set means the i-th variable in sorted order is -1).
     """
     constraints = list(constraints)
     if not constraints:
         raise ValueError("need at least one constraint")
-    best, variables, winners = _best_assignment(
+    best, variables, winners, count = _best_assignment(
         [(1, c) for c in constraints], 0, max_witnesses
     )
-    witnesses = tuple(
-        dict(zip(variables, _answer(bits, range(len(variables))))) for bits in winners
-    )
-    return MaxSatResult(max_satisfied=best, witnesses=witnesses)
+    all_plus = dict.fromkeys(variables, +1)
+    witnesses = []
+    for bits in winners:
+        witness = all_plus.copy()
+        while bits:
+            top = bits.bit_length() - 1
+            witness[variables[top]] = -1
+            bits ^= 1 << top
+        witnesses.append(witness)
+    return MaxSatResult(max_satisfied=best, witnesses=tuple(witnesses), count=count)

@@ -132,9 +132,9 @@ def _cmd_maxsat(args: argparse.Namespace) -> int:
             raise CliError(EXIT_USAGE, "need an equation-set name or --file")
         # argparse's choices have already rejected an unknown set name
         constraints = list(EQUATION_SETS[args.set]())
-    result = classical.noncontextual_maxsat(constraints)
+    result = classical.noncontextual_maxsat(constraints, max_witnesses=1)
     print(f"{result.max_satisfied}/{len(constraints)} satisfied")
-    print(f"maximizing assignments: {len(result.witnesses)}")
+    print(f"maximizing assignments: {result.count}")
     if result.witnesses:
         first = result.witnesses[0]
         text = " ".join(f"{var}={value:+d}" for var, value in sorted(first.items()))

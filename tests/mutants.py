@@ -73,16 +73,40 @@ MUTANTS = (
     Mutant(
         "untouched-bits-not-merged",
         "classical.py",
-        "for bit in sorted(set(range(search.outer_bits)) - touched):",
+        "for bit in untouched:",
         "for bit in []:",
         ("tests/test_classical.py::test_an_outer_question_no_context_asks_takes_either_answer",),
     ),
     Mutant(
         "lower-chunk-bests-kept",
         "classical.py",
-        "for chunk_best, idx in found if chunk_best == top for i in idx",
-        "for chunk_best, idx in found for i in idx",
+        "for chunk_best, _, idx in found if chunk_best == top for i in idx",
+        "for chunk_best, _, idx in found for i in idx",
         ("tests/test_classical.py::test_chunk_boundaries_do_not_change_results",),
+    ),
+    Mutant(
+        "untouched-bits-not-counted",
+        "classical.py",
+        "return best, winners, examined, count << len(untouched)",
+        "return best, winners, examined, count",
+        ("tests/test_classical.py::test_search_counts_every_optimal_index",),
+    ),
+    Mutant(
+        "witness-answer-shifted-one-bit",
+        "classical.py",
+        "bits = [(index >> low) & mask for index in winners]",
+        "bits = [(index >> (low + 1)) & mask for index in winners]",
+        ("tests/test_classical.py::test_witnesses_of_a_fixed_game_match_the_reference",),
+    ),
+    Mutant(
+        "win-probability-unchecked",
+        "classical.py",
+        "    strategy.check(game)\n",
+        "",
+        (
+            "tests/test_classical.py::test_partial_strategy_rejected",
+            "tests/test_classical.py::test_wrong_arity_rejected",
+        ),
     ),
     # games, quantum layer and trials
     Mutant(

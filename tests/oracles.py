@@ -111,21 +111,71 @@ def strategy_value(game, answers) -> Fraction:
     ``answers[party][question_id]`` is the party's answer tuple. Each
     context is scored as a plain parity product of the answers.
     """
-    value = Fraction(0)
-    for ctx in game.contexts:
-        outcomes = {}
-        for party, question in enumerate(ctx.questions):
-            for obs, v in zip(question.measured, answers[party][question.id]):
-                outcomes[(obs.kind.value, obs.qubit)] = v
-        if ctx.predicate is None:
-            value += ctx.weight
-            continue
-        prod = 1
-        for var in ctx.predicate.vars:
-            prod *= outcomes[(var.kind.value, var.qubit)]
-        if prod == ctx.predicate.sign:
-            value += ctx.weight
-    return value
+    return sum((ctx.weight for ctx in game.contexts if _wins(ctx, answers)), Fraction(0))
+
+
+def _wins(ctx, answers) -> bool:
+    """Whether the answers win one context, as a plain parity product."""
+    if ctx.predicate is None:
+        return True
+    outcomes = {}
+    for party, question in enumerate(ctx.questions):
+        for obs, v in zip(question.measured, answers[party][question.id]):
+            outcomes[(obs.kind.value, obs.qubit)] = v
+    prod = 1
+    for var in ctx.predicate.vars:
+        prod *= outcomes[(var.kind.value, var.qubit)]
+    return prod == ctx.predicate.sign
+
+
+def solver_witnesses(game):
+    """(classical value, every optimal strategy as (name, answers)) in the
+    order and form the solver reports its witnesses, built slot by slot.
+
+    The responder is the party with the most answer slots, the later party
+    on a tie. The other parties' answers are enumerated jointly, each
+    answer +1 before -1; the index of a joint answer reads every slot as
+    one bit (-1 a set bit), the first party's first question's first slot
+    the most significant, so enumeration runs in index order. At each index
+    the responder answers each of its questions with the first answer in
+    the same order that wins the most weight among the contexts asking it,
+    so a question no context asks is answered all +1. Names are
+    ``best-classical[index]``; ``answers`` is one dict per party in
+    question order.
+    """
+    slots = [sum(len(q.measured) for q in qs) for qs in game.question_sets]
+    responder = max(range(game.parties), key=lambda p: (slots[p], p))
+    outer = [
+        (party, q)
+        for party, qs in enumerate(game.question_sets)
+        if party != responder
+        for q in qs
+    ]
+    spaces = [itertools.product((+1, -1), repeat=len(q.measured)) for _, q in outer]
+    scored = []
+    for joint in itertools.product(*spaces):
+        index = 0
+        for answer in joint:
+            for v in answer:
+                index = 2 * index + (v == -1)
+        answers = [{} for _ in range(game.parties)]
+        for (party, q), answer in zip(outer, joint):
+            answers[party][q.id] = answer
+        for q in game.question_sets[responder]:
+            asking = [ctx for ctx in game.contexts if ctx.questions[responder] == q]
+            won = {}
+            for answer in itertools.product((+1, -1), repeat=len(q.measured)):
+                answers[responder][q.id] = answer
+                won[answer] = sum(ctx.weight for ctx in asking if _wins(ctx, answers))
+            top = max(won.values())
+            answers[responder][q.id] = next(a for a, w in won.items() if w == top)
+        ordered = tuple(
+            {q.id: answers[party][q.id] for q in qs}
+            for party, qs in enumerate(game.question_sets)
+        )
+        scored.append((strategy_value(game, ordered), index, ordered))
+    value = max(v for v, _, _ in scored)
+    return value, [(f"best-classical[{i}]", a) for v, i, a in scored if v == value]
 
 
 #: the fourteen parity equalities as plain data, transcribed separately

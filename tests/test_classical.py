@@ -20,7 +20,7 @@ from nonlocalgames.classical import (
     noncontextual_value,
     win_probability,
 )
-from nonlocalgames.classical import _smallest_sums
+from nonlocalgames.classical import _Group, _Parity, _run_search, _Search, _smallest_sums
 from nonlocalgames.games import (
     ALWAYS_WIN,
     GAME_BUILDERS,
@@ -40,7 +40,13 @@ from nonlocalgames.games import (
 )
 from nonlocalgames.quantum import SiteObservable, site
 
-from oracles import FOURTEEN, enumerate_game_value, python_maxsat, strategy_value
+from oracles import (
+    FOURTEEN,
+    enumerate_game_value,
+    python_maxsat,
+    solver_witnesses,
+    strategy_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +278,12 @@ def test_maxsat_matches_python_oracle(data):
         )
         plain.append((tuple(vars_), sign))
     result = noncontextual_maxsat(constraints)
-    oracle_best, _ = python_maxsat(plain)
+    oracle_best, oracle_witnesses = python_maxsat(plain)
     assert result.max_satisfied == oracle_best
+    # every maximizing assignment is counted, however many are built
+    assert result.count == len(result.witnesses) == len(oracle_witnesses)
+    capped = noncontextual_maxsat(constraints, max_witnesses=1)
+    assert (capped.count, capped.witnesses) == (result.count, result.witnesses[:1])
 
 
 def test_maxsat_adding_a_constraint_changes_max_by_at_most_one():
@@ -427,6 +437,120 @@ def test_an_outer_question_no_context_asks_takes_either_answer():
     assert [s.name for s in result.optimal_strategies] == [
         f"best-classical[{i}]" for i in range(4)
     ]
+
+
+def _unasked_game(contexts: list[tuple[int, int, int, int, int | None]]) -> NonlocalGame:
+    """Party 0 has questions of 3, 2 and 1 slots, the last asked by no
+    context; party 1, the responder (6 slots each, the later party wins a
+    tie), has questions of 1, 2, 2 and 1 slots, the last asked by no
+    context. Each of ``contexts`` is (weight, party 0 question, party 1
+    question, mask of the pair's measured observables its parity takes,
+    sign, or None for an always-win context)."""
+    outer = (
+        make_question((1, 2, 3), "x1 x2 x3"),
+        make_question((1, 2, 3), "z1 y3"),
+        make_question((1, 2, 3), "z2"),
+    )
+    held = (
+        make_question((4, 5), "x4"),
+        make_question((4, 5), "z4 z5"),
+        make_question((4, 5), "x4 y5"),
+        make_question((4, 5), "y4"),
+    )
+    total = sum(weight for weight, *_ in contexts)
+    built = []
+    for n, (weight, a, b, mask, sign) in enumerate(contexts):
+        measured = outer[a].measured + held[b].measured
+        predicate = ALWAYS_WIN if sign is None else ParityConstraint(
+            frozenset(obs for k, obs in enumerate(measured) if mask >> k & 1), sign
+        )
+        built.append(Context(f"c{n}", (outer[a], held[b]), predicate, Fraction(weight, total)))
+    return NonlocalGame(
+        name="unasked",
+        parties=2,
+        qubit_ownership=((1, 0), (2, 0), (3, 0), (4, 1), (5, 1)),
+        question_sets=(outer, held),
+        contexts=tuple(built),
+    )
+
+
+def _assert_witnesses_match_the_reference(game: NonlocalGame) -> None:
+    value, witnesses = solver_witnesses(game)
+    for limit in (0, 1, 16):
+        result = classical_value(game, max_witnesses=limit)
+        assert result.value == value
+        assert [(s.name, s.answers) for s in result.optimal_strategies] == witnesses[:limit]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_witnesses_match_a_slot_by_slot_reference(data):
+    contexts = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        a, b = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))
+        width = (3, 2)[a] + (1, 2, 2)[b]
+        contexts.append((
+            data.draw(st.integers(1, 3)),
+            a,
+            b,
+            data.draw(st.integers(1, (1 << width) - 1)),
+            data.draw(st.sampled_from((-1, +1, None))),
+        ))
+    _assert_witnesses_match_the_reference(_unasked_game(contexts))
+
+
+def test_witnesses_of_a_fixed_game_match_the_reference():
+    # c3 and c4 contradict, so no strategy wins all; many outer indices
+    # tie, and some responder answers are not all +1
+    game = _unasked_game([
+        (2, 0, 1, 0b10110, -1),
+        (1, 1, 2, 0b1011, +1),
+        (1, 0, 0, 0b1001, -1),
+        (1, 1, 1, 0b1111, -1),
+        (1, 1, 1, 0b1111, +1),
+        (1, 0, 2, 0b11111, None),
+    ])
+    value, witnesses = solver_witnesses(game)
+    assert value == Fraction(6, 7) and len(witnesses) > 16
+    _assert_witnesses_match_the_reference(game)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_search_counts_every_optimal_index(data):
+    # random groups over a few outer bits, some of which no parity touches
+    outer_bits = data.draw(st.integers(0, 6))
+    groups = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        free_bits = data.draw(st.integers(0, 2))
+        groups.append(_Group(free_bits, tuple(
+            _Parity(
+                data.draw(st.integers(1, 3)),
+                data.draw(st.integers(0, 1)),
+                data.draw(st.integers(0, (1 << outer_bits) - 1)),
+                data.draw(st.integers(0, (1 << free_bits) - 1)),
+            )
+            for _ in range(data.draw(st.integers(1, 3)))
+        )))
+    search = _Search(outer_bits, data.draw(st.integers(0, 2)), tuple(groups))
+
+    def score(index: int) -> int:
+        return search.base + sum(
+            max(
+                sum(p.weight for p in g.parities
+                    if ((index & p.outer_mask).bit_count() + (free & p.free_mask).bit_count())
+                    % 2 == p.target)
+                for free in range(1 << g.free_bits)
+            )
+            for g in search.groups
+        )
+
+    scores = [score(i) for i in range(1 << outer_bits)]
+    optimal = [i for i, s in enumerate(scores) if s == max(scores)]
+    best, winners, _, count = _run_search(search, None)
+    assert (best, winners, count) == (max(scores), optimal, len(optimal))
+    best, winners, _, count = _run_search(search, 1)
+    assert (best, winners, count) == (max(scores), optimal[:1], len(optimal))
 
 
 def _solves(game: NonlocalGame) -> list:

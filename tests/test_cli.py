@@ -95,6 +95,16 @@ def test_maxsat_from_file(tmp_path, capsys):
     assert out.startswith("1/2 satisfied")
 
 
+def test_maxsat_counts_without_building_every_witness(tmp_path, capsys):
+    # one parity over 20 variables: half of the 2**20 assignments satisfy it
+    path = tmp_path / "twenty.txt"
+    path.write_text("+1 " + " ".join(f"x{q}" for q in range(1, 21)) + "\n")
+    code, out, _ = run_cli(capsys, "maxsat", "--file", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == ["1/1 satisfied", "maximizing assignments: 524288"]
+    assert out.splitlines()[2].startswith("first witness: x1=+1 x2=+1")
+
+
 def test_maxsat_needs_a_set(capsys):
     code, _, err = run_cli(capsys, "maxsat")
     assert code == 2
