@@ -267,6 +267,15 @@ def automaton_model() -> DeterministicStrategy:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_weights(game: NonlocalGame) -> tuple[int, list[int]]:
+    """The common denominator of the context weights, and each context's
+    weight as an integer over it."""
+    denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
+    return denominator, [
+        ctx.weight.numerator * (denominator // ctx.weight.denominator) for ctx in game.contexts
+    ]
+
+
 def model_distribution(
     model: LocalModel, game: NonlocalGame, context: Context
 ) -> dict[tuple[int, ...], Fraction]:
@@ -307,16 +316,16 @@ def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
     in integers over the weights' common denominator.
     """
     strategy.check(game)
-    denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
+    denominator, weights = _scaled_weights(game)
     won = 0
-    for ctx in game.contexts:
+    for ctx, weight in zip(game.contexts, weights):
         observables = game.measured_observables(ctx)
         draws = sum(
             n
             for values, n in _answer_counts(strategy, ctx).items()
             if predicate_eval(ctx.predicate, dict(zip(observables, values)))
         )
-        won += draws * ctx.weight.numerator * (denominator // ctx.weight.denominator)
+        won += draws * weight
     return Fraction(won, denominator << strategy.hidden_bits)
 
 
@@ -553,11 +562,10 @@ def classical_value(
             lowest[party, q.id] = 0 if party == responder else outer_bits
             if party != responder:
                 outer_bits += q.answer_arity
-    denominator = lcm(*(ctx.weight.denominator for ctx in game.contexts))
+    denominator, weights = _scaled_weights(game)
     base = 0
     grouped: dict[str, list[_Parity]] = {}
-    for ctx in game.contexts:
-        weight = int(ctx.weight * denominator)
+    for ctx, weight in zip(game.contexts, weights):
         if ctx.predicate is ALWAYS_WIN:
             base += weight
             continue
@@ -647,8 +655,8 @@ def noncontextual_value(game: NonlocalGame) -> Fraction:
     uniformly weighted games this equals (always_win + max_satisfied) /
     context count.
     """
-    denominator = lcm(*(c.weight.denominator for c in game.contexts))
-    weights = [(int(c.weight * denominator), c.predicate) for c in game.contexts]
+    denominator, scaled = _scaled_weights(game)
+    weights = [(w, c.predicate) for w, c in zip(scaled, game.contexts)]
     always = sum(w for w, predicate in weights if predicate is ALWAYS_WIN)
     tested = [(w, predicate) for w, predicate in weights if predicate is not ALWAYS_WIN]
     best, _, _, _ = _best_assignment(tested, always, limit=0)
@@ -677,12 +685,14 @@ def noncontextual_maxsat(
         [(1, c) for c in constraints], 0, max_witnesses
     )
     all_plus = dict.fromkeys(variables, +1)
+    # each variable's -1 entry, hashed once for every witness
+    minus = [{v: -1} for v in variables]
     witnesses = []
     for bits in winners:
         witness = all_plus.copy()
         while bits:
             top = bits.bit_length() - 1
-            witness[variables[top]] = -1
+            witness.update(minus[top])
             bits ^= 1 << top
         witnesses.append(witness)
     return MaxSatResult(max_satisfied=best, witnesses=tuple(witnesses), count=count)
