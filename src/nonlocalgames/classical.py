@@ -25,7 +25,6 @@ one huge one.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -445,9 +444,18 @@ def _components(search: _Search) -> list[tuple[tuple[int, ...], _Search]]:
 
 def _smallest_sums(a: list[int], b: list[int], limit: int | None) -> list[int]:
     """The ``limit`` smallest sums x + y, x from ``a`` and y from ``b``
-    (both ascending), in ascending order; ``None`` keeps every sum."""
-    sums = heapq.merge(*(map(x.__add__, b) for x in a[:limit]))
-    return list(itertools.islice(sums, limit))
+    (both ascending), in ascending order; ``None`` keeps every sum.
+
+    ``a[i] + b[j]`` is no smaller than the (i + 1)(j + 1) sums
+    ``a[k] + b[m]`` with k <= i and m <= j, so no pair with (i + 1)(j + 1)
+    > ``limit`` is needed, and at most limit x (1 + ln limit) sums are
+    sorted.
+    """
+    if limit is None:
+        return sorted(x + y for x in a for y in b)
+    return sorted(
+        a[i] + b[j] for i in range(min(len(a), limit)) for j in range(min(len(b), limit // (i + 1)))
+    )[:limit]
 
 
 def _run_search(

@@ -56,10 +56,10 @@ MUTANTS = (
         ("tests/test_classical.py::test_classical_value_four_party",),
     ),
     Mutant(
-        "chain-for-the-sum-merge",
+        "sum-pairs-cut-too-soon",
         "classical.py",
-        "sums = heapq.merge(*(map(x.__add__, b) for x in a[:limit]))",
-        "sums = itertools.chain(*(map(x.__add__, b) for x in a[:limit]))",
+        "for j in range(min(len(b), limit // (i + 1)))",
+        "for j in range(min(len(b), limit // (i + 2)))",
         ("tests/test_classical.py::test_smallest_sums_merge_matches_brute_force",),
     ),
     Mutant(
