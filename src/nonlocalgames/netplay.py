@@ -35,38 +35,49 @@ last one can end in base64 padding; the player joins them and hands the
 tape to its strategy once, before its first question. A tape that fits
 is dealt in one line.
 
-The referee plays in windows of ``_WINDOW`` rounds. For each window it
-sends every party all of its questions at once, then reads the answers
-round by round, party by party. A player answers every question it has
-received, and sends those answers in one write just before it would
-wait for more input. Messages, their bytes and their order on each
-connection are those of a lock-step session, so a player that sends
-each answer as soon as it has it plays just as well. Seeing its own
-questions up to ``_WINDOW - 1`` rounds early tells a party nothing about
-another party's question in the current round: each round's context is
-drawn independently of every other round's, and the shared randomness
-was dealt before round 1 whatever the window. One window of answers
-(about 47 bytes each for the lambda-mu model, 3 KiB in all) fits the
-smallest TCP receive buffer (4 KiB), so a referee still writing a window
-cannot deadlock against a player sending its answers.
+The referee plays in windows of up to ``_WINDOW`` rounds. For each
+window it sends every party all of its questions at once, then reads the
+answers round by round, party by party. A player answers every question
+it has received, and sends those answers in one write just before it
+would wait for more input. Messages, their bytes and their order on each
+connection are those of a lock-step session, so a player that sends each
+answer as soon as it has it plays just as well. Seeing its own questions
+up to a window early tells a party nothing about another party's question
+in the current round: each round's context is drawn independently of
+every other round's, and the shared randomness was dealt before round 1
+whatever the window. A player blocked writing its answers while the
+referee is blocked writing its questions would deadlock the two, so one
+window of answers must fit the referee's receive buffer. The referee
+sizes each accepted connection's buffer (``SO_RCVBUF``) for one window of
+the session's longest canonical answer line, reads back what the kernel
+granted (and counts half of it, since Linux reports twice the usable
+size), and shortens the window to what fits, never below one round. Both
+ends turn off Nagle's algorithm (``TCP_NODELAY``), or each window's write
+could wait on the peer's delayed acknowledgement of the last one.
 
-Both ends handle the lines ``encode_message`` writes through byte tables
-rather than the JSON codec; any other line is decoded whole. The referee
-builds its tables before round 1: each question's line after its round
-number (``_question_tail``) and each canonical answer ending
-(``_answer_tails``). A player fills its two as it plays. Each decoded
-question adds the text the referee writes after the round number for its
-fields (``_question_tail``), with its observables; each distinct answer
-adds its values, with its encoded line after the round number. A later
-question line with a known text and a canonical round number is answered
-from the two without the decoder.
+Both ends read lines through one ``_LineReader``: a byte buffer and an
+offset into it. The referee knows the answers a faithful player sends.
+Before round 1 it builds each plan's answer ending for each party (the
+line after the round number, ``_answer_ending``), and per round one head
+(the line up to it). ``take`` consumes the next line if it is exactly
+head plus ending, and waits for more bytes only while those buffered are
+a proper prefix of it. Any other line is decoded whole and checked field
+by field, and a round whose answers are not its plan's is scored from
+them. A player fills two tables as it plays. Each decoded question adds
+the text the referee writes after the round number for its fields
+(``_question_tail``), with its observables; each distinct answer adds its
+values, with its encoded line after the round number (``_answer_ending``).
+A later question line that starts with the next round's canonical head,
+and whose text after it is known, is answered from the two without the
+decoder.
 
 The referee gives each message from a player ``_PEER_TIMEOUT_S`` seconds
-in all, however its bytes trickle in, and each write to a player as long.
-A client whose hello is not whole by then is dropped, like one that
-leaves without a hello. A timeout, reset or end of stream once the
-player has said hello ends the session in an incomplete log whose
-``abort_reason`` names the party and the cause; the others exit 4.
+in all, counted from its first wait for the message's bytes, however they
+trickle in, and each write to a player as long. A client whose hello is
+not whole by then is dropped, like one that leaves without a hello. A
+timeout, reset or end of stream once the player has said hello ends the
+session in an incomplete log whose ``abort_reason`` names the party and
+the cause; the others exit 4.
 """
 
 from __future__ import annotations
@@ -77,24 +88,22 @@ import socket
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain, product
-from typing import Callable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 from .games import NonlocalGame, Question
 from .trials import Strategy, TrialLog, _plan_session
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
-#: rounds whose questions go to each player in one write
-_WINDOW = 64
+#: rounds whose questions go to each player in one write, at most
+_WINDOW = 512
 #: seconds the referee waits for a player's whole message, or one write
 _PEER_TIMEOUT_S = 30.0
 _RECV_BYTES = 1 << 16
 
 _QUESTION_HEAD = b'{"type":"question","round":'
 _ANSWER_HEAD = b'{"type":"answer","round":'
-#: a round number read without the decoder has at most this many digits
-_ROUND_DIGITS = 18
 
 
 class ProtocolError(Exception):
@@ -132,39 +141,99 @@ def decode_message(line: bytes) -> dict:
     return obj
 
 
-def _lines(conn: socket.socket, before_wait: Callable[[], None]) -> Iterator[bytes]:
-    """Each line ``conn`` receives, without its newline, until end of
-    stream; a last line cut short by the end is yielded as it is.
+class _LineReader:
+    """The lines one connection receives, read through one byte buffer and
+    an offset into it.
 
-    ``before_wait`` runs before every wait for more bytes. A line longer
-    than ``_MAX_LINE`` bytes, newline included, is a protocol error.
+    A line gets ``timeout`` seconds in all (``None``: no limit), counted
+    from the first wait for its bytes; ``before_wait`` runs before every
+    wait. A line longer than ``_MAX_LINE`` bytes, newline included, is a
+    protocol error. Transport failures surface as ``OSError``.
     """
-    pending = b""
-    while True:
-        *lines, pending = pending.split(b"\n")
-        for line in lines:
-            if len(line) >= _MAX_LINE:
-                raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
-            yield line
-        if len(pending) >= _MAX_LINE:
-            raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
-        before_wait()
-        chunk = conn.recv(_RECV_BYTES)
+
+    def __init__(
+        self,
+        conn: socket.socket,
+        timeout: float | None = None,
+        before_wait: Callable[[], None] | None = None,
+    ):
+        self.conn = conn
+        self.timeout = timeout
+        self.before_wait = before_wait
+        self._buf = b""
+        self._pos = 0
+        self._deadline: float | None = None
+
+    def _fill(self) -> bool:
+        """Wait for more bytes; False at end of stream."""
+        if self.before_wait is not None:
+            self.before_wait()
+        if self.timeout is not None:
+            if self._deadline is None:
+                self._deadline = time.monotonic() + self.timeout
+            remaining = self._deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("timed out")
+            self.conn.settimeout(remaining)
+        chunk = self.conn.recv(_RECV_BYTES)
         if not chunk:
-            if pending:
-                yield pending
-            return
-        pending += chunk
+            return False
+        self._buf = self._buf[self._pos :] + chunk
+        self._pos = 0
+        return True
+
+    def line(self) -> bytes | None:
+        """The next line without its newline; a last line cut short by the
+        end of stream as it is, and None once nothing is left."""
+        while True:
+            end = self._buf.find(b"\n", self._pos)
+            if end >= 0:
+                if end - self._pos >= _MAX_LINE:
+                    raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
+                line = self._buf[self._pos : end]
+                self._pos = end + 1
+                break
+            if len(self._buf) - self._pos >= _MAX_LINE:
+                raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
+            if not self._fill():
+                line = self._buf[self._pos :]
+                self._pos = len(self._buf)
+                if not line:
+                    return None
+                break
+        self._deadline = None
+        return line
+
+    def take(self, expected: bytes) -> bool:
+        """Consume the next line if it is ``expected``, newline included.
+
+        Waits for more bytes only while those buffered are a proper prefix
+        of ``expected``; otherwise, and at the end of stream, returns False
+        and leaves the line to ``line``."""
+        while not self._buf.startswith(expected, self._pos):
+            have = len(self._buf) - self._pos
+            if have >= len(expected) or not self._buf.endswith(expected[:have]):
+                return False
+            if not self._fill():
+                return False
+        self._pos += len(expected)
+        self._deadline = None
+        return True
+
+
+#: each byte's eight tape values, low bit first; bit 1 is the value -1
+_BYTE_VALUES = [tuple(-1 if byte >> k & 1 else +1 for k in range(8)) for byte in range(256)]
+_VALUES_BYTE = {values: byte for byte, values in enumerate(_BYTE_VALUES)}
 
 
 def _pack_tape(values: Sequence[int]) -> bytes:
-    bits = bytearray((len(values) + 7) // 8)
-    for i, v in enumerate(values):
-        if v == -1:
-            bits[i // 8] |= 1 << (i % 8)
-        elif v != +1:
-            raise ValueError(f"tape values must be +-1, got {v}")
-    return bytes(bits)
+    values = tuple(values) + (+1,) * (-len(values) % 8)
+    try:
+        # eight values at a time
+        return bytes(map(_VALUES_BYTE.__getitem__, zip(*[iter(values)] * 8)))
+    except KeyError:
+        bad = next(v for v in values if v not in (1, -1))
+        raise ValueError(f"tape values must be +-1, got {bad}") from None
 
 
 def decode_tape(text: str) -> tuple[int, ...]:
@@ -175,7 +244,7 @@ def decode_tape(text: str) -> tuple[int, ...]:
         raw = base64.b64decode(text.encode())
     except ValueError as exc:
         raise ProtocolError(f"undecodable tape: {exc}") from None
-    return tuple(-1 if raw[i // 8] & (1 << (i % 8)) else +1 for i in range(len(raw) * 8))
+    return tuple(chain.from_iterable(map(_BYTE_VALUES.__getitem__, raw)))
 
 
 def _deal_lines(values: Sequence[int]) -> list[bytes]:
@@ -255,35 +324,39 @@ def _question_tail(observables: Sequence[tuple[int, str]]) -> bytes:
     return b"," + encode_message({"observables": listed})[1:]
 
 
-def _answer_tails(arity: int) -> dict[bytes, tuple[int, ...]]:
-    """Each canonical ending of an answer line after ``"values":``, with its values."""
-    skip = len(b'{"values":')
-    return {
-        encode_message({"values": list(values)})[skip:-1]: values
-        for values in product((1, -1), repeat=arity)
-    }
+def _answer_ending(values: Sequence[int]) -> bytes:
+    """An answer line after its round number, as ``encode_message`` writes it."""
+    return b"," + encode_message({"values": [int(v) for v in values]})[1:]
 
 
-@dataclass
-class _Seat:
+def _tune(conn: socket.socket, line_bytes: int) -> int:
+    """Turn off Nagle's algorithm on an accepted connection and size its
+    receive buffer for a window of answer lines of ``line_bytes`` each.
+
+    Returns the rounds of such lines the granted buffer holds: at most
+    ``_WINDOW``, at least 1. Linux reports twice the size it grants for
+    data, so half of what it reports is counted."""
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _WINDOW * line_bytes)
+    granted = conn.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) // 2
+    return max(1, min(_WINDOW, granted // line_bytes))
+
+
+class _Seat(_LineReader):
     """One accepted connection as the referee sees it, a player's once its
     hello names the party: any transport failure on it is that party
     leaving. Each line read gets ``_PEER_TIMEOUT_S`` seconds in all."""
 
-    conn: socket.socket
-    party: int | None = None
-    outbox: list[bytes] | None = None
-    lines: Iterator[bytes] = field(init=False)
-    _deadline: float = field(default=0.0, init=False)
+    def __init__(self, conn: socket.socket):
+        super().__init__(conn, _PEER_TIMEOUT_S)
+        self.party: int | None = None
+        self.outbox: list[bytes] | None = None
 
-    def __post_init__(self) -> None:
-        self.lines = _lines(self.conn, self._before_wait)
-
-    def _before_wait(self) -> None:
-        remaining = self._deadline - time.monotonic()
-        if remaining <= 0:
-            raise TimeoutError("timed out")
-        self.conn.settimeout(remaining)
+    def _fill(self) -> bool:
+        try:
+            return super()._fill()
+        except OSError as exc:
+            raise self._lost(exc) from None
 
     def send(self, lines: list[bytes]) -> None:
         if self.outbox is not None:
@@ -296,28 +369,17 @@ class _Seat:
             raise self._lost(exc) from None
 
     def read(self) -> bytes:
-        self._deadline = time.monotonic() + _PEER_TIMEOUT_S
         try:
-            line = next(self.lines, None)
-        except OSError as exc:
-            raise self._lost(exc) from None
+            line = self.line()
         except ProtocolError as exc:
             raise ProtocolError(str(exc), self.party) from None
         if line is None:
             raise PlayerDisconnected(self.party)
         return line
 
-    def read_answer(
-        self, r: int, head: bytes, tails: dict[bytes, tuple[int, ...]], arity: int
-    ) -> tuple[int, ...]:
-        """Round r's answer values; ``head`` is the canonical line up to
-        them and ``tails`` the canonical endings of this arity."""
+    def read_answer(self, r: int, arity: int) -> tuple[int, ...]:
+        """Round r's answer values, from a line decoded whole."""
         line = self.read()
-        if line.startswith(head):
-            values = tails.get(line[len(head) :])
-            if values is not None:
-                return values
-        # any other form is decoded whole and checked field by field
         try:
             message = decode_message(line)
         except ProtocolError as exc:
@@ -371,10 +433,16 @@ class RefereeServer:
     def serve(self) -> TrialLog:
         """Run the session; returns the log (flagged incomplete on abort).
 
-        Plays from the session's plans and index (``trials._plan_session``);
-        only a round whose answers are not its plan's is scored, its row
-        looked up by value. The log is filled once, with the rounds whose
-        answers were all read: the session, or the rounds before an abort."""
+        Plays from the session's plans and index (``trials._plan_session``).
+        Each answer line that is its plan's, byte for byte as
+        ``encode_message`` writes it, is taken from the receive buffer
+        without the decoder (``_LineReader.take``); any other is decoded
+        whole and checked. Only a round whose answers are not its plan's is
+        scored, its row looked up by value. The window is ``_WINDOW``
+        rounds, or fewer if one window of the session's longest answer line
+        does not fit the receive buffer granted on every connection
+        (``_tune``). The log is filled once, with the rounds whose answers
+        were all read: the session, or the rounds before an abort."""
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
         game = self.game
@@ -383,20 +451,28 @@ class RefereeServer:
         log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
         log.rows.extend(plan.row for plan in plans)
         played = 0
-        # per plan and party: the question line after its round number,
-        # the answer's arity, and the canonical endings of its answer line
-        by_context = {
+        # per context and party: the question line after its round number
+        tails = {
             context.id: [
-                (
-                    _question_tail([(o.qubit, o.kind.value) for o in q.measured]),
-                    q.answer_arity,
-                    _answer_tails(q.answer_arity),
-                )
+                _question_tail([(o.qubit, o.kind.value) for o in q.measured])
                 for q in context.questions
             ]
             for context in game.contexts
         }
-        asked = [by_context[plan.context.id] for plan in plans]
+        asked = [tails[plan.context.id] for plan in plans]
+        # per plan and party: the planned answer line after its round number,
+        # and the answer's arity
+        planned = [
+            [
+                (_answer_ending(values), q.answer_arity)
+                for q, values in zip(plan.context.questions, plan.answers)
+            ]
+            for plan in plans
+        ]
+        longest = len(b"%s%d" % (_ANSWER_HEAD, self.rounds - 1)) + max(
+            len(ending) for expected in planned for ending, _ in expected
+        )
+        window = _WINDOW
         seats: dict[int, _Seat] = {}
         opened: list[socket.socket] = []
         try:
@@ -406,8 +482,9 @@ class RefereeServer:
                     opened.append(conn)
                     seat = _Seat(conn)
                     try:
+                        fits = _tune(conn, longest)
                         line = seat.read()
-                    except PlayerDisconnected:
+                    except (OSError, PlayerDisconnected):
                         # a client that is silent or slow, resets or leaves
                         # before its hello is not a player
                         conn.close()
@@ -428,28 +505,30 @@ class RefereeServer:
                     seat.party = party
                     seat.outbox = None if self.transcript is None else self.transcript.setdefault(party, [])
                     seats[party] = seat
+                    window = min(window, fits)
             order = [seats[party] for party in range(game.parties)]
 
             for seat in order:
                 tapes = [plan.tapes[seat.party] for plan in plans]
                 seat.send(_deal_lines(tuple(chain.from_iterable(tapes[i] for i in ids))))
 
-            for lo in range(0, self.rounds, _WINDOW):
-                window = range(lo, min(lo + _WINDOW, self.rounds))
+            for lo in range(0, self.rounds, window):
+                rounds = range(lo, min(lo + window, self.rounds))
                 for seat in order:
                     seat.send([
-                        b"%s%d%s" % (_QUESTION_HEAD, r, asked[ids[r]][seat.party][0])
-                        for r in window
+                        b"%s%d%s" % (_QUESTION_HEAD, r, asked[ids[r]][seat.party])
+                        for r in rounds
                     ])
-                for r in window:
-                    plan = plans[ids[r]]
-                    head = b'%s%d,"values":' % (_ANSWER_HEAD, r)
-                    answers = tuple([
-                        seat.read_answer(r, head, tails, arity)
-                        for seat, (_, arity, tails) in zip(order, asked[ids[r]])
-                    ])
-                    if answers != plan.answers:
-                        index[r] = log._row_id(plan.context.row(answers))
+                for r in rounds:
+                    i = ids[r]
+                    head = b"%s%d" % (_ANSWER_HEAD, r)
+                    answers = plans[i].answers
+                    for seat, (ending, arity) in zip(order, planned[i]):
+                        if not seat.take(head + ending):
+                            p = seat.party
+                            answers = (*answers[:p], seat.read_answer(r, arity), *answers[p + 1 :])
+                    if answers != plans[i].answers:
+                        index[r] = log._row_id(plans[i].context.row(answers))
                     played = r + 1
 
             for seat in order:
@@ -529,12 +608,14 @@ def run_local_session(
 def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
-    Answers go out together, just before the player waits for more input.
-    A question whose text after the round number is in the question table,
-    with a canonical round number and no tape pending, is read from that
-    table and its answer line built from the answer table. Every other line
-    is decoded whole; a decoded question adds to the question table the
-    text ``_question_tail`` writes for its fields, not the text it came in.
+    Answers go out together, just before the player waits for more input,
+    with Nagle's algorithm off. A question line that begins as
+    ``encode_message`` begins round r + 1, r the round last answered, and
+    goes on with a text in the question table is read from that table when
+    no tape is pending; its answer line is built from the answer table.
+    Every other line is decoded whole; a decoded question adds to the
+    question table the text ``_question_tail`` writes for its fields, not
+    the text it came in.
     Returns 4 on protocol errors and aborted sessions (and prints the
     reason to stderr), which matches the CLI exit-code convention. The
     player waits on the referee without a deadline; the referee gives
@@ -542,6 +623,7 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """
     try:
         with socket.create_connection(address) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.sendall(
                 encode_message(
                     {
@@ -558,26 +640,23 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     conn.sendall(b"".join(replies))
                     replies.clear()
 
-            # canonical question text after the round number and its comma ->
-            # observables, and answer values -> canonical answer text after
-            # the round number
+            # canonical question text after the round number -> observables,
+            # and answer values -> canonical answer text after the round number
             asked: dict[bytes, tuple[tuple[int, str], ...]] = {}
             answered: dict[tuple, bytes] = {}
             # the dealt pieces, handed to the strategy at the first question
             tape: list[tuple[int, ...]] = []
-            for line in _lines(conn, send_replies):
+            reader = _LineReader(conn, before_wait=send_replies)
+            round_index = -1
+            while (line := reader.line()) is not None:
+                # the referee asks rounds in order, so a canonical question
+                # starts with the next round's head
+                head = b"%s%d" % (_QUESTION_HEAD, round_index + 1)
                 observables = None
-                if not tape and line.startswith(_QUESTION_HEAD):
-                    digits, _, rest = line[len(_QUESTION_HEAD) :].partition(b",")
-                    # int() refuses thousands of digits; "07" is not JSON
-                    if (
-                        len(digits) <= _ROUND_DIGITS
-                        and digits.isdigit()
-                        and b"%d" % int(digits) == digits
-                    ):
-                        observables = asked.get(rest)
+                if not tape and line.startswith(head):
+                    observables = asked.get(line[len(head) :])
                 if observables is not None:
-                    round_index = int(digits)
+                    round_index += 1
                 else:
                     message = decode_message(line)
                     kind = message["type"]
@@ -607,15 +686,12 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                         raise ProtocolError(f"malformed question {message!r}") from None
                     # keyed by what the referee writes for these fields, never by
                     # this line, which may repeat a key, add spaces or fields
-                    asked[_question_tail(observables)[1:-1]] = observables
+                    asked[_question_tail(observables)[:-1]] = observables
                 values = party_strategy.answer(round_index, observables)
                 key = tuple(values)
                 ending = answered.get(key)
                 if ending is None:
-                    answer = encode_message(
-                        {"type": "answer", "round": round_index, "values": [int(v) for v in values]}
-                    )
-                    ending = answered[key] = answer[len(b"%s%d" % (_ANSWER_HEAD, round_index)) :]
+                    ending = answered[key] = _answer_ending(values)
                 replies.append(b"%s%d%s" % (_ANSWER_HEAD, round_index, ending))
             raise ProtocolError("referee closed the connection mid-session")
     except ProtocolError as exc:

@@ -211,16 +211,31 @@ MUTANTS = (
     Mutant(
         "read-without-a-deadline",
         "netplay.py",
-        "self._deadline = time.monotonic() + _PEER_TIMEOUT_S",
+        "self._deadline = time.monotonic() + self.timeout",
         "self._deadline = time.monotonic() + 3600",
         ("tests/test_netplay.py::test_stalled_player_times_out",),
     ),
     Mutant(
         "over-long-line-accepted",
         "netplay.py",
-        "if len(line) >= _MAX_LINE:",
-        "if len(line) >= 64 * _MAX_LINE:",
+        "if end - self._pos >= _MAX_LINE:",
+        "if end - self._pos >= 64 * _MAX_LINE:",
         ("tests/test_netplay.py::test_a_valid_answer_over_the_line_limit_is_a_protocol_error",),
+    ),
+    Mutant(
+        "take-accepts-a-partial-line",
+        "netplay.py",
+        "            if not self._fill():\n                return False\n        self._pos += len(expected)",
+        "            if have:\n                break\n"
+        "            if not self._fill():\n                return False\n        self._pos += len(expected)",
+        ("tests/test_netplay.py::test_answers_written_in_pieces_give_the_same_session[one-byte]",),
+    ),
+    Mutant(
+        "window-ignores-the-receive-buffer",
+        "netplay.py",
+        "return max(1, min(_WINDOW, granted // line_bytes))",
+        "return _WINDOW",
+        ("tests/test_netplay.py::test_a_small_receive_buffer_shortens_the_window[7]",),
     ),
     Mutant(
         "decoder-lets-a-huge-int-through",
@@ -235,31 +250,21 @@ MUTANTS = (
     Mutant(
         "player-keys-questions-by-the-line-received",
         "netplay.py",
-        "asked[_question_tail(observables)[1:-1]] = observables",
-        'asked[line[len(_QUESTION_HEAD) :].partition(b",")[2]] = observables',
+        "asked[_question_tail(observables)[:-1]] = observables",
+        'asked[line[line.index(b",", len(_QUESTION_HEAD)) :]] = observables',
         (
             "tests/test_netplay.py::test_player_replies_are_the_decoded_answers_in_canonical_bytes"
             "[cabello-restricted-lambda-mu]",
         ),
     ),
     Mutant(
-        "player-reads-a-leading-zero-round",
+        "player-reads-any-round-as-the-next",
         "netplay.py",
-        'and b"%d" % int(digits) == digits',
-        "and True",
+        "if not tape and line.startswith(head):",
+        "if not tape and line.startswith(_QUESTION_HEAD):",
         (
-            "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
-            "[leading-zero]",
-        ),
-    ),
-    Mutant(
-        "player-round-digits-unbounded",
-        "netplay.py",
-        "len(digits) <= _ROUND_DIGITS",
-        "True",
-        (
-            "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
-            "[huge-int]",
+            "tests/test_netplay.py::"
+            "test_canonical_questions_out_of_order_are_answered_for_their_rounds",
         ),
     ),
     Mutant(
@@ -287,7 +292,7 @@ MUTANTS = (
     Mutant(
         "referee-logs-the-planned-row",
         "netplay.py",
-        "if answers != plan.answers:",
+        "if answers != plans[i].answers:",
         "if False:",
         ("tests/test_netplay.py::test_referee_scores_the_answers_sent",),
     ),

@@ -1,10 +1,13 @@
+import base64
 import json
 import pickle
+import random
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -74,6 +77,26 @@ def test_tape_rejects_non_pm_one():
         netplay._deal_lines((1, 0, -1))
 
 
+def _packed_bit_by_bit(values):
+    packed = bytearray((len(values) + 7) // 8)
+    for i, v in enumerate(values):
+        if v == -1:
+            packed[i // 8] |= 1 << (i % 8)
+    return bytes(packed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from((1, -1)), max_size=2000))
+def test_tape_codec_matches_a_bit_by_bit_reference(values):
+    packed = netplay._pack_tape(values)
+    assert packed == _packed_bit_by_bit(values)
+    decoded = decode_tape(base64.b64encode(packed).decode())
+    assert decoded == tuple(
+        -1 if packed[i // 8] >> (i % 8) & 1 else 1 for i in range(len(packed) * 8)
+    )
+    assert decoded[: len(values)] == tuple(values)
+
+
 @pytest.mark.parametrize("name", sorted(GAME_BUILDERS))
 def test_question_and_answer_templates_are_canonical(name):
     game = GAME_BUILDERS[name]()
@@ -89,10 +112,12 @@ def test_question_and_answer_templates_are_canonical(name):
                     ],
                 }
                 assert b"%s%d%s" % (netplay._QUESTION_HEAD, r, tail) == encode_message(message)
-            for ending, values in netplay._answer_tails(question.answer_arity).items():
-                line = b'%s%d,"values":%s' % (netplay._ANSWER_HEAD, 5, ending)
-                answer = {"type": "answer", "round": 5, "values": list(values)}
-                assert line + b"\n" == encode_message(answer)
+            # every answer a plan can hold, as the referee expects it
+            for values in product((1, -1), repeat=question.answer_arity):
+                ending = netplay._answer_ending(values)
+                for r in (0, 7, 63, 123456):
+                    answer = {"type": "answer", "round": r, "values": list(values)}
+                    assert b"%s%d%s" % (netplay._ANSWER_HEAD, r, ending) == encode_message(answer)
 
 
 def test_short_tape_is_dealt_in_one_line():
@@ -182,6 +207,8 @@ WINDOW_CASES = [
     # whole windows, and one round past them
     (cabello_restricted, lambda g: lambda_mu_model(), 128, 6),
     (four_party_game, lambda g: quantum_strategy(g), 129, 7),
+    # longer than two whole windows of the default size
+    (cabello_restricted, lambda g: lambda_mu_model(), 1100, 11),
 ]
 
 
@@ -221,23 +248,101 @@ def _lock_step_player(address, player, encode):
                 return message
 
 
+def _repeated_key(message):
+    """``message`` with its values written twice, first negated; JSON keeps the last."""
+    decoy = encode_message({**message, "values": [-v for v in message["values"]]})
+    return decoy[:-2] + b',"values":' + json.dumps(message["values"]).encode() + b"}\n"
+
+
 @pytest.mark.parametrize(
-    "encode",
+    "encode,decoded_answers",
     [
-        encode_message,
-        lambda message: json.dumps(dict(reversed(message.items()))).encode() + b"\n",
+        (encode_message, 0),
+        (lambda message: json.dumps(dict(reversed(message.items()))).encode() + b"\n", 300),
+        (lambda message: json.dumps(message).encode() + b"\n", 300),
+        (_repeated_key, 300),
     ],
-    ids=["canonical", "reordered-spaced"],
+    ids=["canonical", "reordered-spaced", "spaced", "repeated-key"],
 )
-def test_lock_step_player_in_any_layout_still_plays(encode):
+def test_lock_step_player_in_any_layout_still_plays(encode, decoded_answers):
     game = cabello_restricted()
     strategy = lambda_mu_model()
-    address, thread, box = _serve_in_thread(game, strategy, 150, 12)
+    decoded = []
+    decode = netplay.decode_message
+
+    def recording(line):
+        message = decode(line)
+        decoded.append(message["type"])
+        return message
+
+    with patch.object(netplay, "decode_message", recording):
+        address, thread, box = _serve_in_thread(game, strategy, 150, 12)
+        ends = []
+        players = [
+            threading.Thread(
+                target=lambda p=party: ends.append(
+                    _lock_step_player(address, build_party_strategy(game, strategy, p), encode)
+                ),
+                daemon=True,
+            )
+            for party in range(2)
+        ]
+        for p in players:
+            p.start()
+        thread.join(timeout=20)
+        for p in players:
+            p.join(timeout=10)
+    # an answer the referee cannot take as planned is decoded, and scores the same
+    assert decoded.count("answer") == decoded_answers
+    assert box["log"] == run_trials(game, strategy, rounds=150, seed=12)
+    assert ends == [{"type": "end", "reason": "complete"}] * 2
+
+
+def _piecewise_player(address, player, sizes):
+    """A lock-step player that writes each answer line in pieces of the
+    sizes ``sizes`` yields, each in its own segment."""
+    with socket.create_connection(address) as s:
+        s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        f = s.makefile("rb")
+        s.sendall(_hello(player.party))
+        tape = []
+        for line in f:
+            message = decode_message(line)
+            if message["type"] == "dealt":
+                tape.extend(decode_tape(message["tape"]))
+                player.set_tape(tuple(tape))
+            elif message["type"] == "question":
+                observables = [(o["slot"], o["kind"]) for o in message["observables"]]
+                values = player.answer(message["round"], observables)
+                data = encode_message({"type": "answer", "round": message["round"], "values": values})
+                while data:
+                    size = next(sizes)
+                    s.sendall(data[:size])
+                    data = data[size:]
+            else:
+                return message
+
+
+@pytest.mark.parametrize("pieces", ["one-byte", "random"])
+def test_answers_written_in_pieces_give_the_same_session(monkeypatch, pieces):
+    # the referee sees partial lines, which take must wait on
+    monkeypatch.setattr(netplay, "_WINDOW", 16)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    transcript: dict[int, list[bytes]] = {}
+    expected = run_local_session(game, strategy, rounds=80, seed=21, transcript=transcript)
+    server = RefereeServer(game, 80, 21, strategy, transcript={})
+    address = server.bind(("127.0.0.1", 0))[:2]
+    rng = random.Random(pieces)
+    sizes = {
+        "one-byte": lambda: iter(lambda: 1, None),
+        "random": lambda: iter(lambda: rng.randint(1, 60), None),
+    }[pieces]
     ends = []
     players = [
         threading.Thread(
             target=lambda p=party: ends.append(
-                _lock_step_player(address, build_party_strategy(game, strategy, p), encode)
+                _piecewise_player(address, build_party_strategy(game, strategy, p), sizes())
             ),
             daemon=True,
         )
@@ -245,11 +350,86 @@ def test_lock_step_player_in_any_layout_still_plays(encode):
     ]
     for p in players:
         p.start()
-    thread.join(timeout=20)
+    log = server.serve()
     for p in players:
         p.join(timeout=10)
-    assert box["log"] == run_trials(game, strategy, rounds=150, seed=12)
     assert ends == [{"type": "end", "reason": "complete"}] * 2
+    assert log == expected == run_trials(game, strategy, rounds=80, seed=21)
+    assert log.to_jsonl() == expected.to_jsonl()
+    assert server.transcript == transcript
+
+
+def _question_batches(monkeypatch):
+    """Record, per write of questions, how many it holds."""
+    batches = []
+    send = netplay._Seat.send
+
+    def recording(seat, lines):
+        asked = sum(line.startswith(netplay._QUESTION_HEAD) for line in lines)
+        if asked:
+            batches.append(asked)
+        send(seat, lines)
+
+    monkeypatch.setattr(netplay._Seat, "send", recording)
+    return batches
+
+
+def _longest_answer_line(log):
+    return max(
+        len(encode_message({"type": "answer", "round": rec.round, "values": list(values)}))
+        for rec in log.records
+        for values in rec.answers
+    )
+
+
+def test_accepted_connections_take_a_window_of_answers_without_delay(monkeypatch):
+    tuned = []
+    tune = netplay._tune
+
+    def recording(conn, line_bytes):
+        window = tune(conn, line_bytes)
+        granted = conn.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF) // 2
+        nodelay = conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        tuned.append((nodelay, granted, line_bytes, window))
+        return window
+
+    monkeypatch.setattr(netplay, "_tune", recording)
+    batches = _question_batches(monkeypatch)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    rounds = netplay._WINDOW + 100
+    log = run_local_session(game, strategy, rounds=rounds, seed=2)
+    assert log == run_trials(game, strategy, rounds=rounds, seed=2)
+    assert len(tuned) == game.parties
+    for nodelay, granted, line_bytes, window in tuned:
+        assert nodelay
+        assert line_bytes == _longest_answer_line(log)
+        assert window == netplay._WINDOW
+        assert granted >= window * line_bytes
+    # a whole window to each party, then the last 100 rounds
+    assert batches == [netplay._WINDOW] * 2 + [100] * 2
+
+
+@pytest.mark.parametrize("fits", [7, 0])
+def test_a_small_receive_buffer_shortens_the_window(monkeypatch, fits):
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    line_bytes = _longest_answer_line(run_trials(game, strategy, rounds=50, seed=4))
+    getsockopt = socket.socket.getsockopt
+
+    def granted(sock, level, option, *args):
+        if (level, option) == (socket.SOL_SOCKET, socket.SO_RCVBUF):
+            # as Linux reports it: twice the room for data
+            return 2 * (fits * line_bytes + line_bytes - 1)
+        return getsockopt(sock, level, option, *args)
+
+    monkeypatch.setattr(socket.socket, "getsockopt", granted)
+    batches = _question_batches(monkeypatch)
+    log = run_local_session(game, strategy, rounds=50, seed=4)
+    assert log == run_trials(game, strategy, rounds=50, seed=4)
+    window = max(fits, 1)
+    assert max(batches) == window
+    assert sum(batches) == 50 * game.parties
 
 
 def test_transcript_never_leaks_foreign_data():
@@ -907,8 +1087,10 @@ def _question_forms(observables, r):
         (encode_message({**question, "round": r + 1}), r + 1),
         (json.dumps(question).encode() + b"\n", r),
         (encode_message(extra), r),
-        # the last "round" wins, as in json.loads; each is sent twice
-        *[(b'{"type":"question","round":%d,"observables":%s,"round":%d}\n' % (r, listed, r + 2), r + 2)] * 2,
+        # the last "round" wins, as in json.loads; the second line repeats
+        # the text after the first's round number, after the next round's
+        (b'{"type":"question","round":%d,"observables":%s,"round":%d}\n' % (r, listed, r + 2), r + 2),
+        (b'{"type":"question","round":%d,"observables":%s,"round":%d}\n' % (r + 3, listed, r + 2), r + 2),
         *[(b'{"type":"question","round":%d,"round":%d,"observables":%s}\n' % (r + 2, r, listed), r)] * 2,
     ]
 
@@ -1017,6 +1199,26 @@ def test_an_answer_numbered_by_a_round_equal_to_an_int_names_the_party(round_tex
     error = box.get("error")
     assert isinstance(error, ProtocolError) and error.party == 0
     assert str(error) == f"party 0: answered round {json.loads(round_text)!r}, asked 1"
+
+
+def test_canonical_questions_out_of_order_are_answered_for_their_rounds():
+    game = cabello_restricted()
+    player = build_party_strategy(game, lambda_mu_model(), 0)
+    oracle = build_party_strategy(game, lambda_mu_model(), 0)
+    tape = tuple((-1) ** (i * 5 % 3) for i in range(player.width * 8))
+    oracle.set_tape(tape)
+    observables = [(1, "x"), (2, "x")]
+    listed = [{"slot": slot, "kind": kind} for slot, kind in observables]
+    rounds = [0, 2, 1, 3, 5, 4, 7, 6]
+    lines = netplay._deal_lines(tape) + [
+        encode_message({"type": "question", "round": r, "observables": listed}) for r in rounds
+    ]
+    status, read = _play_lines(lines, player, answers=len(rounds))
+    assert status == 0
+    assert read == [
+        encode_message({"type": "answer", "round": r, "values": oracle.answer(r, observables)})
+        for r in rounds
+    ]
 
 
 def test_a_repeated_canonical_question_skips_the_decoder():
