@@ -16,7 +16,7 @@ from nonlocalgames import (
     sites,
     verify_constraints,
 )
-from nonlocalgames.quantum import ObservableKind, SiteObservable
+from nonlocalgames.games import SiteObservable
 
 psi = make_psi()
 
@@ -32,9 +32,9 @@ for index, report in enumerate(verify_constraints(psi, fourteen_equalities()), 1
 print("\nyet every individual measurement is a fair coin:")
 for qubit in range(1, 5):
     row = []
-    for kind in ObservableKind:
+    for kind in "xyz":
         dist = joint_distribution(psi, [SiteObservable(qubit, kind)])
-        row.append(f"{kind.value}{qubit}: P(+1)={dist[(+1,)]:.2f}")
+        row.append(f"{kind}{qubit}: P(+1)={dist[(+1,)]:.2f}")
     print("  " + "   ".join(row))
 
 print("\na joint measurement showing one equality at work (x1 x2 y3 y4):")

@@ -16,7 +16,13 @@ from .classical import (
     noncontextual_value,
     win_probability,
 )
-from .games import cabello_restricted, contradiction_subset, four_party_game, fourteen_equalities
+from .games import (
+    cabello_restricted,
+    contradiction_subset,
+    four_party_game,
+    fourteen_equalities,
+    sites,
+)
 from .netplay import run_local_session
 from .quantum import (
     expectation,
@@ -24,7 +30,6 @@ from .quantum import (
     make_ghz,
     make_psi,
     reduced_spectrum,
-    sites,
     verify_constraints,
 )
 from .trials import nested_subgame_report, quantum_strategy, run_trials, tv_distance

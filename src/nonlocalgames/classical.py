@@ -40,9 +40,9 @@ from .games import (
     NonlocalGame,
     ParityConstraint,
     Question,
+    SiteObservable,
     predicate_eval,
 )
-from .quantum import SiteObservable
 
 #: default cap on (outer indices x parities) evaluations per solve, summed
 #: over the search's components
@@ -106,11 +106,27 @@ class LocalModel:
         return self.hidden_bits
 
     def check(self, game: NonlocalGame) -> None:
+        """Raise ValueError unless the model covers the game's parties and
+        answers every question of every party, from an all-+1 tape, with the
+        question's arity."""
         if self.parties != game.parties:
             raise ValueError(
                 f"strategy covers {self.parties} parties, game has {game.parties}"
             )
-        check_responses(game, self)
+        for party, questions in enumerate(game.question_sets):
+            tape = (+1,) * self.tape_width(game, party)
+            for q in questions:
+                try:
+                    values = self.respond(party, q, tape)
+                except (KeyError, IndexError):
+                    raise ValueError(
+                        f"strategy is partial: party {party} lacks question {q.id}"
+                    ) from None
+                if len(values) != q.answer_arity:
+                    raise ValueError(
+                        f"party {party} question {q.id}: answer arity "
+                        f"{len(values)} != {q.answer_arity}"
+                    )
 
     def dealer(self, game: NonlocalGame) -> Dealer:
         k, parties = self.hidden_bits, game.parties
@@ -168,25 +184,6 @@ class HiddenVariableModel(LocalModel):
         self, party: int, question: Question, tape: tuple[int, ...]
     ) -> tuple[int, ...]:
         return self.responders[party](question.id, tape)
-
-
-def check_responses(game: NonlocalGame, strategy) -> None:
-    """Raise ValueError unless ``strategy`` answers every question of every
-    party, from an all-+1 tape, with the question's arity."""
-    for party, questions in enumerate(game.question_sets):
-        tape = (+1,) * strategy.tape_width(game, party)
-        for q in questions:
-            try:
-                values = strategy.respond(party, q, tape)
-            except (KeyError, IndexError):
-                raise ValueError(
-                    f"strategy is partial: party {party} lacks question {q.id}"
-                ) from None
-            if len(values) != q.answer_arity:
-                raise ValueError(
-                    f"party {party} question {q.id}: answer arity "
-                    f"{len(values)} != {q.answer_arity}"
-                )
 
 
 @dataclass(frozen=True)

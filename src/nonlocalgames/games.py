@@ -6,6 +6,12 @@ contexts. A context fixes one question per party and either a parity
 predicate over the measured outcomes or "always win". Everything is
 validated eagerly: a game object that constructs successfully has
 rational weights summing to one and only measurable predicates.
+
+The observables the parity predicates range over live here too, as
+plain (qubit, letter) pairs: ``SiteObservable(3, "x")`` is X on qubit 3,
+written ``x3``. A kind is its letter ``"x"``, ``"y"`` or ``"z"``, the
+spelling of equation-file lines, question ids and the wire's ``kind``
+field. This module is plain Python; ``quantum`` holds the numerics.
 """
 
 from __future__ import annotations
@@ -14,9 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-from .quantum import ObservableKind, SiteObservable, sites
+from typing import Mapping, NamedTuple, Sequence
 
 #: predicate value meaning the referee accepts any answers for the context
 ALWAYS_WIN = None
@@ -25,6 +29,36 @@ ALWAYS_WIN = None
 Answers = tuple[tuple[int, ...], ...]
 #: one scored round: context id, question ids, answers, win
 Row = tuple[str, tuple[str, ...], Answers, bool]
+
+
+class SiteObservable(NamedTuple):
+    """A measurement kind applied to one qubit, e.g. X on qubit 3.
+
+    ``kind`` is the letter ``"x"``, ``"y"`` or ``"z"``. Ordering is
+    (qubit, kind) so that sorted collections read in qubit order, the way
+    parity constraints are usually written.
+    """
+
+    qubit: int
+    kind: str
+
+    def __str__(self) -> str:
+        return f"{self.kind}{self.qubit}"
+
+    __repr__ = __str__
+
+
+def site(text: str) -> SiteObservable:
+    """Parse compact notation like ``x1`` or ``z4``; qubits count from 1."""
+    text = text.strip().lower()
+    if len(text) < 2 or text[0] not in "xyz" or not text[1:].isdigit() or int(text[1:]) < 1:
+        raise ValueError(f"cannot parse site observable {text!r}")
+    return SiteObservable(int(text[1:]), text[0])
+
+
+def sites(text: str) -> tuple[SiteObservable, ...]:
+    """Parse a whitespace-separated list such as ``"x1 x3 z4"``."""
+    return tuple(site(tok) for tok in text.split())
 
 
 @dataclass(frozen=True)
@@ -75,7 +109,7 @@ def parse_constraint_line(line: str) -> ParityConstraint:
         raise ValueError(f"constraint line needs a sign and variables: {line!r}")
     if tokens[0] not in ("+1", "-1"):
         raise ValueError(f"sign must be +1 or -1, got {tokens[0]!r}")
-    variables = [SiteObservable.from_text(t) for t in tokens[1:]]
+    variables = [site(t) for t in tokens[1:]]
     # a variable's square is 1, so a repeat is not the constraint it reads as
     repeated = sorted({str(v) for v in variables if variables.count(v) > 1})
     if repeated:
@@ -93,7 +127,7 @@ def predicate_eval(
 
 @dataclass(frozen=True)
 class Question:
-    """What one party is asked: a kind (or SKIP) per owned qubit slot.
+    """What one party is asked: a kind letter (or SKIP) per owned qubit slot.
 
     ``measurements`` lists (qubit, kind) pairs in slot order; ``None``
     means the slot is left unmeasured. The derived ``id`` concatenates the
@@ -101,11 +135,11 @@ class Question:
     key used by strategies and trial logs.
     """
 
-    measurements: tuple[tuple[int, ObservableKind | None], ...]
+    measurements: tuple[tuple[int, str | None], ...]
 
     @cached_property
     def id(self) -> str:
-        toks = [f"{k.value}{q}" for q, k in self.measurements if k is not None]
+        toks = [f"{k}{q}" for q, k in self.measurements if k is not None]
         return "".join(toks) if toks else "skip"
 
     @cached_property
@@ -376,7 +410,7 @@ def four_party_game() -> NonlocalGame:
     for idx, eq in enumerate(eqs):
         kinds = {v.qubit: v.kind for v in eq.vars}
         questions = tuple(
-            question_sets[qubit - 1]["xyz".index(kinds.get(qubit, ObservableKind.Z).value)]
+            question_sets[qubit - 1]["xyz".index(kinds.get(qubit, "z"))]
             for qubit in range(1, 5)
         )
         contexts.append(
@@ -414,10 +448,7 @@ def mermin_ghz() -> NonlocalGame:
             for qubit in range(1, 4)
         )
         predicate = ParityConstraint(
-            frozenset(
-                SiteObservable(qubit, ObservableKind(pattern[qubit - 1]))
-                for qubit in range(1, 4)
-            ),
+            frozenset(SiteObservable(qubit, pattern[qubit - 1]) for qubit in range(1, 4)),
             sign,
         )
         contexts.append(
@@ -449,7 +480,7 @@ def nested_ghz_contexts(selector_outcome: int) -> list[ParityConstraint]:
     """
     if selector_outcome not in (+1, -1):
         raise ValueError(f"selector outcome must be +1 or -1, got {selector_outcome}")
-    x2 = SiteObservable(2, ObservableKind.X)
+    x2 = SiteObservable(2, "x")
     nested = []
     for eq in fourteen_equalities():
         rest = eq.vars - {x2}

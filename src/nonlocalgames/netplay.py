@@ -277,7 +277,8 @@ class PartyStrategy:
     party: int
     strategy: Strategy = None  # type: ignore[assignment]
     width: int = 0
-    #: the party's questions by their (slot, kind) observables
+    #: the party's questions by their observables, which equal the wire's
+    #: (slot, kind) pairs
     questions: dict[tuple[tuple[int, str], ...], Question] = field(default_factory=dict)
     _tape: tuple[int, ...] = ()
 
@@ -305,10 +306,7 @@ def build_party_strategy(
         party=party,
         strategy=strategy,
         width=strategy.tape_width(game, party),
-        questions={
-            tuple((o.qubit, o.kind.value) for o in q.measured): q
-            for q in game.question_sets[party]
-        },
+        questions={q.measured: q for q in game.question_sets[party]},
     )
 
 
@@ -453,10 +451,7 @@ class RefereeServer:
         played = 0
         # per context and party: the question line after its round number
         tails = {
-            context.id: [
-                _question_tail([(o.qubit, o.kind.value) for o in q.measured])
-                for q in context.questions
-            ]
+            context.id: [_question_tail(q.measured) for q in context.questions]
             for context in game.contexts
         }
         asked = [tails[plan.context.id] for plan in plans]

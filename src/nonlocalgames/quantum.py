@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * qubit 1 is the leftmost tensor factor, i.e. the most significant bit of
   the computational-basis index,
 * every single-qubit measurement has the two outcomes +1 and -1,
-* for Z the +1 outcome is |0>; X and Y use the standard Pauli eigenbases.
+* for Z the +1 outcome is |0>; X and Y use the standard Pauli eigenbases,
+* an observable is a ``games.SiteObservable``: a qubit and a kind letter
+  ``"x"``, ``"y"`` or ``"z"``.
 
 States are dense complex vectors. All probabilities arising from the
 bundled games are dyadic rationals, so the 1e-9 "happens surely / never"
@@ -17,13 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotation only
-    from .games import ParityConstraint
+from .games import ParityConstraint, SiteObservable
 
 #: probability threshold below which an event is treated as impossible
 PROB_TOL = 1e-9
@@ -36,81 +36,15 @@ SUM_TOL = (2 + NORM_TOL) * NORM_TOL + 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-class ObservableKind(Enum):
-    """One of the three single-qubit measurements X, Y, Z."""
-
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-    def __lt__(self, other: "ObservableKind") -> bool:
-        if isinstance(other, ObservableKind):
-            return self.value < other.value
-        return NotImplemented
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _MATRICES[self]
-
-    @property
-    def basis_change(self) -> np.ndarray:
-        """Unitary whose rows are the +1 and -1 eigenvectors (conjugated).
-
-        Applying it maps the +1 eigenvector to |0> and the -1 eigenvector
-        to |1>, turning any measurement of this kind into a computational
-        basis readout.
-        """
-        return _BASIS_CHANGES[self]
-
-
-_MATRICES = {
-    ObservableKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    ObservableKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    ObservableKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: per kind letter, the unitary whose rows are the +1 and -1 eigenvectors
+#: (conjugated): applying it maps the +1 eigenvector to |0> and the -1
+#: eigenvector to |1>, turning a measurement of that kind into a
+#: computational basis readout
 _BASIS_CHANGES = {
-    ObservableKind.X: np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
-    ObservableKind.Y: np.array([[1, -1j], [1, 1j]], dtype=complex) * _INV_SQRT2,
-    ObservableKind.Z: np.eye(2, dtype=complex),
+    "x": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
+    "y": np.array([[1, -1j], [1, 1j]], dtype=complex) * _INV_SQRT2,
+    "z": np.eye(2, dtype=complex),
 }
-
-
-@dataclass(frozen=True, order=True)
-class SiteObservable:
-    """A measurement kind applied to one qubit, e.g. X on qubit 3.
-
-    Ordering is (qubit, kind) so that sorted collections read in qubit
-    order, the way parity constraints are usually written.
-    """
-
-    qubit: int
-    kind: ObservableKind
-
-    def __post_init__(self) -> None:
-        if self.qubit < 1:
-            raise ValueError(f"qubit index must be >= 1, got {self.qubit}")
-
-    def __str__(self) -> str:
-        return f"{self.kind.value}{self.qubit}"
-
-    __repr__ = __str__
-
-    @classmethod
-    def from_text(cls, text: str) -> "SiteObservable":
-        """Parse compact notation like ``x1`` or ``z4``."""
-        text = text.strip().lower()
-        if len(text) < 2 or text[0] not in "xyz" or not text[1:].isdigit():
-            raise ValueError(f"cannot parse site observable {text!r}")
-        return cls(int(text[1:]), ObservableKind(text[0]))
-
-
-def site(text: str) -> SiteObservable:
-    return SiteObservable.from_text(text)
-
-
-def sites(text: str) -> tuple[SiteObservable, ...]:
-    """Parse a whitespace-separated list such as ``"x1 x3 z4"``."""
-    return tuple(SiteObservable.from_text(tok) for tok in text.split())
 
 
 @dataclass(frozen=True)
@@ -183,11 +117,13 @@ def _check_observables(
     qubits = [o.qubit for o in observables]
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubit in observables: {observables}")
-    out_of_range = [q for q in qubits if q > state.num_qubits]
+    # qubit 0 would read axis -1, the last qubit
+    out_of_range = [q for q in qubits if not 1 <= q <= state.num_qubits]
     if out_of_range:
-        raise ValueError(
-            f"qubit(s) {out_of_range} exceed state size {state.num_qubits}"
-        )
+        raise ValueError(f"qubit(s) {out_of_range} outside 1..{state.num_qubits}")
+    unknown = [o for o in observables if o.kind not in _BASIS_CHANGES]
+    if unknown:
+        raise ValueError(f"unknown observable kind in {unknown}; kinds are x, y, z")
 
 
 def _apply_single_qubit(amps: np.ndarray, u: np.ndarray, axis: int, n: int) -> np.ndarray:
@@ -210,8 +146,8 @@ def joint_distribution(
     n = state.num_qubits
     amps = np.asarray(state.amplitudes)
     for obs in observables:
-        if obs.kind is not ObservableKind.Z:
-            amps = _apply_single_qubit(amps, obs.kind.basis_change, obs.qubit - 1, n)
+        if obs.kind != "z":
+            amps = _apply_single_qubit(amps, _BASIS_CHANGES[obs.kind], obs.qubit - 1, n)
     probs = np.abs(amps.reshape([2] * n)) ** 2
     measured_axes = [o.qubit - 1 for o in observables]
     unmeasured = tuple(ax for ax in range(n) if ax not in measured_axes)
@@ -224,12 +160,8 @@ def joint_distribution(
     total = float(probs.sum())
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")
-    k = len(observables)
-    dist: dict[tuple[int, ...], float] = {}
-    for values in itertools.product((+1, -1), repeat=k):
-        idx = tuple(0 if v == +1 else 1 for v in values)
-        dist[values] = float(probs[idx])
-    return dist
+    outcomes = itertools.product((+1, -1), repeat=len(observables))
+    return dict(zip(outcomes, probs.ravel().tolist()))
 
 
 def expectation(state: Statevector, observables: Sequence[SiteObservable]) -> float:
@@ -272,13 +204,13 @@ def reduced_spectrum(state: Statevector, keep: Iterable[int]) -> list[float]:
 class ConstraintReport:
     """Whether one parity constraint holds surely on a state."""
 
-    constraint: "ParityConstraint"
+    constraint: ParityConstraint
     holds_surely: bool
     violation_mass: float
 
 
 def verify_constraints(
-    state: Statevector, constraints: Iterable["ParityConstraint"]
+    state: Statevector, constraints: Iterable[ParityConstraint]
 ) -> list[ConstraintReport]:
     """Check which parity constraints the state satisfies with certainty.
 

@@ -72,8 +72,9 @@ from .games import (
     Row,
     game_by_name,
     nested_ghz_contexts,
+    site,
 )
-from .quantum import Statevector, make_ghz, make_psi, site
+from .quantum import Statevector, make_ghz, make_psi
 
 LOG_FORMAT_VERSION = 1
 

@@ -103,7 +103,7 @@ def check_mermin_baseline() -> tuple[bool, str]:
 
 
 def check_nested_conditioning() -> tuple[bool, str]:
-    observables = quantum.sites("x1 x2 y3 y4")
+    observables = games.sites("x1 x2 y3 y4")
     x2 = observables[1]
     # per x2 outcome, the embedded constraint x1 = +-y3*y4 it selects
     embedded = {

@@ -131,6 +131,27 @@ MUTANTS = (
         ("tests/test_quantum.py::test_non_finite_amplitudes_are_rejected",),
     ),
     Mutant(
+        "site-accepts-qubit-0",
+        "games.py",
+        "or int(text[1:]) < 1:",
+        "or int(text[1:]) < 0:",
+        ("tests/test_quantum.py::test_site_parsing",),
+    ),
+    Mutant(
+        "joint-distribution-accepts-qubit-0",
+        "quantum.py",
+        "if not 1 <= q <= state.num_qubits]",
+        "if not 0 <= q <= state.num_qubits]",
+        ("tests/test_quantum.py::test_joint_distribution_rejects_a_bad_observable[qubit-0]",),
+    ),
+    Mutant(
+        "joint-distribution-accepts-an-unknown-kind",
+        "quantum.py",
+        "unknown = [o for o in observables if o.kind not in _BASIS_CHANGES]",
+        "unknown = []",
+        ("tests/test_quantum.py::test_joint_distribution_rejects_a_bad_observable[kind-w]",),
+    ),
+    Mutant(
         "context-search-on-the-left",
         "trials.py",
         'contexts = np.searchsorted(bounds, doubles[:, 0], side="right")',

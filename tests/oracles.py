@@ -121,10 +121,10 @@ def _wins(ctx, answers) -> bool:
     outcomes = {}
     for party, question in enumerate(ctx.questions):
         for obs, v in zip(question.measured, answers[party][question.id]):
-            outcomes[(obs.kind.value, obs.qubit)] = v
+            outcomes[(obs.kind, obs.qubit)] = v
     prod = 1
     for var in ctx.predicate.vars:
-        prod *= outcomes[(var.kind.value, var.qubit)]
+        prod *= outcomes[(var.kind, var.qubit)]
     return prod == ctx.predicate.sign
 
 

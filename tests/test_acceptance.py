@@ -117,7 +117,7 @@ def test_criterion_05_mimicry_on_all_eight_contexts():
     for ctx in game.contexts:
         model_dist = model_distribution(model, game, ctx)
         quantum_dist = kron_projector_distribution(
-            amplitudes, [(o.kind.value, o.qubit) for o in game.measured_observables(ctx)]
+            amplitudes, [(o.kind, o.qubit) for o in game.measured_observables(ctx)]
         )
         keys = set(model_dist) | set(quantum_dist)
         distances[ctx.id] = 0.5 * sum(
@@ -171,7 +171,7 @@ def test_criterion_07_three_party_baseline():
 
 def test_criterion_08_nested_constraint_conditioning():
     psi = quantum.make_psi()
-    dist = quantum.joint_distribution(psi, quantum.sites("x1 x2 y3 y4"))
+    dist = quantum.joint_distribution(psi, games.sites("x1 x2 y3 y4"))
     mass = {+1: 0.0, -1: 0.0}
     agree = {+1: 0.0, -1: 0.0}
     for (x1, x2, y3, y4), p in dist.items():

@@ -28,6 +28,7 @@ from nonlocalgames.games import (
     NonlocalGame,
     ParityConstraint,
     Question,
+    SiteObservable,
     cabello_extended,
     cabello_restricted,
     contradiction_subset,
@@ -37,8 +38,8 @@ from nonlocalgames.games import (
     make_question,
     mermin_ghz,
     parse_constraint_line,
+    site,
 )
-from nonlocalgames.quantum import SiteObservable, site
 
 from oracles import (
     FOURTEEN,
@@ -668,7 +669,7 @@ def test_solver_matches_joint_enumeration(game):
     # weights are uniform, so the best assignment's value is a plain count
     always = sum(1 for c in game.contexts if c.predicate is ALWAYS_WIN)
     oracle_best, _ = python_maxsat([
-        (tuple((v.kind.value, v.qubit) for v in c.predicate.vars), c.predicate.sign)
+        (tuple((v.kind, v.qubit) for v in c.predicate.vars), c.predicate.sign)
         for c in game.contexts
         if c.predicate is not ALWAYS_WIN
     ])
@@ -749,11 +750,11 @@ def test_solver_matches_joint_enumeration_on_joined_games(first, second, share):
     if tested:
         found = noncontextual_maxsat(tested)
         best, witnesses = python_maxsat(
-            [(tuple((v.kind.value, v.qubit) for v in c.vars), c.sign) for c in tested]
+            [(tuple((v.kind, v.qubit) for v in c.vars), c.sign) for c in tested]
         )
         assert found.max_satisfied == best
         assert sorted(
-            sorted((v.kind.value, v.qubit, b) for v, b in w.items()) for w in found.witnesses
+            sorted((v.kind, v.qubit, b) for v, b in w.items()) for w in found.witnesses
         ) == sorted(sorted((k, q, b) for (k, q), b in w.items()) for w in witnesses)
 
 

@@ -22,8 +22,10 @@ from nonlocalgames.games import (
     nested_ghz_contexts,
     parse_constraint_line,
     predicate_eval,
+    site,
+    sites,
 )
-from nonlocalgames.quantum import ObservableKind, make_ghz, make_psi, site, sites
+from nonlocalgames.quantum import make_ghz, make_psi
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def test_predicate_eval_matches_product(values, sign):
 def test_make_question_with_skip():
     q = make_question((1, 2), "z1")
     assert q.id == "z1"
-    assert q.measurements == ((1, ObservableKind.Z), (2, None))
+    assert q.measurements == ((1, "z"), (2, None))
     assert q.measured == (site("z1"),)
     assert q.answer_arity == 1
 
@@ -233,7 +235,7 @@ def test_extended_game_structure():
     assert all(ctx.weight == Fraction(1, 14) for ctx in game.contexts)
     eq1 = game.context_by_id("eq01")
     assert eq1.questions[0].id == "z1"
-    assert eq1.questions[0].measurements == ((1, ObservableKind.Z), (2, None))
+    assert eq1.questions[0].measurements == ((1, "z"), (2, None))
     assert eq1.questions[1].id == "z3"
     assert eq1.predicate.text() == "z1*z3 = +1"
     # every equality appears as exactly one context predicate

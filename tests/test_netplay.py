@@ -102,13 +102,13 @@ def test_question_and_answer_templates_are_canonical(name):
     game = GAME_BUILDERS[name]()
     for context in game.contexts:
         for question in context.questions:
-            tail = netplay._question_tail([(o.qubit, o.kind.value) for o in question.measured])
+            tail = netplay._question_tail([(o.qubit, o.kind) for o in question.measured])
             for r in (0, 7, 63, 123456):
                 message = {
                     "type": "question",
                     "round": r,
                     "observables": [
-                        {"slot": o.qubit, "kind": o.kind.value} for o in question.measured
+                        {"slot": o.qubit, "kind": o.kind} for o in question.measured
                     ],
                 }
                 assert b"%s%d%s" % (netplay._QUESTION_HEAD, r, tail) == encode_message(message)
@@ -187,7 +187,7 @@ def test_players_cross_a_process_boundary_by_value(name, strategy_name):
         copy.set_tape(tape)
         for r, plan in enumerate(plans):
             question = plan.context.questions[party]
-            observables = [(o.qubit, o.kind.value) for o in question.measured]
+            observables = [(o.qubit, o.kind) for o in question.measured]
             expected = list(plan.answers[party])
             assert player.answer(r, observables) == expected
             assert copy.answer(r, observables) == expected

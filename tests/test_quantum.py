@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocalgames import games
+from nonlocalgames import games, quantum
+from nonlocalgames.games import SiteObservable, site, sites
 from nonlocalgames.quantum import (
-    ObservableKind,
-    SiteObservable,
     Statevector,
     basis_state,
     expectation,
@@ -16,8 +15,6 @@ from nonlocalgames.quantum import (
     make_ghz,
     make_psi,
     reduced_spectrum,
-    site,
-    sites,
     verify_constraints,
 )
 
@@ -25,7 +22,7 @@ from oracles import draw_from, kron_projector_distribution
 
 
 def as_pairs(observables):
-    return [(o.kind.value, o.qubit) for o in observables]
+    return [(o.kind, o.qubit) for o in observables]
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +83,7 @@ def test_non_finite_amplitudes_are_rejected(bad):
 
 
 def test_site_parsing():
-    assert site("x1") == SiteObservable(1, ObservableKind.X)
+    assert site("x1") == SiteObservable(1, "x") == (1, "x")
     assert str(site("z4")) == "z4"
     assert sites("x1 y3") == (site("x1"), site("y3"))
     with pytest.raises(ValueError):
@@ -95,26 +92,35 @@ def test_site_parsing():
         site("x0")
 
 
-# ---------------------------------------------------------------------------
-# projector structure
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "bad, error",
+    [(SiteObservable(0, "x"), "outside 1..4"), (SiteObservable(1, "w"), "unknown observable kind")],
+    ids=["qubit-0", "kind-w"],
+)
+def test_joint_distribution_rejects_a_bad_observable(bad, error):
+    # qubit 0 would otherwise read axis -1, the last qubit
+    with pytest.raises(ValueError, match=error):
+        joint_distribution(make_psi(), [bad])
 
 
-@pytest.mark.parametrize("kind", list(ObservableKind))
-def test_projectors_idempotent_and_complete(kind):
-    plus = (np.eye(2) + kind.matrix) / 2
-    minus = (np.eye(2) - kind.matrix) / 2
-    assert np.allclose(plus @ plus, plus, atol=1e-12)
-    assert np.allclose(minus @ minus, minus, atol=1e-12)
-    assert np.allclose(plus + minus, np.eye(2), atol=1e-12)
-    # eigenvector magnitudes: 1/sqrt(2) components for X and Y, basis for Z
-    eigvals, eigvecs = np.linalg.eigh(kind.matrix)
-    assert sorted(eigvals) == pytest.approx([-1.0, 1.0])
-    if kind is ObservableKind.Z:
-        # eigenvectors are computational basis states (up to column order)
-        assert np.allclose(np.sort(np.abs(eigvecs), axis=0), [[0, 0], [1, 1]], atol=1e-12)
-    else:
-        assert np.allclose(np.abs(eigvecs), 0.5**0.5, atol=1e-12)
+# ---------------------------------------------------------------------------
+# basis changes
+# ---------------------------------------------------------------------------
+
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAULI))
+def test_basis_changes_diagonalize_the_paulis(kind):
+    assert sorted(quantum._BASIS_CHANGES) == sorted(PAULI)
+    u = quantum._BASIS_CHANGES[kind]
+    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+    # the +1 eigenvector goes to |0>, the -1 eigenvector to |1>
+    assert np.allclose(u @ PAULI[kind] @ u.conj().T, np.diag([1, -1]), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +198,7 @@ def test_distribution_properties_random_states(seed, n, data):
         st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
     )
     kinds = data.draw(
-        st.lists(st.sampled_from(list(ObservableKind)), min_size=len(qubits), max_size=len(qubits))
+        st.lists(st.sampled_from("xyz"), min_size=len(qubits), max_size=len(qubits))
     )
     observables = [SiteObservable(q, k) for q, k in zip(qubits, kinds)]
     dist = joint_distribution(state, observables)
@@ -249,7 +255,7 @@ def test_sampling_frequencies_converge():
 def test_marginal_uniformity_on_psi():
     psi = make_psi()
     for qubit in range(1, 5):
-        for kind in ObservableKind:
+        for kind in "xyz":
             dist = joint_distribution(psi, [SiteObservable(qubit, kind)])
             assert dist[(+1,)] == pytest.approx(0.5, abs=1e-9)
             assert dist[(-1,)] == pytest.approx(0.5, abs=1e-9)
