@@ -37,9 +37,9 @@ is dealt in one line.
 
 The referee plays in windows of up to ``_WINDOW`` rounds. For each
 window it sends every party all of its questions at once, then reads the
-answers round by round, party by party. A player answers every question
-it has received, and sends those answers in one write just before it
-would wait for more input. Messages, their bytes and their order on each
+answers, party by party. A player answers every question it has
+received, and sends those answers in one write just before it would wait
+for more input. Messages, their bytes and their order on each
 connection are those of a lock-step session, so a player that sends each
 answer as soon as it has it plays just as well. Seeing its own questions
 up to a window early tells a party nothing about another party's question
@@ -58,26 +58,36 @@ could wait on the peer's delayed acknowledgement of the last one.
 Both ends read lines through one ``_LineReader``: a byte buffer and an
 offset into it. The referee knows the answers a faithful player sends.
 Before round 1 it builds each plan's answer ending for each party (the
-line after the round number, ``_answer_ending``), and per round one head
-(the line up to it). ``take`` consumes the next line if it is exactly
-head plus ending, and waits for more bytes only while those buffered are
-a proper prefix of it. Any other line is decoded whole and checked field
-by field, and a round whose answers are not its plan's is scored from
-them. A player fills two tables as it plays. Each decoded question adds
-the text the referee writes after the round number for its fields
-(``_question_tail``), with its observables; each distinct answer adds its
-values, with its encoded line after the round number (``_answer_ending``).
-A later question line that starts with the next round's canonical head,
-and whose text after it is known, is answered from the two without the
-decoder.
+line after the round number, ``_answer_ending``); per window it builds
+each round's head (the line up to it), and joins each party's heads and
+endings into the window's expected answer bytes. ``match`` compares the
+bytes a party sends with them as they arrive, and waits for more only
+while those buffered are a proper prefix; it consumes nothing. If every
+party's bytes match, the window is consumed and played as planned, with
+no work per round. Otherwise the window is read again from the buffers,
+round by round, party by party: ``take`` consumes a line that is exactly
+head plus ending, any other line is decoded whole and checked field by
+field, and a round whose answers are not its plan's is scored from them.
+A transport failure met while matching is kept by the party's connection
+and raised again when the reread reaches the round it cut off, so blame,
+cause and the rounds kept are those of a round-by-round read.
+
+A player reads every whole line buffered in one split (``lines``), and
+waits only when none is. It fills two tables as it plays. Each decoded
+question adds the text the referee writes after the round number for its
+fields (``_question_tail``), with its observables; each distinct answer
+adds its values, with its encoded line after the round number
+(``_answer_ending``). A later question line that starts with the next
+round's canonical head, and whose text after it is known, is answered
+from the two without the decoder.
 
 The referee gives each message from a player ``_PEER_TIMEOUT_S`` seconds
-in all, counted from its first wait for the message's bytes, however they
-trickle in, and each write to a player as long. A client whose hello is
-not whole by then is dropped, like one that leaves without a hello. A
-timeout, reset or end of stream once the player has said hello ends the
-session in an incomplete log whose ``abort_reason`` names the party and
-the cause; the others exit 4.
+in all, counted from its first wait for the message's bytes once the one
+before it has arrived whole, however they trickle in, and each write to a
+player as long. A client whose hello is not whole by then is dropped,
+like one that leaves without a hello. A timeout, reset or end of stream
+once the player has said hello ends the session in an incomplete log
+whose ``abort_reason`` names the party and the cause; the others exit 4.
 """
 
 from __future__ import annotations
@@ -146,9 +156,10 @@ class _LineReader:
     an offset into it.
 
     A line gets ``timeout`` seconds in all (``None``: no limit), counted
-    from the first wait for its bytes; ``before_wait`` runs before every
-    wait. A line longer than ``_MAX_LINE`` bytes, newline included, is a
-    protocol error. Transport failures surface as ``OSError``.
+    from the first wait for its bytes, that is the first wait once the line
+    before it has arrived whole; ``before_wait`` runs before every wait. A
+    line longer than ``_MAX_LINE`` bytes, newline included, is a protocol
+    error. Transport failures surface as ``OSError``.
     """
 
     def __init__(
@@ -178,6 +189,9 @@ class _LineReader:
         chunk = self.conn.recv(_RECV_BYTES)
         if not chunk:
             return False
+        if b"\n" in chunk:
+            # a line arrived whole: the next one's time starts at its first wait
+            self._deadline = None
         self._buf = self._buf[self._pos :] + chunk
         self._pos = 0
         return True
@@ -192,32 +206,59 @@ class _LineReader:
                     raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
                 line = self._buf[self._pos : end]
                 self._pos = end + 1
-                break
+                return line
             if len(self._buf) - self._pos >= _MAX_LINE:
                 raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
             if not self._fill():
                 line = self._buf[self._pos :]
                 self._pos = len(self._buf)
-                if not line:
-                    return None
-                break
-        self._deadline = None
-        return line
+                return line or None
+
+    def lines(self) -> list[bytes]:
+        """Every whole line buffered, without their newlines, in one split.
+
+        Only when none is buffered, or the buffered ones might hold one
+        over ``_MAX_LINE``, does it return the one next line as ``line``
+        reads it, waiting for it if need be; an empty list once nothing is
+        left."""
+        end = self._buf.rfind(b"\n", self._pos)
+        if end < 0 or end - self._pos >= _MAX_LINE:
+            line = self.line()
+            return [] if line is None else [line]
+        batch = self._buf[self._pos : end].split(b"\n")
+        self._pos = end + 1
+        return batch
+
+    def match(self, expected: bytes) -> bool:
+        """Whether the next bytes are ``expected``; consumes nothing.
+
+        Waits for more bytes only while those buffered are a proper prefix
+        of ``expected``; otherwise, and at the end of stream, returns False.
+        Each call compares a byte once, when it arrives, so bytes that
+        trickle in cost time linear in their number."""
+        checked = 0
+        while True:
+            have = min(len(self._buf) - self._pos, len(expected))
+            if not self._buf.startswith(expected[checked:have], self._pos + checked):
+                return False
+            if have == len(expected):
+                return True
+            checked = have
+            if not self._fill():
+                return False
+
+    def skip(self, size: int) -> None:
+        """Consume ``size`` buffered bytes, which ``match`` has seen."""
+        self._pos += size
 
     def take(self, expected: bytes) -> bool:
         """Consume the next line if it is ``expected``, newline included.
 
-        Waits for more bytes only while those buffered are a proper prefix
-        of ``expected``; otherwise, and at the end of stream, returns False
-        and leaves the line to ``line``."""
-        while not self._buf.startswith(expected, self._pos):
-            have = len(self._buf) - self._pos
-            if have >= len(expected) or not self._buf.endswith(expected[:have]):
-                return False
-            if not self._fill():
-                return False
-        self._pos += len(expected)
-        self._deadline = None
+        Waits as ``match`` does; when the bytes are not ``expected``, and at
+        the end of stream, returns False and leaves the line to ``line``."""
+        if not self.match(expected):
+            return False
+        self.skip(len(expected))
         return True
 
 
@@ -343,18 +384,24 @@ def _tune(conn: socket.socket, line_bytes: int) -> int:
 class _Seat(_LineReader):
     """One accepted connection as the referee sees it, a player's once its
     hello names the party: any transport failure on it is that party
-    leaving. Each line read gets ``_PEER_TIMEOUT_S`` seconds in all."""
+    leaving. Each line read gets ``_PEER_TIMEOUT_S`` seconds in all. The
+    first transport failure of a read is kept, and raised again at every
+    later wait, so a reread of what was buffered before it ends where it
+    did, with the same cause."""
 
     def __init__(self, conn: socket.socket):
         super().__init__(conn, _PEER_TIMEOUT_S)
         self.party: int | None = None
         self.outbox: list[bytes] | None = None
+        self._failure: PlayerDisconnected | None = None
 
     def _fill(self) -> bool:
-        try:
-            return super()._fill()
-        except OSError as exc:
-            raise self._lost(exc) from None
+        if self._failure is None:
+            try:
+                return super()._fill()
+            except OSError as exc:
+                self._failure = self._lost(exc)
+        raise self._failure
 
     def send(self, lines: list[bytes]) -> None:
         if self.outbox is not None:
@@ -432,15 +479,21 @@ class RefereeServer:
         """Run the session; returns the log (flagged incomplete on abort).
 
         Plays from the session's plans and index (``trials._plan_session``).
-        Each answer line that is its plan's, byte for byte as
-        ``encode_message`` writes it, is taken from the receive buffer
-        without the decoder (``_LineReader.take``); any other is decoded
-        whole and checked. Only a round whose answers are not its plan's is
-        scored, its row looked up by value. The window is ``_WINDOW``
-        rounds, or fewer if one window of the session's longest answer line
-        does not fit the receive buffer granted on every connection
-        (``_tune``). The log is filled once, with the rounds whose answers
-        were all read: the session, or the rounds before an abort."""
+        Once a window's questions are sent, each seat's buffered answers
+        are compared in one go with the window's planned answer lines,
+        byte for byte as ``encode_message`` writes them
+        (``_LineReader.match``). If every seat's bytes match, they are
+        consumed and the window is played as planned. Otherwise the window
+        is read again round by round, party by party: a planned line is
+        taken without the decoder (``_LineReader.take``), any other is
+        decoded whole and checked, and a transport failure a seat met while
+        matching is raised where its round comes. Only a round whose
+        answers are not its plan's is scored, its row looked up by value.
+        The window is ``_WINDOW`` rounds, or fewer if one window of the
+        session's longest answer line does not fit the receive buffer
+        granted on every connection (``_tune``). The log is filled once,
+        with the rounds whose answers were all read: the session, or the
+        rounds before an abort."""
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
         game = self.game
@@ -455,17 +508,12 @@ class RefereeServer:
             for context in game.contexts
         }
         asked = [tails[plan.context.id] for plan in plans]
-        # per plan and party: the planned answer line after its round number,
-        # and the answer's arity
-        planned = [
-            [
-                (_answer_ending(values), q.answer_arity)
-                for q, values in zip(plan.context.questions, plan.answers)
-            ]
-            for plan in plans
+        # per party and plan: the planned answer line after its round number
+        endings = [
+            [_answer_ending(plan.answers[p]) for plan in plans] for p in range(game.parties)
         ]
         longest = len(b"%s%d" % (_ANSWER_HEAD, self.rounds - 1)) + max(
-            len(ending) for expected in planned for ending, _ in expected
+            len(ending) for by_plan in endings for ending in by_plan
         )
         window = _WINDOW
         seats: dict[int, _Seat] = {}
@@ -508,19 +556,36 @@ class RefereeServer:
                 seat.send(_deal_lines(tuple(chain.from_iterable(tapes[i] for i in ids))))
 
             for lo in range(0, self.rounds, window):
-                rounds = range(lo, min(lo + window, self.rounds))
+                hi = min(lo + window, self.rounds)
+                rounds = range(lo, hi)
                 for seat in order:
                     seat.send([
                         b"%s%d%s" % (_QUESTION_HEAD, r, asked[ids[r]][seat.party])
                         for r in rounds
                     ])
+                heads = [b"%s%d" % (_ANSWER_HEAD, r) for r in rounds]
+                # per seat, the window's planned answer lines, in one string
+                expected = [
+                    b"".join(chain.from_iterable(zip(heads, map(by_plan.__getitem__, ids[lo:hi]))))
+                    for by_plan in endings
+                ]
+                try:
+                    taken = all(seat.match(lines) for seat, lines in zip(order, expected))
+                except PlayerDisconnected:
+                    # the seat keeps it, for the round it falls in below
+                    taken = False
+                if taken:
+                    for seat, lines in zip(order, expected):
+                        seat.skip(len(lines))
+                    played = hi
+                    continue
                 for r in rounds:
                     i = ids[r]
-                    head = b"%s%d" % (_ANSWER_HEAD, r)
+                    head = heads[r - lo]
                     answers = plans[i].answers
-                    for seat, (ending, arity) in zip(order, planned[i]):
-                        if not seat.take(head + ending):
-                            p = seat.party
+                    for p, seat in enumerate(order):
+                        if not seat.take(head + endings[p][i]):
+                            arity = plans[i].context.questions[p].answer_arity
                             answers = (*answers[:p], seat.read_answer(r, arity), *answers[p + 1 :])
                     if answers != plans[i].answers:
                         index[r] = log._row_id(plans[i].context.row(answers))
@@ -603,8 +668,10 @@ def run_local_session(
 def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
-    Answers go out together, just before the player waits for more input,
-    with Nagle's algorithm off. A question line that begins as
+    Lines are read a batch at a time: every whole line buffered, in one
+    split (``_LineReader.lines``); each is handled in turn, and answers go
+    out together, just before the player waits for more input, with
+    Nagle's algorithm off. A question line that begins as
     ``encode_message`` begins round r + 1, r the round last answered, and
     goes on with a text in the question table is read from that table when
     no tape is pending; its answer line is built from the answer table.
@@ -643,51 +710,52 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
             tape: list[tuple[int, ...]] = []
             reader = _LineReader(conn, before_wait=send_replies)
             round_index = -1
-            while (line := reader.line()) is not None:
-                # the referee asks rounds in order, so a canonical question
-                # starts with the next round's head
-                head = b"%s%d" % (_QUESTION_HEAD, round_index + 1)
-                observables = None
-                if not tape and line.startswith(head):
-                    observables = asked.get(line[len(head) :])
-                if observables is not None:
-                    round_index += 1
-                else:
-                    message = decode_message(line)
-                    kind = message["type"]
-                    if kind == "dealt":
-                        # a player does not know the session length: take every bit
-                        tape.append(decode_tape(message.get("tape", "")))
-                        continue
-                    if kind == "end":
-                        if message.get("reason") != "complete":
-                            raise ProtocolError(f"session ended: {message.get('reason')}")
-                        return 0
-                    if kind != "question":
-                        raise ProtocolError(f"unknown message type {kind!r}")
-                    if tape:
-                        party_strategy.set_tape(tuple(chain.from_iterable(tape)))
-                        tape = []
-                    round_index = message.get("round")
-                    # int() would answer 7.9 and true as rounds 7 and 1
-                    if type(round_index) is not int:
-                        raise ProtocolError(f"question round must be an int, got {round_index!r}")
-                    try:
-                        observables = tuple(
-                            (int(o["slot"]), str(o["kind"]))
-                            for o in message.get("observables", [])
-                        )
-                    except (KeyError, TypeError, ValueError):
-                        raise ProtocolError(f"malformed question {message!r}") from None
-                    # keyed by what the referee writes for these fields, never by
-                    # this line, which may repeat a key, add spaces or fields
-                    asked[_question_tail(observables)[:-1]] = observables
-                values = party_strategy.answer(round_index, observables)
-                key = tuple(values)
-                ending = answered.get(key)
-                if ending is None:
-                    ending = answered[key] = _answer_ending(values)
-                replies.append(b"%s%d%s" % (_ANSWER_HEAD, round_index, ending))
+            while batch := reader.lines():
+                for line in batch:
+                    # the referee asks rounds in order, so a canonical question
+                    # starts with the next round's head
+                    head = b"%s%d" % (_QUESTION_HEAD, round_index + 1)
+                    observables = None
+                    if not tape and line.startswith(head):
+                        observables = asked.get(line[len(head) :])
+                    if observables is not None:
+                        round_index += 1
+                    else:
+                        message = decode_message(line)
+                        kind = message["type"]
+                        if kind == "dealt":
+                            # a player does not know the session length: take every bit
+                            tape.append(decode_tape(message.get("tape", "")))
+                            continue
+                        if kind == "end":
+                            if message.get("reason") != "complete":
+                                raise ProtocolError(f"session ended: {message.get('reason')}")
+                            return 0
+                        if kind != "question":
+                            raise ProtocolError(f"unknown message type {kind!r}")
+                        if tape:
+                            party_strategy.set_tape(tuple(chain.from_iterable(tape)))
+                            tape = []
+                        round_index = message.get("round")
+                        # int() would answer 7.9 and true as rounds 7 and 1
+                        if type(round_index) is not int:
+                            raise ProtocolError(f"question round must be an int, got {round_index!r}")
+                        try:
+                            observables = tuple(
+                                (int(o["slot"]), str(o["kind"]))
+                                for o in message.get("observables", [])
+                            )
+                        except (KeyError, TypeError, ValueError):
+                            raise ProtocolError(f"malformed question {message!r}") from None
+                        # keyed by what the referee writes for these fields, never by
+                        # this line, which may repeat a key, add spaces or fields
+                        asked[_question_tail(observables)[:-1]] = observables
+                    values = party_strategy.answer(round_index, observables)
+                    key = tuple(values)
+                    ending = answered.get(key)
+                    if ending is None:
+                        ending = answered[key] = _answer_ending(values)
+                    replies.append(b"%s%d%s" % (_ANSWER_HEAD, round_index, ending))
             raise ProtocolError("referee closed the connection mid-session")
     except ProtocolError as exc:
         print(f"player {party_strategy.party}: {exc}", file=sys.stderr)

@@ -246,10 +246,40 @@ MUTANTS = (
     Mutant(
         "take-accepts-a-partial-line",
         "netplay.py",
-        "            if not self._fill():\n                return False\n        self._pos += len(expected)",
-        "            if have:\n                break\n"
-        "            if not self._fill():\n                return False\n        self._pos += len(expected)",
+        "            checked = have\n",
+        "            checked = have\n            if have:\n                return True\n",
         ("tests/test_netplay.py::test_answers_written_in_pieces_give_the_same_session[one-byte]",),
+    ),
+    Mutant(
+        "window-match-keeps-one-deadline",
+        "netplay.py",
+        'if b"\\n" in chunk:',
+        "if False:",
+        ("tests/test_netplay.py::test_a_slow_lock_step_player_still_plays",),
+    ),
+    Mutant(
+        "window-taken-when-any-seat-matches",
+        "netplay.py",
+        "taken = all(seat.match(lines)",
+        "taken = any(seat.match(lines)",
+        ("tests/test_netplay.py::test_referee_rescores_a_later_seat_after_the_first_matched",),
+    ),
+    Mutant(
+        "seat-forgets-its-failure",
+        "netplay.py",
+        "        if self._failure is None:\n            try:",
+        "        if True:\n            try:",
+        (
+            "tests/test_netplay.py::"
+            "test_a_party_failing_mid_window_is_named_with_the_rounds_before_it[reset]",
+        ),
+    ),
+    Mutant(
+        "player-lines-over-the-limit-accepted",
+        "netplay.py",
+        "if end < 0 or end - self._pos >= _MAX_LINE:",
+        "if end < 0:",
+        ("tests/test_netplay.py::test_a_question_over_the_line_limit_ends_the_player_with_4",),
     ),
     Mutant(
         "window-ignores-the-receive-buffer",

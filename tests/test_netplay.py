@@ -228,8 +228,9 @@ def test_window_leaves_transcripts_and_logs_unchanged(
     assert sessions[0][0] == run_trials(game, strategy, rounds=rounds, seed=seed).to_jsonl()
 
 
-def _lock_step_player(address, player, encode):
-    """A player that sends each answer as soon as it has it, in ``encode``'s layout."""
+def _lock_step_player(address, player, encode, delay=0.0):
+    """A player that sends each answer as soon as it has it, in ``encode``'s
+    layout, ``delay`` seconds after its question."""
     with socket.create_connection(address) as s:
         f = s.makefile("rwb")
         hello = {"type": "hello", "party": player.party, "protocol_version": 1}
@@ -242,10 +243,26 @@ def _lock_step_player(address, player, encode):
             elif message["type"] == "question":
                 observables = [(o["slot"], o["kind"]) for o in message["observables"]]
                 values = player.answer(message["round"], observables)
+                time.sleep(delay)
                 f.write(encode({"type": "answer", "round": message["round"], "values": values}))
                 f.flush()
             else:
                 return message
+
+
+def _replay_calls(monkeypatch):
+    """Count the referee's round-by-round reads: ``_Seat.take`` and
+    ``_Seat.read_answer`` calls."""
+    calls = []
+    for name in ("take", "read_answer"):
+        method = getattr(netplay._Seat, name)
+
+        def counting(seat, *args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(seat, *args)
+
+        monkeypatch.setattr(netplay._Seat, name, counting)
+    return calls
 
 
 def _repeated_key(message):
@@ -264,9 +281,10 @@ def _repeated_key(message):
     ],
     ids=["canonical", "reordered-spaced", "spaced", "repeated-key"],
 )
-def test_lock_step_player_in_any_layout_still_plays(encode, decoded_answers):
+def test_lock_step_player_in_any_layout_still_plays(monkeypatch, encode, decoded_answers):
     game = cabello_restricted()
     strategy = lambda_mu_model()
+    replayed = _replay_calls(monkeypatch)
     decoded = []
     decode = netplay.decode_message
 
@@ -294,6 +312,9 @@ def test_lock_step_player_in_any_layout_still_plays(encode, decoded_answers):
             p.join(timeout=10)
     # an answer the referee cannot take as planned is decoded, and scores the same
     assert decoded.count("answer") == decoded_answers
+    # canonical answers are matched a window at a time; any other layout
+    # sends the referee back to reading its window round by round
+    assert (replayed == []) == (encode is encode_message)
     assert box["log"] == run_trials(game, strategy, rounds=150, seed=12)
     assert ends == [{"type": "end", "reason": "complete"}] * 2
 
@@ -732,6 +753,25 @@ def test_trickling_answer_times_out(monkeypatch):
     assert statuses == {1: 4}
 
 
+def test_a_slow_lock_step_player_still_plays(monkeypatch):
+    # every answer comes within the deadline of the one before it; the
+    # window's answers together do not
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(netplay, "_WINDOW", 8)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    address, thread, box = _serve_in_thread(game, strategy, 8, 14)
+    threads, statuses = _players_in_threads(address, game, strategy, [0])
+    end = _lock_step_player(address, build_party_strategy(game, strategy, 1), encode_message, 0.1)
+    thread.join(timeout=10)
+    for t in threads:
+        t.join(timeout=10)
+    assert not thread.is_alive()
+    assert box["log"] == run_trials(game, strategy, rounds=8, seed=14)
+    assert end == {"type": "end", "reason": "complete"}
+    assert statuses == {0: 0}
+
+
 def test_session_with_a_tape_over_the_line_limit(monkeypatch):
     monkeypatch.setattr(netplay, "_MAX_LINE", 256)
     game = cabello_restricted()
@@ -758,9 +798,10 @@ MISBEHAVIOURS = (
 FUZZ_SESSIONS = {"cabello-restricted": "lambda-mu", "four-party": "quantum"}
 
 
-def _hostile_player(address, player, behaviour, at):
+def _hostile_player(address, player, behaviour, at, pause=0.0):
     """Say hello and play in lock step until round ``at``'s question comes,
-    then misbehave as ``behaviour`` says; return once the referee closes."""
+    then, ``pause`` seconds later, misbehave as ``behaviour`` says; return
+    once the referee closes."""
     sock = socket.create_connection(address, timeout=10)
     f = sock.makefile("rb")
     try:
@@ -779,6 +820,7 @@ def _hostile_player(address, player, behaviour, at):
             if r < at:
                 sock.sendall(encode_message({"type": "answer", "round": r, "values": values}))
                 continue
+            time.sleep(pause)
             if behaviour == "reset":
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             if behaviour in ("close", "reset"):
@@ -907,6 +949,30 @@ def test_referee_scores_the_answers_sent():
     assert lost > 0
 
 
+def test_referee_rescores_a_later_seat_after_the_first_matched(monkeypatch):
+    # the first seat's window matches its plan, the last seat's does not
+    game = four_party_game()
+    strategy = quantum_strategy(game)
+    last = game.parties - 1
+    players = [build_party_strategy(game, strategy, party) for party in range(game.parties)]
+    players[last] = Contrary(party=last, inner=players[last])
+    replayed = _replay_calls(monkeypatch)
+    log = run_local_session(game, strategy, rounds=200, seed=8, player_specs=players)
+    planned = run_trials(game, strategy, rounds=200, seed=8).records
+    expected = []
+    for plan in planned:
+        answers = list(plan.answers)
+        if plan.round % 2:
+            first, *rest = answers[last]
+            answers[last] = (-first, *rest)
+        expected.append((plan.round, *game.context_by_id(plan.context_id).row(answers)))
+    assert log.complete
+    assert [tuple(rec) for rec in log.records] == expected
+    assert any(sent.win != plan.win for sent, plan in zip(log.records, planned))
+    # every odd round's answer from the last seat is decoded
+    assert replayed.count("read_answer") == 100
+
+
 @pytest.mark.parametrize("contrary", [False, True], ids=["faithful", "contrary"])
 @pytest.mark.parametrize("k", [0, 6])
 def test_an_aborted_session_keeps_exactly_the_rounds_played(monkeypatch, k, contrary):
@@ -945,6 +1011,43 @@ def test_an_aborted_session_keeps_exactly_the_rounds_played(monkeypatch, k, cont
     assert log.abort_reason.startswith("party 1 disconnected")
     assert len(log.records) == k
     assert log.records == full.records[:k]
+    assert statuses == {0: 4}
+
+
+@pytest.mark.parametrize("behaviour", ["stall", "reset"])
+def test_a_party_failing_mid_window_is_named_with_the_rounds_before_it(monkeypatch, behaviour):
+    # party 1 answers rounds 0-5 of an 8-round window, then stalls or resets:
+    # the failure the window's match meets is the one its round reports. A
+    # reset discards what the referee has not read yet, so it comes late
+    # enough for the referee to have read the six answers first.
+    deadline = 0.5
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", deadline)
+    monkeypatch.setattr(netplay, "_WINDOW", 8)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    address, thread, box = _serve_in_thread(game, strategy, 20, 8)
+    start = time.monotonic()
+    threads, statuses = _players_in_threads(address, game, strategy, [0])
+    failing = threading.Thread(
+        target=_hostile_player,
+        args=(address, build_party_strategy(game, strategy, 1), behaviour, 6, 0.2),
+        daemon=True,
+    )
+    failing.start()
+    thread.join(timeout=10)
+    elapsed = time.monotonic() - start
+    for t in threads + [failing]:
+        t.join(timeout=10)
+    log = box["log"]
+    assert not log.complete
+    if behaviour == "stall":
+        assert log.abort_reason == "party 1 timed out after 0.5 s"
+    else:
+        # with the OS's words for the reset, as the first failed read gave them
+        assert log.abort_reason.startswith("party 1 disconnected (")
+    assert log.records == run_trials(game, strategy, rounds=20, seed=8).records[:6]
+    # a stall is waited out once, not again when the window is reread
+    assert elapsed < 2 * deadline
     assert statuses == {0: 4}
 
 
@@ -1144,6 +1247,21 @@ def test_a_question_with_a_round_never_written_ends_the_player_with_4(round_text
     status, read = _play_lines(lines, player)
     assert status == 4
     assert all(decode_message(line)["round"] == 0 for line in read)
+
+
+def test_a_question_over_the_line_limit_ends_the_player_with_4(monkeypatch, capsys):
+    monkeypatch.setattr(netplay, "_MAX_LINE", 256)
+    game = cabello_restricted()
+    player = build_party_strategy(game, lambda_mu_model(), 0)
+    listed = [{"slot": 1, "kind": "x"}, {"slot": 2, "kind": "x"}]
+    question = {"type": "question", "round": 0, "observables": listed}
+    # a well-formed question, padded past the limit by a field players ignore
+    long = encode_message({**question, "round": 1, "padding": "x" * 256})
+    assert len(long) > 256
+    lines = [*netplay._deal_lines((1, -1, 1) * 8), encode_message(question), long]
+    status, _ = _play_lines(lines, player, answers=1)
+    assert status == 4
+    assert "player 0: message longer than 256 bytes" in capsys.readouterr().err
 
 
 def test_a_hello_with_a_huge_party_is_a_protocol_error():
