@@ -430,6 +430,10 @@ def four_party_game() -> NonlocalGame:
     )
 
 
+# in the equation-file format; a context's id is its kinds in qubit order
+_MERMIN_GHZ = ("+1 x1 x2 x3", "-1 x1 y2 y3", "-1 y1 x2 y3", "-1 y1 y2 x3")
+
+
 def mermin_ghz() -> NonlocalGame:
     """The three-party parity game with questions {X, Y}.
 
@@ -442,20 +446,14 @@ def mermin_ghz() -> NonlocalGame:
         for qubit in range(1, 4)
     )
     contexts = []
-    for pattern, sign in (("xxx", +1), ("xyy", -1), ("yxy", -1), ("yyx", -1)):
-        questions = tuple(
-            question_sets[qubit - 1]["xy".index(pattern[qubit - 1])]
-            for qubit in range(1, 4)
-        )
-        predicate = ParityConstraint(
-            frozenset(SiteObservable(qubit, pattern[qubit - 1]) for qubit in range(1, 4)),
-            sign,
-        )
+    for eq in map(parse_constraint_line, _MERMIN_GHZ):
         contexts.append(
             Context(
-                id=pattern,
-                questions=questions,
-                predicate=predicate,
+                id="".join(v.kind for v in eq.sorted_vars),
+                questions=tuple(
+                    question_sets[v.qubit - 1]["xy".index(v.kind)] for v in eq.sorted_vars
+                ),
+                predicate=eq,
                 weight=Fraction(1, 4),
             )
         )

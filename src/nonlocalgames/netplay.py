@@ -56,21 +56,22 @@ ends turn off Nagle's algorithm (``TCP_NODELAY``), or each window's write
 could wait on the peer's delayed acknowledgement of the last one.
 
 Both ends read lines through one ``_LineReader``: a byte buffer and an
-offset into it. The referee knows the answers a faithful player sends.
-Before round 1 it builds each plan's answer ending for each party (the
-line after the round number, ``_answer_ending``); per window it builds
-each round's head (the line up to it), and joins each party's heads and
-endings into the window's expected answer bytes. ``match`` compares the
-bytes a party sends with them as they arrive, and waits for more only
-while those buffered are a proper prefix; it consumes nothing. If every
-party's bytes match, the window is consumed and played as planned, with
-no work per round. Otherwise the window is read again from the buffers,
-round by round, party by party: ``take`` consumes a line that is exactly
-head plus ending, any other line is decoded whole and checked field by
-field, and a round whose answers are not its plan's is scored from them.
-A transport failure met while matching is kept by the party's connection
-and raised again when the reread reaches the round it cut off, so blame,
-cause and the rounds kept are those of a round-by-round read.
+offset into it. The referee reads answers in two ways. The fast one is
+for the answers a faithful player sends. Before round 1 the referee
+builds each plan's answer ending for each party (the line after the
+round number, ``_answer_ending``); per window it builds each round's
+head (the line up to it), and joins each party's heads and endings into
+the window's expected answer bytes. ``match`` compares the bytes a party
+sends with them as they arrive, and waits for more only while those
+buffered are a proper prefix; it consumes nothing. If every party's
+bytes match, the window is consumed and played as planned, with no work
+per round. Otherwise the window is read again from the buffers, round by
+round, party by party, each line decoded whole and checked field by
+field (``_Seat.read_answer``), and a round whose answers are not its
+plan's is scored from them. A transport failure met while matching is
+kept by the party's connection and raised again when the reread reaches
+the round it cut off, so blame, cause and the rounds kept are those of a
+round-by-round read.
 
 A player reads every whole line buffered in one split (``lines``), and
 waits only when none is. It fills two tables as it plays. Each decoded
@@ -251,16 +252,6 @@ class _LineReader:
         """Consume ``size`` buffered bytes, which ``match`` has seen."""
         self._pos += size
 
-    def take(self, expected: bytes) -> bool:
-        """Consume the next line if it is ``expected``, newline included.
-
-        Waits as ``match`` does; when the bytes are not ``expected``, and at
-        the end of stream, returns False and leaves the line to ``line``."""
-        if not self.match(expected):
-            return False
-        self.skip(len(expected))
-        return True
-
 
 #: each byte's eight tape values, low bit first; bit 1 is the value -1
 _BYTE_VALUES = [tuple(-1 if byte >> k & 1 else +1 for k in range(8)) for byte in range(256)]
@@ -282,7 +273,8 @@ def decode_tape(text: str) -> tuple[int, ...]:
     if not isinstance(text, str):
         raise ProtocolError(f"tape must be a string, got {type(text).__name__}")
     try:
-        raw = base64.b64decode(text.encode())
+        # without validate, bytes outside the alphabet are dropped unseen
+        raw = base64.b64decode(text.encode(), validate=True)
     except ValueError as exc:
         raise ProtocolError(f"undecodable tape: {exc}") from None
     return tuple(chain.from_iterable(map(_BYTE_VALUES.__getitem__, raw)))
@@ -470,6 +462,9 @@ class RefereeServer:
         self.strategy = strategy
         self.transcript = transcript
         self._listener: socket.socket | None = None
+        # before any player can connect: a session that cannot be planned
+        # then keeps no player waiting
+        self._plans, self._index = _plan_session(game, strategy, rounds, seed)
 
     def bind(self, address: tuple[str, int]) -> tuple[str, int]:
         self._listener = socket.create_server(address, backlog=self.game.parties)
@@ -478,17 +473,17 @@ class RefereeServer:
     def serve(self) -> TrialLog:
         """Run the session; returns the log (flagged incomplete on abort).
 
-        Plays from the session's plans and index (``trials._plan_session``).
-        Once a window's questions are sent, each seat's buffered answers
-        are compared in one go with the window's planned answer lines,
-        byte for byte as ``encode_message`` writes them
-        (``_LineReader.match``). If every seat's bytes match, they are
+        Plays the plans and index ``__init__`` made (``trials._plan_session``).
+        Answers are read two ways. Once a window's questions are sent, each
+        seat's buffered answers are compared in one go with the window's
+        planned answer lines, byte for byte as ``encode_message`` writes
+        them (``_LineReader.match``). If every seat's bytes match, they are
         consumed and the window is played as planned. Otherwise the window
-        is read again round by round, party by party: a planned line is
-        taken without the decoder (``_LineReader.take``), any other is
-        decoded whole and checked, and a transport failure a seat met while
-        matching is raised where its round comes. Only a round whose
-        answers are not its plan's is scored, its row looked up by value.
+        is read again round by round, party by party, each line decoded
+        whole and checked (``_Seat.read_answer``), and a transport failure
+        a seat met while matching is raised where its round comes. Only a
+        round whose answers are not its plan's is scored, its row looked up
+        by value.
         The window is ``_WINDOW`` rounds, or fewer if one window of the
         session's longest answer line does not fit the receive buffer
         granted on every connection (``_tune``). The log is filled once,
@@ -497,7 +492,7 @@ class RefereeServer:
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
         game = self.game
-        plans, index = _plan_session(game, self.strategy, self.rounds, self.seed)
+        plans, index = self._plans, self._index
         ids = index.tolist()
         log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
         log.rows.extend(plan.row for plan in plans)
@@ -536,13 +531,13 @@ class RefereeServer:
                     if hello["type"] != "hello":
                         raise ProtocolError(f"expected hello, got {hello['type']!r}")
                     party = hello.get("party")
-                    if not isinstance(party, int) or not 0 <= party < game.parties:
+                    # true equals 1, so it would be taken as party 1
+                    if type(party) is not int or not 0 <= party < game.parties:
                         raise ProtocolError(f"bad party index {party!r}")
-                    if hello.get("protocol_version") != PROTOCOL_VERSION:
-                        raise ProtocolError(
-                            f"unsupported protocol version {hello.get('protocol_version')!r}",
-                            party,
-                        )
+                    version = hello.get("protocol_version")
+                    # true and 1.0 equal 1, so they would be taken as version 1
+                    if type(version) is not int or version != PROTOCOL_VERSION:
+                        raise ProtocolError(f"unsupported protocol version {version!r}", party)
                     if party in seats:
                         raise ProtocolError("duplicate hello", party)
                     seat.party = party
@@ -580,15 +575,13 @@ class RefereeServer:
                     played = hi
                     continue
                 for r in rounds:
-                    i = ids[r]
-                    head = heads[r - lo]
-                    answers = plans[i].answers
-                    for p, seat in enumerate(order):
-                        if not seat.take(head + endings[p][i]):
-                            arity = plans[i].context.questions[p].answer_arity
-                            answers = (*answers[:p], seat.read_answer(r, arity), *answers[p + 1 :])
-                    if answers != plans[i].answers:
-                        index[r] = log._row_id(plans[i].context.row(answers))
+                    plan = plans[ids[r]]
+                    answers = tuple(
+                        seat.read_answer(r, question.answer_arity)
+                        for seat, question in zip(order, plan.context.questions)
+                    )
+                    if answers != plan.answers:
+                        index[r] = log._row_id(plan.context.row(answers))
                     played = r + 1
 
             for seat in order:
@@ -742,11 +735,16 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                             raise ProtocolError(f"question round must be an int, got {round_index!r}")
                         try:
                             observables = tuple(
-                                (int(o["slot"]), str(o["kind"]))
-                                for o in message.get("observables", [])
+                                (o["slot"], o["kind"]) for o in message.get("observables", [])
                             )
-                        except (KeyError, TypeError, ValueError):
+                        except (KeyError, TypeError):
                             raise ProtocolError(f"malformed question {message!r}") from None
+                        # int() and str() would answer 1.5, "1" and true as slot 1
+                        for slot, kind in observables:
+                            if type(slot) is not int:
+                                raise ProtocolError(f"question slot must be an int, got {slot!r}")
+                            if type(kind) is not str:
+                                raise ProtocolError(f"question kind must be a string, got {kind!r}")
                         # keyed by what the referee writes for these fields, never by
                         # this line, which may repeat a key, add spaces or fields
                         asked[_question_tail(observables)[:-1]] = observables

@@ -343,9 +343,79 @@ MUTANTS = (
     Mutant(
         "referee-logs-the-planned-row",
         "netplay.py",
-        "if answers != plans[i].answers:",
+        "if answers != plan.answers:",
         "if False:",
         ("tests/test_netplay.py::test_referee_scores_the_answers_sent",),
+    ),
+    Mutant(
+        "hello-party-may-be-a-bool",
+        "netplay.py",
+        "if type(party) is not int or not 0 <= party < game.parties:",
+        "if not isinstance(party, int) or not 0 <= party < game.parties:",
+        ("tests/test_netplay.py::test_a_hello_field_equal_to_an_int_is_rejected[party-true]",),
+    ),
+    Mutant(
+        "hello-version-may-equal-an-int",
+        "netplay.py",
+        "if type(version) is not int or version != PROTOCOL_VERSION:",
+        "if version != PROTOCOL_VERSION:",
+        (
+            "tests/test_netplay.py::test_a_hello_field_equal_to_an_int_is_rejected[version-true]",
+            "tests/test_netplay.py::test_a_hello_field_equal_to_an_int_is_rejected[version-float]",
+        ),
+    ),
+    Mutant(
+        "player-casts-the-slot",
+        "netplay.py",
+        '(o["slot"], o["kind"]) for o in',
+        '(int(o["slot"]), o["kind"]) for o in',
+        tuple(
+            "tests/test_netplay.py::"
+            f"test_a_referee_field_of_the_wrong_type_ends_the_player_with_4[{case}]"
+            for case in ("float-slot", "string-slot", "bool-slot")
+        ),
+    ),
+    Mutant(
+        "player-kind-unchecked",
+        "netplay.py",
+        "if type(kind) is not str:",
+        "if False:",
+        (
+            "tests/test_netplay.py::"
+            "test_a_referee_field_of_the_wrong_type_ends_the_player_with_4[int-kind]",
+        ),
+    ),
+    Mutant(
+        "tape-decoded-leniently",
+        "netplay.py",
+        "base64.b64decode(text.encode(), validate=True)",
+        "base64.b64decode(text.encode())",
+        (
+            "tests/test_netplay.py::"
+            "test_a_referee_field_of_the_wrong_type_ends_the_player_with_4[tape-off-the-alphabet]",
+        ),
+    ),
+    Mutant(
+        # a session that cannot be planned fails only once served, after
+        # run_local_session has started the players
+        "session-planned-when-served",
+        "netplay.py",
+        "self._plans, self._index = _plan_session(game, strategy, rounds, seed)\n",
+        "try:\n"
+        "            self._plans, self._index = _plan_session(game, strategy, rounds, seed)\n"
+        "        except ValueError as exc:\n"
+        "            failure = exc\n"
+        "\n"
+        "            def serve():\n"
+        "                raise failure\n"
+        "\n"
+        "            self.serve = serve\n",
+        (
+            "tests/test_netplay.py::"
+            "test_a_session_that_cannot_be_planned_fails_before_any_player_starts[no-rounds]",
+        ),
+        # the mutant waits out run_local_session's 30 s joins of both players
+        timeout_s=15.0,
     ),
     Mutant(
         "aborted-log-keeps-unplayed-rounds",

@@ -148,6 +148,23 @@ def test_long_tape_is_dealt_within_the_line_limit(monkeypatch, max_line):
 
 
 @pytest.mark.parametrize(
+    "game,strategy,rounds",
+    [
+        (cabello_restricted(), lambda_mu_model(), 0),
+        # lambda-mu has no answer to the extended game's other questions
+        (cabello_extended(), lambda_mu_model(), 10),
+    ],
+    ids=["no-rounds", "strategy-the-game-lacks"],
+)
+def test_a_session_that_cannot_be_planned_fails_before_any_player_starts(game, strategy, rounds):
+    # planned after the players started, it kept them waiting to be joined
+    start = time.monotonic()
+    with pytest.raises(ValueError):
+        run_local_session(game, strategy, rounds=rounds, seed=0)
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize(
     "game_builder,strategy_builder,rounds,seed",
     [
         (four_party_game, lambda g: quantum_strategy(g), 300, 42),
@@ -251,18 +268,17 @@ def _lock_step_player(address, player, encode, delay=0.0):
 
 
 def _replay_calls(monkeypatch):
-    """Count the referee's round-by-round reads: ``_Seat.take`` and
-    ``_Seat.read_answer`` calls."""
-    calls = []
-    for name in ("take", "read_answer"):
-        method = getattr(netplay._Seat, name)
+    """The round of every answer the referee decodes, one entry per
+    ``_Seat.read_answer`` call."""
+    rounds = []
+    read_answer = netplay._Seat.read_answer
 
-        def counting(seat, *args, _method=method, _name=name):
-            calls.append(_name)
-            return _method(seat, *args)
+    def counting(seat, r, arity):
+        rounds.append(r)
+        return read_answer(seat, r, arity)
 
-        monkeypatch.setattr(netplay._Seat, name, counting)
-    return calls
+    monkeypatch.setattr(netplay._Seat, "read_answer", counting)
+    return rounds
 
 
 def _repeated_key(message):
@@ -310,11 +326,10 @@ def test_lock_step_player_in_any_layout_still_plays(monkeypatch, encode, decoded
         thread.join(timeout=20)
         for p in players:
             p.join(timeout=10)
-    # an answer the referee cannot take as planned is decoded, and scores the same
-    assert decoded.count("answer") == decoded_answers
     # canonical answers are matched a window at a time; any other layout
-    # sends the referee back to reading its window round by round
-    assert (replayed == []) == (encode is encode_message)
+    # sends the referee back to decoding its window round by round, and
+    # scores the same
+    assert decoded.count("answer") == len(replayed) == decoded_answers
     assert box["log"] == run_trials(game, strategy, rounds=150, seed=12)
     assert ends == [{"type": "end", "reason": "complete"}] * 2
 
@@ -913,18 +928,33 @@ def test_hostile_players_end_the_session_in_time_and_are_named(session):
 
 @dataclass
 class Contrary(PartyStrategy):
-    """Answers against its own tape: the first value flipped on odd rounds."""
+    """Answers against its own tape: the first value flipped on odd rounds,
+    or only in round ``only`` when it is set."""
 
     inner: PartyStrategy = None  # type: ignore[assignment]
+    only: int | None = None
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         self.inner.set_tape(values)
 
     def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
         values = self.inner.answer(round_index, observables)
-        if round_index % 2:
+        if round_index % 2 if self.only is None else round_index == self.only:
             values[0] = -values[0]
         return values
+
+
+def _contrary_rows(game, planned, party, flipped):
+    """The rows of ``planned`` with ``party``'s first value flipped, and
+    re-scored, in the rounds ``flipped`` holds."""
+    rows = []
+    for plan in planned:
+        answers = list(plan.answers)
+        if plan.round in flipped:
+            first, *rest = answers[party]
+            answers[party] = (-first, *rest)
+        rows.append((plan.round, *game.context_by_id(plan.context_id).row(answers)))
+    return rows
 
 
 def test_referee_scores_the_answers_sent():
@@ -959,18 +989,29 @@ def test_referee_rescores_a_later_seat_after_the_first_matched(monkeypatch):
     replayed = _replay_calls(monkeypatch)
     log = run_local_session(game, strategy, rounds=200, seed=8, player_specs=players)
     planned = run_trials(game, strategy, rounds=200, seed=8).records
-    expected = []
-    for plan in planned:
-        answers = list(plan.answers)
-        if plan.round % 2:
-            first, *rest = answers[last]
-            answers[last] = (-first, *rest)
-        expected.append((plan.round, *game.context_by_id(plan.context_id).row(answers)))
     assert log.complete
-    assert [tuple(rec) for rec in log.records] == expected
+    assert [tuple(rec) for rec in log.records] == _contrary_rows(
+        game, planned, last, range(1, 200, 2)
+    )
     assert any(sent.win != plan.win for sent, plan in zip(log.records, planned))
-    # every odd round's answer from the last seat is decoded
-    assert replayed.count("read_answer") == 100
+    # the one window mismatched, so every answer of every seat in it is decoded
+    assert len(replayed) == game.parties * 200
+
+
+def test_only_the_window_with_a_deviating_round_is_decoded(monkeypatch):
+    # round 13 lies in the second of five 8-round windows
+    monkeypatch.setattr(netplay, "_WINDOW", 8)
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    players = [build_party_strategy(game, strategy, party) for party in range(2)]
+    players[0] = Contrary(party=0, inner=players[0], only=13)
+    replayed = _replay_calls(monkeypatch)
+    log = run_local_session(game, strategy, rounds=40, seed=8, player_specs=players)
+    planned = run_trials(game, strategy, rounds=40, seed=8).records
+    assert log.complete
+    assert [tuple(rec) for rec in log.records] == _contrary_rows(game, planned, 0, {13})
+    assert log.records[13] != planned[13]
+    assert replayed == [r for r in range(8, 16) for _party in range(game.parties)]
 
 
 @pytest.mark.parametrize("contrary", [False, True], ids=["faithful", "contrary"])
@@ -1049,6 +1090,26 @@ def test_a_party_failing_mid_window_is_named_with_the_rounds_before_it(monkeypat
     # a stall is waited out once, not again when the window is reread
     assert elapsed < 2 * deadline
     assert statuses == {0: 4}
+
+
+@pytest.mark.parametrize(
+    "party,version,reason",
+    [
+        (True, 1, "bad party index True"),
+        (0, True, "party 0: unsupported protocol version True"),
+        (0, 1.0, "party 0: unsupported protocol version 1.0"),
+    ],
+    ids=["party-true", "version-true", "version-float"],
+)
+def test_a_hello_field_equal_to_an_int_is_rejected(party, version, reason):
+    # true and 1.0 equal 1, but only an int names a party or a version
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)
+    with socket.create_connection(address) as s:
+        s.sendall(encode_message({"type": "hello", "party": party, "protocol_version": version}))
+        thread.join(timeout=10)
+    assert isinstance(box["error"], ProtocolError)
+    assert str(box["error"]) == reason
 
 
 def test_bad_protocol_version_rejected():
@@ -1136,6 +1197,30 @@ def test_malformed_referee_message_is_a_protocol_error(messages, party):
     status, read = _play_against([{"type": "dealt", "tape": ""}] + messages, party)
     assert status == 4
     assert read == []
+
+
+@pytest.mark.parametrize(
+    "message,reason",
+    [
+        # int() would answer each of these slots as slot 1
+        (_question(0, {"slot": 1.5, "kind": "x"}, {"slot": 2, "kind": "x"}),
+         "question slot must be an int, got 1.5"),
+        (_question(0, {"slot": "1", "kind": "x"}, {"slot": 2, "kind": "x"}),
+         "question slot must be an int, got '1'"),
+        (_question(0, {"slot": True, "kind": "x"}, {"slot": 2, "kind": "x"}),
+         "question slot must be an int, got True"),
+        (_question(0, {"slot": 1, "kind": 5}, {"slot": 2, "kind": "x"}),
+         "question kind must be a string, got 5"),
+        # a lenient decoder drops the "!" and reads the tape as "/w=="
+        ({"type": "dealt", "tape": "/!w=="}, "undecodable tape: "),
+    ],
+    ids=["float-slot", "string-slot", "bool-slot", "int-kind", "tape-off-the-alphabet"],
+)
+def test_a_referee_field_of_the_wrong_type_ends_the_player_with_4(message, reason, capsys):
+    status, read = _play_against([{"type": "dealt", "tape": ""}, message])
+    assert status == 4
+    assert read == []
+    assert capsys.readouterr().err.startswith(f"player 0: {reason}")
 
 
 def test_extra_fields_in_questions_are_ignored_by_players():
