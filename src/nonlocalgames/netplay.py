@@ -56,7 +56,8 @@ ends turn off Nagle's algorithm (``TCP_NODELAY``), or each window's write
 could wait on the peer's delayed acknowledgement of the last one.
 
 Both ends read lines through one ``_LineReader``: a byte buffer and an
-offset into it. The referee reads answers in two ways. The fast one is
+offset into it, with no options. Only the referee's reader, ``_Seat``,
+adds a deadline. The referee reads answers in two ways. The fast one is
 for the answers a faithful player sends. Before round 1 the referee
 builds each plan's answer ending for each party (the line after the
 round number, ``_answer_ending``); per window it builds each round's
@@ -74,21 +75,24 @@ the round it cut off, so blame, cause and the rounds kept are those of a
 round-by-round read.
 
 A player reads every whole line buffered in one split (``lines``), and
-waits only when none is. It fills two tables as it plays. Each decoded
-question adds the text the referee writes after the round number for its
-fields (``_question_tail``), with its observables; each distinct answer
-adds its values, with its encoded line after the round number
+waits only when none is. It sends the answers to a batch in one write
+once the batch is handled, before it reads again, so it never waits with
+answers unsent. It fills two tables as it plays. Each decoded question
+adds the text the referee writes after the round number for its fields
+(``_question_tail``), with its observables; each distinct answer adds
+its values, with its encoded line after the round number
 (``_answer_ending``). A later question line that starts with the next
 round's canonical head, and whose text after it is known, is answered
 from the two without the decoder.
 
-The referee gives each message from a player ``_PEER_TIMEOUT_S`` seconds
-in all, counted from its first wait for the message's bytes once the one
-before it has arrived whole, however they trickle in, and each write to a
-player as long. A client whose hello is not whole by then is dropped,
-like one that leaves without a hello. A timeout, reset or end of stream
-once the player has said hello ends the session in an incomplete log
-whose ``abort_reason`` names the party and the cause; the others exit 4.
+Only the referee has a deadline. It gives each message from a player
+``_PEER_TIMEOUT_S`` seconds in all, counted from its first wait for the
+message's bytes once the one before it has arrived whole, however they
+trickle in, and each write to a player as long. A client whose hello is
+not whole by then is dropped, like one that leaves without a hello. A
+timeout, reset or end of stream once the player has said hello ends the
+session in an incomplete log whose ``abort_reason`` names the party and
+the cause; the others exit 4.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .games import NonlocalGame, Question
 from .trials import Strategy, TrialLog, _plan_session
@@ -156,46 +160,23 @@ class _LineReader:
     """The lines one connection receives, read through one byte buffer and
     an offset into it.
 
-    A line gets ``timeout`` seconds in all (``None``: no limit), counted
-    from the first wait for its bytes, that is the first wait once the line
-    before it has arrived whole; ``before_wait`` runs before every wait. A
-    line longer than ``_MAX_LINE`` bytes, newline included, is a protocol
-    error. Transport failures surface as ``OSError``.
+    Every read waits as the socket does: the reader sets no deadline of its
+    own. A line longer than ``_MAX_LINE`` bytes, newline included, is a
+    protocol error. Transport failures surface as ``OSError``.
     """
 
-    def __init__(
-        self,
-        conn: socket.socket,
-        timeout: float | None = None,
-        before_wait: Callable[[], None] | None = None,
-    ):
+    def __init__(self, conn: socket.socket):
         self.conn = conn
-        self.timeout = timeout
-        self.before_wait = before_wait
         self._buf = b""
         self._pos = 0
-        self._deadline: float | None = None
 
-    def _fill(self) -> bool:
-        """Wait for more bytes; False at end of stream."""
-        if self.before_wait is not None:
-            self.before_wait()
-        if self.timeout is not None:
-            if self._deadline is None:
-                self._deadline = time.monotonic() + self.timeout
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("timed out")
-            self.conn.settimeout(remaining)
+    def _fill(self) -> bytes:
+        """Wait for more bytes, buffer them and return them; empty at end of
+        stream."""
         chunk = self.conn.recv(_RECV_BYTES)
-        if not chunk:
-            return False
-        if b"\n" in chunk:
-            # a line arrived whole: the next one's time starts at its first wait
-            self._deadline = None
         self._buf = self._buf[self._pos :] + chunk
         self._pos = 0
-        return True
+        return chunk
 
     def line(self) -> bytes | None:
         """The next line without its newline; a last line cut short by the
@@ -376,21 +357,34 @@ def _tune(conn: socket.socket, line_bytes: int) -> int:
 class _Seat(_LineReader):
     """One accepted connection as the referee sees it, a player's once its
     hello names the party: any transport failure on it is that party
-    leaving. Each line read gets ``_PEER_TIMEOUT_S`` seconds in all. The
-    first transport failure of a read is kept, and raised again at every
-    later wait, so a reread of what was buffered before it ends where it
-    did, with the same cause."""
+    leaving. It is the one reader with a deadline: each line read gets
+    ``_PEER_TIMEOUT_S`` seconds in all, counted from the first wait for its
+    bytes, that is the first wait once the line before it has arrived
+    whole. The first transport failure of a read, a timeout included, is
+    kept, and raised again at every later wait, so a reread of what was
+    buffered before it ends where it did, with the same cause."""
 
     def __init__(self, conn: socket.socket):
-        super().__init__(conn, _PEER_TIMEOUT_S)
+        super().__init__(conn)
         self.party: int | None = None
         self.outbox: list[bytes] | None = None
+        self._deadline: float | None = None
         self._failure: PlayerDisconnected | None = None
 
-    def _fill(self) -> bool:
+    def _fill(self) -> bytes:
         if self._failure is None:
             try:
-                return super()._fill()
+                if self._deadline is None:
+                    self._deadline = time.monotonic() + _PEER_TIMEOUT_S
+                remaining = self._deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("timed out")
+                self.conn.settimeout(remaining)
+                chunk = super()._fill()
+                if b"\n" in chunk:
+                    # a line arrived whole: the next one's time starts at its first wait
+                    self._deadline = None
+                return chunk
             except OSError as exc:
                 self._failure = self._lost(exc)
         raise self._failure
@@ -497,12 +491,8 @@ class RefereeServer:
         log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
         log.rows.extend(plan.row for plan in plans)
         played = 0
-        # per context and party: the question line after its round number
-        tails = {
-            context.id: [_question_tail(q.measured) for q in context.questions]
-            for context in game.contexts
-        }
-        asked = [tails[plan.context.id] for plan in plans]
+        # per plan and party: the question line after its round number
+        asked = [[_question_tail(q.measured) for q in plan.context.questions] for plan in plans]
         # per party and plan: the planned answer line after its round number
         endings = [
             [_answer_ending(plan.answers[p]) for plan in plans] for p in range(game.parties)
@@ -624,7 +614,11 @@ def run_local_session(
 
     ``player_specs`` defaults to splitting ``strategy`` per party. The
     referee runs in the calling process; players are joined before the
-    log is returned and a nonzero player exit raises ProtocolError.
+    log is returned and a nonzero player exit raises ProtocolError. If
+    ``serve`` raises, every player process is killed before the join and
+    the error goes on: a player whose connection the referee never
+    accepted would otherwise wait on it with no deadline, since each
+    player holds the listener it inherited.
     """
     import multiprocessing
 
@@ -644,6 +638,10 @@ def run_local_session(
         proc.start()
     try:
         log = server.serve()
+    except BaseException:
+        for proc in processes:
+            proc.kill()
+        raise
     finally:
         for proc in processes:
             proc.join(timeout=30)
@@ -662,12 +660,13 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
     Lines are read a batch at a time: every whole line buffered, in one
-    split (``_LineReader.lines``); each is handled in turn, and answers go
-    out together, just before the player waits for more input, with
-    Nagle's algorithm off. A question line that begins as
-    ``encode_message`` begins round r + 1, r the round last answered, and
-    goes on with a text in the question table is read from that table when
-    no tape is pending; its answer line is built from the answer table.
+    split (``_LineReader.lines``); each is handled in turn, and the
+    batch's answers go out in one write before the next read, the one
+    that waits for more input, with Nagle's algorithm off. A question
+    line that begins as ``encode_message`` begins round r + 1, r the
+    round last answered, and goes on with a text in the question table
+    is read from that table when no tape is pending; its answer line is
+    built from the answer table.
     Every other line is decoded whole; a decoded question adds to the
     question table the text ``_question_tail`` writes for its fields, not
     the text it came in.
@@ -688,22 +687,16 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     }
                 )
             )
-            replies: list[bytes] = []
-
-            def send_replies() -> None:
-                if replies:
-                    conn.sendall(b"".join(replies))
-                    replies.clear()
-
             # canonical question text after the round number -> observables,
             # and answer values -> canonical answer text after the round number
             asked: dict[bytes, tuple[tuple[int, str], ...]] = {}
             answered: dict[tuple, bytes] = {}
             # the dealt pieces, handed to the strategy at the first question
             tape: list[tuple[int, ...]] = []
-            reader = _LineReader(conn, before_wait=send_replies)
+            reader = _LineReader(conn)
             round_index = -1
             while batch := reader.lines():
+                replies: list[bytes] = []
                 for line in batch:
                     # the referee asks rounds in order, so a canonical question
                     # starts with the next round's head
@@ -754,6 +747,10 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     if ending is None:
                         ending = answered[key] = _answer_ending(values)
                     replies.append(b"%s%d%s" % (_ANSWER_HEAD, round_index, ending))
+                # every buffered line is handled, so the next read is the one
+                # that waits: the batch's answers go out before it, in one write
+                if replies:
+                    conn.sendall(b"".join(replies))
             raise ProtocolError("referee closed the connection mid-session")
     except ProtocolError as exc:
         print(f"player {party_strategy.party}: {exc}", file=sys.stderr)

@@ -156,7 +156,6 @@ def joint_distribution(
     # remaining axes are in qubit order; put them in observables order
     rank = np.argsort(np.argsort(measured_axes))
     probs = np.transpose(probs, rank)
-    probs = np.clip(probs, 0.0, None)
     total = float(probs.sum())
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, not 1")

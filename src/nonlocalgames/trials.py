@@ -487,11 +487,15 @@ def _session_draws(
     """Every draw of a seeded session, from one ``random_raw`` call.
 
     Per round: one uniform for the context, ``uniforms`` more, then
-    ``bits`` bits, in the word layout ``presample`` states, exactly as
-    ``1 + uniforms`` calls of ``rng.random()`` and one of
-    ``rng.integers(0, 2, size=bits)`` on ``np.random.default_rng(seed)``
-    give them. Returns a (rounds, 1 + uniforms) float array and a
-    (rounds, bits) array of 0/1 ints.
+    ``bits`` bits, exactly as ``1 + uniforms`` calls of ``rng.random()``
+    and one of ``rng.integers(0, 2, size=bits)`` on
+    ``np.random.default_rng(seed)`` give them (equal to per-call draws on
+    numpy 2.4.6). Decoded in closed form: a uniform is word w as ``(w >>
+    11) * 2**-53``, the context's first and then one per further uniform,
+    and the bits are the top bits of the following 32-bit halves, low
+    half first, with a half left over carried into the next round.
+    Returns a (rounds, 1 + uniforms) float array and a (rounds, bits)
+    array of 0/1 ints.
     """
     per_round = 1 + uniforms
     halfwords = (rounds * bits + 1) // 2
@@ -547,15 +551,9 @@ def presample(
     quantum outcome, fresh hidden bits for a hidden-variable model, nothing
     for a deterministic table. Each party then answers from its own
     question and tape. Both referee modes play this plan, from
-    ``_plan_session``'s distinct plans and index.
-
-    All of it is drawn by one ``random_raw`` call and decoded in closed
-    form: per round, the context uniform is word w as ``(w >> 11) *
-    2**-53``, a quantum outcome's uniform is the next word, and hidden
-    bits are the top bits of the following 32-bit halves, low half first,
-    with a half left over carried into the next round (``_session_draws``;
-    equal to per-call draws on numpy 2.4.6). Rounds with the same context
-    and tapes share one ``RoundPlan``, scored once.
+    ``_plan_session``'s distinct plans and index; all of it is drawn at
+    once (``_session_draws``). Rounds with the same context and tapes
+    share one ``RoundPlan``, scored once.
     """
     plans, index = _plan_session(game, strategy, rounds, seed)
     return [plans[i] for i in index.tolist()]

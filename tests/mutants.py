@@ -232,7 +232,7 @@ MUTANTS = (
     Mutant(
         "read-without-a-deadline",
         "netplay.py",
-        "self._deadline = time.monotonic() + self.timeout",
+        "self._deadline = time.monotonic() + _PEER_TIMEOUT_S",
         "self._deadline = time.monotonic() + 3600",
         ("tests/test_netplay.py::test_stalled_player_times_out",),
     ),
@@ -397,7 +397,7 @@ MUTANTS = (
     ),
     Mutant(
         # a session that cannot be planned fails only once served, after
-        # run_local_session has started the players
+        # run_local_session has started the players (and then killed them)
         "session-planned-when-served",
         "netplay.py",
         "self._plans, self._index = _plan_session(game, strategy, rounds, seed)\n",
@@ -410,11 +410,16 @@ MUTANTS = (
         "                raise failure\n"
         "\n"
         "            self.serve = serve\n",
-        (
-            "tests/test_netplay.py::"
-            "test_a_session_that_cannot_be_planned_fails_before_any_player_starts[no-rounds]",
-        ),
-        # the mutant waits out run_local_session's 30 s joins of both players
+        ("tests/test_netplay.py::test_a_session_that_cannot_be_planned_starts_no_player",),
+    ),
+    Mutant(
+        "failed-serve-leaves-the-players-running",
+        "netplay.py",
+        "proc.kill()",
+        "pass",
+        ("tests/test_netplay.py::test_a_failed_serve_ends_the_players_at_once",),
+        # the mutant waits out run_local_session's 30 s join of the player
+        # whose connection was never accepted
         timeout_s=15.0,
     ),
     Mutant(

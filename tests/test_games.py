@@ -164,6 +164,68 @@ def test_weights_must_sum_to_one():
         )
 
 
+_Z1, _Z2, _X1 = make_question((1,), "z1"), make_question((2,), "z2"), make_question((1,), "x1")
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"qubit_ownership": ((1, 0), (2, 2))}, "qubit owned by an unknown party"),
+        ({"question_sets": ((_Z1,),)}, "need one question set per party"),
+        ({"question_sets": ((_Z1, _Z1), (_Z2,))}, "duplicate question ids for party 0"),
+        ({"question_sets": ((_Z2,), (_Z2,))}, "party 0 asked about qubit 2 it does not own"),
+        ({"contexts": ()}, "game needs at least one context"),
+        (
+            {"contexts": (Context("a", (_Z1, _Z2), ALWAYS_WIN, _HALF),) * 2},
+            r"duplicate context ids: \['a', 'a'\]",
+        ),
+        (
+            {"contexts": (Context("a", (_Z1,), ALWAYS_WIN, Fraction(1)),)},
+            "context a must question every party",
+        ),
+        (
+            {"contexts": (Context("a", (_X1, _Z2), ALWAYS_WIN, Fraction(1)),)},
+            "context a: question x1 not in party 0's set",
+        ),
+        (
+            {
+                "contexts": (
+                    Context("a", (_Z1, _Z2), ALWAYS_WIN, Fraction(0)),
+                    Context("b", (_Z1, _Z2), ALWAYS_WIN, Fraction(1)),
+                )
+            },
+            "context a has non-positive weight",
+        ),
+    ],
+    ids=[
+        "unknown-owner",
+        "missing-question-set",
+        "duplicate-question-ids",
+        "foreign-qubit",
+        "no-contexts",
+        "duplicate-context-ids",
+        "context-skips-a-party",
+        "question-outside-its-set",
+        "non-positive-weight",
+    ],
+)
+def test_each_game_check_names_what_is_wrong(fields, message):
+    valid = {
+        "name": "bad",
+        "parties": 2,
+        "qubit_ownership": ((1, 0), (2, 1)),
+        "question_sets": ((_Z1,), (_Z2,)),
+        "contexts": (
+            Context("a", (_Z1, _Z2), ALWAYS_WIN, _HALF),
+            Context("b", (_Z1, _Z2), ALWAYS_WIN, _HALF),
+        ),
+    }
+    NonlocalGame(**valid)  # each case below breaks exactly one field
+    with pytest.raises(ValueError, match=message):
+        NonlocalGame(**{**valid, **fields})
+
+
 def test_unmeasurable_predicate_rejected():
     with pytest.raises(ValueError):
         _tiny_game(predicate_vars="z1 x2")

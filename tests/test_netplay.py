@@ -1,5 +1,6 @@
 import base64
 import json
+import multiprocessing
 import pickle
 import random
 import socket
@@ -161,6 +162,34 @@ def test_a_session_that_cannot_be_planned_fails_before_any_player_starts(game, s
     start = time.monotonic()
     with pytest.raises(ValueError):
         run_local_session(game, strategy, rounds=rounds, seed=0)
+    assert time.monotonic() - start < 5
+
+
+def test_a_session_that_cannot_be_planned_starts_no_player(monkeypatch):
+    # a failed serve ends the players at once, so only this shows that the
+    # session is planned before they start
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def spy(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", spy)
+    with pytest.raises(ValueError):
+        run_local_session(cabello_restricted(), lambda_mu_model(), rounds=0, seed=0)
+    assert started == []
+
+
+def test_a_failed_serve_ends_the_players_at_once():
+    # the referee raises on the first hello it reads; the other player's
+    # connection waits, unaccepted, on the listener both players inherited
+    game = cabello_restricted()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="bad party index 7"):
+        run_local_session(
+            game, lambda_mu_model(), rounds=10, seed=0, player_specs=[PartyStrategy(party=7)] * 2
+        )
     assert time.monotonic() - start < 5
 
 
@@ -1110,6 +1139,48 @@ def test_a_hello_field_equal_to_an_int_is_rejected(party, version, reason):
         thread.join(timeout=10)
     assert isinstance(box["error"], ProtocolError)
     assert str(box["error"]) == reason
+
+
+def test_a_first_line_that_is_not_a_hello_is_a_protocol_error():
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)
+    with socket.create_connection(address) as s:
+        s.sendall(encode_message({"type": "answer", "round": 0, "values": [1, 1]}))
+        thread.join(timeout=10)
+    assert isinstance(box["error"], ProtocolError)
+    assert str(box["error"]) == "expected hello, got 'answer'"
+
+
+def test_a_second_hello_for_a_seated_party_is_a_protocol_error():
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)
+    with socket.create_connection(address) as first, socket.create_connection(address) as second:
+        first.sendall(_hello(0))
+        second.sendall(_hello(0))
+        thread.join(timeout=10)
+    assert isinstance(box["error"], ProtocolError)
+    assert str(box["error"]) == "party 0: duplicate hello"
+
+
+def test_a_line_in_place_of_an_answer_is_a_protocol_error():
+    game = cabello_restricted()
+    address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)
+    sockets = [socket.create_connection(address) for _ in range(2)]
+    files = [s.makefile("rwb") for s in sockets]
+    for party, f in enumerate(files):
+        f.write(_hello(party))
+        f.flush()
+    for f in files:
+        decode_message(f.readline())  # dealt
+        decode_message(f.readline())  # question round 0
+    # party 0 says hello again where its answer to round 0 belongs
+    files[0].write(_hello(0))
+    files[0].flush()
+    thread.join(timeout=10)
+    for s in sockets:
+        s.close()
+    assert isinstance(box["error"], ProtocolError) and box["error"].party == 0
+    assert str(box["error"]) == "party 0: expected answer, got 'hello'"
 
 
 def test_bad_protocol_version_rejected():
