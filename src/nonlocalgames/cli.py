@@ -81,11 +81,11 @@ def _check_at_least(flag: str, value: int, minimum: int) -> None:
 
 def _parse_host_port(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not port.isdigit() or host.startswith("[") != host.endswith("]"):
         raise CliError(EXIT_USAGE, f"expected HOST:PORT, got {text!r}")
     if int(port) > 65535:
         raise CliError(EXIT_USAGE, f"port must be 0-65535, got {port}")
-    return host or "127.0.0.1", int(port)
+    return host.removeprefix("[").removesuffix("]") or "127.0.0.1", int(port)
 
 
 def _cmd_show(args: argparse.Namespace) -> int:

@@ -177,18 +177,26 @@ class Context:
     predicate: ParityConstraint | None
     weight: Fraction
 
+    def outcomes(self, answers: Sequence[Sequence[int]]) -> dict[SiteObservable, int]:
+        """Each measured observable's answer; ValueError if answers misfit the questions."""
+        if len(answers) != len(self.questions):
+            raise ValueError(f"{len(answers)} answers to {len(self.questions)} questions")
+        outcomes: dict[SiteObservable, int] = {}
+        for q, values in zip(self.questions, answers):
+            if len(values) != q.answer_arity:
+                raise ValueError(f"question {q.id} arity mismatch with answers")
+            outcomes.update(zip(q.measured, values))
+        return outcomes
+
     def row(self, answers: Sequence[Sequence[int]]) -> Row:
         """The scored row of one round's answers (one tuple per party):
         (context id, question ids, answers as tuples, win)."""
         answers = tuple(map(tuple, answers))
-        outcomes: dict[SiteObservable, int] = {}
-        for q, values in zip(self.questions, answers):
-            outcomes.update(zip(q.measured, values))
         return (
             self.id,
             tuple(q.id for q in self.questions),
             answers,
-            predicate_eval(self.predicate, outcomes),
+            predicate_eval(self.predicate, self.outcomes(answers)),
         )
 
 

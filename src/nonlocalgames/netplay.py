@@ -461,7 +461,8 @@ class RefereeServer:
         self._plans, self._index = _plan_session(game, strategy, rounds, seed)
 
     def bind(self, address: tuple[str, int]) -> tuple[str, int]:
-        self._listener = socket.create_server(address, backlog=self.game.parties)
+        family = socket.AF_INET6 if ":" in address[0] else socket.AF_INET
+        self._listener = socket.create_server(address, family=family, backlog=self.game.parties)
         return self._listener.getsockname()
 
     def serve(self) -> TrialLog:

@@ -26,10 +26,10 @@ number is its position, so no log stores round numbers, and a record or
 line numbered otherwise raises ``ValueError``. ``run_trials`` fills the
 table from the plans as they are, and ``from_jsonl`` decodes each
 distinct row text once, so a line of the form ``to_jsonl`` writes is one
-dict lookup. ``to_jsonl`` encodes each row once, and ``statistics`` and
-``nested_subgame_report`` count each row's rounds with one
-``np.bincount`` and visit the rows in order of first occurrence, so every
-dict fills in the order a round-by-round pass would. ``records`` is a
+dict lookup. ``to_jsonl`` encodes each row once. ``statistics`` and
+``nested_subgame_report`` read a log's ``tally`` and score each row in it
+once by the catalog game its header names: a row that game's
+``Context.row`` would not write raises ``ValueError``. ``records`` is a
 view that builds a ``TrialRecord`` (position, then row) for a round when
 asked. It has a list's length, iteration, indexing, slices, repr and
 ``==``, against a list or another log's records whatever the order of
@@ -46,7 +46,6 @@ holding lists, raises ``TypeError`` when it is added.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -70,9 +69,9 @@ from .games import (
     NonlocalGame,
     Question,
     Row,
+    SiteObservable,
     game_by_name,
     nested_ghz_contexts,
-    site,
 )
 from .quantum import Statevector, make_ghz, make_psi
 
@@ -364,17 +363,17 @@ class TrialLog:
         theirs = np.array([ids.setdefault(row, len(ids)) for row in other.rows], dtype=np.intp)
         return np.array_equal(mine[self.index], theirs[other.index])
 
-    def _first_records(self) -> list[tuple[TrialRecord, int]]:
-        """Each row in use, as the first record holding it and its number of
-        rounds, in order of first occurrence; so a pass over these fills
-        every dict in the order a round-by-round pass would."""
+    def tally(self) -> list[tuple[Row, int, int]]:
+        """Each row in use, with its number of rounds and its first round,
+        in order of first occurrence; so a pass over these fills every dict
+        in the order a round-by-round pass would."""
         index = self.index
         counts = np.bincount(index, minlength=len(self.rows))
         first = np.full(len(self.rows), len(index))
         np.minimum.at(first, index, np.arange(len(index)))
         used = np.flatnonzero(counts)
-        order = used[np.argsort(first[used])]
-        return [(self.records[p], n) for p, n in zip(first[order].tolist(), counts[order].tolist())]
+        order = used[np.argsort(first[used])].tolist()
+        return [(self.rows[i], int(counts[i]), int(first[i])) for i in order]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialLog):
@@ -431,7 +430,7 @@ class TrialLog:
                 f"unsupported trial log version {header.get('version')!r}, "
                 f"expected {LOG_FORMAT_VERSION}"
             )
-        # the game name is not looked up: logs of hand-built games carry their own
+        # the game is looked up only by the readers that score the rows by it
         for name in ("game", "strategy"):
             if type(header.get(name)) is not str:
                 raise ValueError(f"header field '{name}' must be a string, got {header.get(name)!r}")
@@ -580,22 +579,24 @@ def run_trials(
 # statistics
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"([xyz])(\d+)")
-
-
-def _round_values(rec: TrialRecord) -> list[tuple[str, int]]:
-    """A round's answers as (token, value) pairs such as ("x1", -1), party
-    by party; raises ValueError when questions and answers do not match."""
-    if len(rec.questions) != len(rec.answers):
-        n_answers, n_questions = len(rec.answers), len(rec.questions)
-        raise ValueError(f"round {rec.round}: {n_answers} answers to {n_questions} questions")
-    pairs: list[tuple[str, int]] = []
-    for qid, answers in zip(rec.questions, rec.answers):
-        toks = [f"{k}{q}" for k, q in _TOKEN.findall(qid)]
-        if len(toks) != len(answers):
-            raise ValueError(f"round {rec.round}: question {qid} arity mismatch with answers")
-        pairs.extend(zip(toks, answers))
-    return pairs
+def _scored_tally(log: TrialLog) -> Iterator[tuple[Context, Row, int]]:
+    """``log.tally()``'s rows with their contexts, once each is as its catalog
+    game scores it; else ValueError names the first round and field that differ."""
+    try:
+        contexts = {ctx.id: ctx for ctx in game_by_name(log.game).contexts}
+    except KeyError as exc:
+        raise ValueError(f"header field 'game': {exc.args[0]}") from None
+    for row, n, first in log.tally():
+        if (ctx := contexts.get(row[0])) is None:
+            raise ValueError(f"round {first}: field 'context' {row[0]!r} is no {log.game} context")
+        try:
+            scored = ctx.row(row[2])
+        except ValueError as exc:
+            raise ValueError(f"round {first}: {exc}") from None
+        for name, written, due in zip(_ROW_FIELDS, row, scored):
+            if written != due:
+                raise ValueError(f"round {first}: field '{name}' is {written!r}, should be {due!r}")
+        yield ctx, row, n
 
 
 @dataclass(frozen=True)
@@ -607,10 +608,10 @@ class ContextStats:
 
 @dataclass(frozen=True)
 class StatReport:
-    """Aggregate view of a trial log.
+    """Aggregate view of a trial log, every row scored by its catalog game.
 
-    ``marginals`` maps each observable token (like ``x1``) to the
-    frequency of its +1 outcome. ``max_tv_distance`` is present when an
+    ``marginals`` maps each measured observable, written like ``x1``, to
+    the frequency of its +1 outcome. ``max_tv_distance`` is present when an
     exact reference distribution was supplied for comparison.
     """
 
@@ -673,8 +674,9 @@ def statistics(
     log: TrialLog,
     reference: Mapping[str, Mapping[tuple[int, ...], float]] | None = None,
 ) -> StatReport:
-    """Summarize a log; optionally compare per-context empirical joint
-    distributions against exact reference distributions (TV distance)."""
+    """Summarize a log whose rows its catalog game scores as written (else
+    ValueError, naming the first round and field that differ); optionally
+    compare per-context joint distributions against exact references (TV)."""
     if not log.records:
         raise ValueError("empty trial log")
     asked: dict[str, int] = {}
@@ -682,15 +684,15 @@ def statistics(
     joint: dict[str, dict[tuple[int, ...], int]] = {}
     plus: dict[str, int] = {}
     seen: dict[str, int] = {}
-    for rec, n in log._first_records():
-        asked[rec.context_id] = asked.get(rec.context_id, 0) + n
-        won[rec.context_id] = won.get(rec.context_id, 0) + n * int(rec.win)
-        pairs = _round_values(rec)
-        for tok, value in pairs:
+    for ctx, (cid, _, answers, win), n in _scored_tally(log):
+        asked[cid] = asked.get(cid, 0) + n
+        won[cid] = won.get(cid, 0) + n * int(win)
+        outcomes = ctx.outcomes(answers)
+        for tok, value in zip(map(str, outcomes), outcomes.values()):
             seen[tok] = seen.get(tok, 0) + n
             plus[tok] = plus.get(tok, 0) + n * (value == +1)
-        counts = joint.setdefault(rec.context_id, {})
-        key = tuple(value for _, value in pairs)
+        counts = joint.setdefault(cid, {})
+        key = tuple(outcomes.values())
         counts[key] = counts.get(key, 0) + n
 
     per_context: dict[str, ContextStats] = {}
@@ -741,7 +743,8 @@ def quantum_reference(game: NonlocalGame) -> dict[str, dict[tuple[int, ...], flo
 
 
 def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]]:
-    """Classify rounds by the embedded three-party games.
+    """Classify rounds by the embedded three-party games, once every row is
+    scored by the log's catalog game as in ``statistics``.
 
     Derived from ``games.nested_ghz_contexts`` by variable sets: a round
     checks the embedded constraint on its context predicate's variables
@@ -750,13 +753,11 @@ def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]
     ("+1" or "-1"). Returns, per bucket, constraint text -> (rounds
     checked, rounds satisfied).
     """
-    x2 = site("x2")
+    x2 = SiteObservable(2, "x")
     embedded = {s: {c.vars: c for c in nested_ghz_contexts(s)} for s in (+1, -1)}
-    game = game_by_name(log.game)
     report: dict[str, dict[str, tuple[int, int]]] = {"shared": {}, "+1": {}, "-1": {}}
-    for rec, n in log._first_records():
-        values = {site(tok): value for tok, value in _round_values(rec)}
-        predicate = game.context_by_id(rec.context_id).predicate
+    for ctx, (_, _, answers, _), n in _scored_tally(log):
+        values, predicate = ctx.outcomes(answers), ctx.predicate
         if predicate is ALWAYS_WIN:
             continue
         selected = x2 in predicate.vars

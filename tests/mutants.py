@@ -228,6 +228,44 @@ MUTANTS = (
         "np.array_equal(self.index, other.index)",
         ("tests/test_trials.py::test_trial_log_jsonl_round_trip",),
     ),
+    Mutant(
+        "statistics-trusts-the-log",
+        "trials.py",
+        "            if written != due:\n",
+        "            if False:\n",
+        (
+            "tests/test_trials.py::test_a_log_is_scored_by_its_game_not_by_its_claims[forged-win]",
+            "tests/test_trials.py::test_a_log_is_scored_by_its_game_not_by_its_claims[question-y9]",
+        ),
+    ),
+    Mutant(
+        "log-of-another-game",
+        "trials.py",
+        "raise ValueError(f\"round {first}: field 'context' {row[0]!r} is no {log.game} context\")",
+        "continue",
+        ("tests/test_trials.py::test_a_log_is_scored_by_its_game_not_by_its_claims[other-game]",),
+    ),
+    Mutant(
+        "log-of-an-unknown-game-is-a-key-error",
+        "trials.py",
+        "except KeyError as exc:\n        raise ValueError(f\"header field 'game'",
+        "except IndexError as exc:\n        raise ValueError(f\"header field 'game'",
+        ("tests/test_trials.py::test_a_log_is_scored_by_its_game_not_by_its_claims[unknown-game]",),
+    ),
+    Mutant(
+        "row-truncates-answers",
+        "games.py",
+        "if len(values) != q.answer_arity:",
+        "if False:",
+        ("tests/test_trials.py::test_mismatched_answers_are_rejected_not_truncated[long-answer]",),
+    ),
+    Mutant(
+        "row-drops-a-party",
+        "games.py",
+        "if len(answers) != len(self.questions):",
+        "if False:",
+        ("tests/test_trials.py::test_mismatched_answers_are_rejected_not_truncated[missing-answer]",),
+    ),
     # the referee, the player and the CLI
     Mutant(
         "read-without-a-deadline",
@@ -445,6 +483,16 @@ MUTANTS = (
         "except MemoryError as exc:",
         "except ArithmeticError as exc:",
         ("tests/test_cli.py::test_session_too_large_for_memory_exits_3",),
+    ),
+    Mutant(
+        "unbalanced-host-bracket-accepted",
+        "cli.py",
+        ' or host.startswith("[") != host.endswith("]"):',
+        ":",
+        (
+            "tests/test_cli.py::test_a_malformed_host_port_exits_2[unclosed-bracket]",
+            "tests/test_cli.py::test_a_malformed_host_port_exits_2[unopened-bracket]",
+        ),
     ),
     Mutant(
         "serve-bind-error-is-a-traceback",

@@ -121,6 +121,16 @@ def test_hand_built_strategies_on_mermin():
     assert win_probability(game, three_quarters) == Fraction(3, 4)
 
 
+def test_a_negative_witness_limit_is_rejected():
+    with pytest.raises(ValueError, match="witness limit must be >= 0"):
+        classical_value(mermin_ghz(), max_witnesses=-1)
+
+
+def test_maxsat_needs_a_constraint():
+    with pytest.raises(ValueError, match="need at least one constraint"):
+        noncontextual_maxsat([])
+
+
 def test_partial_strategy_rejected():
     game = cabello_restricted()
     partial = DeterministicStrategy(name="partial", answers=({"x1x2": (1, 1)}, {}))

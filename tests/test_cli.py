@@ -147,6 +147,27 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, file_text, env):
     assert err.strip() and not out
 
 
+@pytest.mark.parametrize(
+    "text,address",
+    [("[::1]:4242", ("::1", 4242)), ("::1:4242", ("::1", 4242)), (":0", ("127.0.0.1", 0)),
+     ("10.0.0.7:80", ("10.0.0.7", 80))],
+    ids=["bracketed-ipv6", "bare-ipv6", "no-host", "ipv4"],
+)
+def test_host_port_parsing(text, address):
+    assert cli._parse_host_port(text) == address
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[::1]", "[::1:80", "::1]:80", "localhost", "host:http"],
+    ids=["no-port", "unclosed-bracket", "unopened-bracket", "no-colon", "named-port"],
+)
+def test_a_malformed_host_port_exits_2(text):
+    with pytest.raises(cli.CliError, match="expected HOST:PORT") as info:
+        cli._parse_host_port(text)
+    assert info.value.code == 2
+
+
 def _serve_on_a_held_port(capsys, *argv):
     """Run ``serve`` bound to a port a test socket already listens on."""
     with socket.create_server(("127.0.0.1", 0)) as held:

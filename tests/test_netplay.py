@@ -388,6 +388,31 @@ def _piecewise_player(address, player, sizes):
                 return message
 
 
+def test_a_session_over_ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError:
+        pytest.skip("this host has no IPv6 loopback")
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    server = RefereeServer(game, 20, 3, strategy)
+    address = server.bind(("::1", 0))[:2]
+    players = [
+        threading.Thread(
+            target=run_player, args=(address, build_party_strategy(game, strategy, p)), daemon=True
+        )
+        for p in range(2)
+    ]
+    for p in players:
+        p.start()
+    log = server.serve()
+    for p in players:
+        p.join(timeout=10)
+        assert not p.is_alive()
+    assert log == run_trials(game, strategy, rounds=20, seed=3)
+
+
 @pytest.mark.parametrize("pieces", ["one-byte", "random"])
 def test_answers_written_in_pieces_give_the_same_session(monkeypatch, pieces):
     # the referee sees partial lines, which take must wait on

@@ -174,6 +174,16 @@ def test_observable_order_is_respected():
         assert rev[(b, a)] == pytest.approx(p, abs=1e-12)
 
 
+def test_a_state_needs_a_qubit():
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        Statevector(0, np.ones(1))
+
+
+def test_a_distribution_needs_an_observable():
+    with pytest.raises(ValueError, match="need at least one observable"):
+        joint_distribution(make_psi(), [])
+
+
 def test_duplicate_qubit_rejected():
     with pytest.raises(ValueError):
         joint_distribution(make_psi(), sites("x1 z1"))

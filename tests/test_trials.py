@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from nonlocalgames import trials
 from nonlocalgames.classical import HiddenVariableModel, automaton_model, lambda_mu_model
 from nonlocalgames.games import (
+    GAME_BUILDERS,
     cabello_extended,
     cabello_restricted,
     four_party_game,
@@ -100,6 +103,11 @@ def test_incompatible_strategy_rejected_before_round_one():
         run_trials(game, quantum_strategy(game), rounds=0, seed=0)
 
 
+def test_a_hand_built_game_has_no_canonical_state():
+    with pytest.raises(KeyError, match="no canonical state known"):
+        quantum_strategy(replace(mermin_ghz(), name="hand-built"))
+
+
 def test_resolve_strategy_names():
     game = cabello_restricted()
     assert resolve_strategy(game, "quantum").name == "quantum"
@@ -148,8 +156,14 @@ def test_statistics_counts_consistent():
 
 
 def test_statistics_rejects_empty_log():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty trial log"):
         statistics(TrialLog(game="x", strategy="y", seed=0))
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "whitespace"])
+def test_from_jsonl_rejects_a_text_without_lines(text):
+    with pytest.raises(ValueError, match="empty trial log"):
+        TrialLog.from_jsonl(text)
 
 
 def test_quantum_marginals_near_half():
@@ -270,6 +284,116 @@ def test_mismatched_answers_are_rejected_not_truncated(answers, error):
         nested_subgame_report(log)
     with pytest.raises(ValueError, match=error):
         statistics(log)
+
+
+def _four_party_log(strategy_name):
+    game = four_party_game()
+    return run_trials(game, resolve_strategy(game, strategy_name), rounds=2000, seed=0)
+
+
+def _forged_win(text):
+    return text.replace('"win": false', '"win": true')
+
+
+def _foreign_question(text):
+    header, first, rest = text.split("\n", 2)
+    rec = json.loads(first)
+    rec["questions"][0] = "y9"
+    return "\n".join([header, json.dumps(rec), rest])
+
+
+def _other_game(text):
+    return text.replace('"game": "four-party"', '"game": "cabello-restricted"', 1)
+
+
+def _unknown_game(text):
+    return text.replace('"game": "four-party"', '"game": "hand-built"', 1)
+
+
+@pytest.mark.parametrize(
+    "strategy_name,edit,error",
+    [
+        ("best-classical", _forged_win, r"^round 4: field 'win' is True, should be False$"),
+        ("quantum", _foreign_question, r"^round 0: field 'questions' is \('y9', "),
+        ("quantum", _other_game, r"^round 0: field 'context' 'eq\d\d' is no cabello-restricted "),
+        ("quantum", _unknown_game, r"^header field 'game': unknown game 'hand-built'"),
+    ],
+    ids=["forged-win", "question-y9", "other-game", "unknown-game"],
+)
+def test_a_log_is_scored_by_its_game_not_by_its_claims(strategy_name, edit, error):
+    log = TrialLog.from_jsonl(edit(_four_party_log(strategy_name).to_jsonl()))
+    with pytest.raises(ValueError, match=error):
+        statistics(log)
+    with pytest.raises(ValueError, match=error):
+        nested_subgame_report(log)
+
+
+def test_the_forged_win_log_is_one_that_loses():
+    # round 4 is the first the best classical strategy loses, at 1/7 a round
+    log = _four_party_log("best-classical")
+    assert [r.round for r in log.records if not r.win][0] == 4
+    assert statistics(log).win_rate == 0.8535
+
+
+#: a small log of each catalog game; the best classical mermin-ghz log loses rounds
+EDITED_LOGS = {
+    "four-party": "quantum",
+    "cabello-restricted": "lambda-mu",
+    "cabello-extended": "quantum",
+    "mermin-ghz": "best-classical",
+}
+#: every catalog question and context id, and one that no game has
+QUESTION_IDS = sorted(
+    {q.id for build in GAME_BUILDERS.values() for qs in build().question_sets for q in qs}
+) + ["y9"]
+CONTEXT_IDS = sorted(
+    {ctx.id for build in GAME_BUILDERS.values() for ctx in build().contexts}
+) + ["eq15"]
+
+
+@cache
+def _small_log_lines(name):
+    game = game_by_name(name)
+    log = run_trials(game, resolve_strategy(game, EDITED_LOGS[name]), rounds=30, seed=2)
+    return log.to_jsonl().splitlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_an_edited_row_is_rejected_exactly_when_its_game_scores_it_otherwise(data):
+    name = data.draw(st.sampled_from(sorted(EDITED_LOGS)))
+    header, *lines = _small_log_lines(name)
+    k = data.draw(st.integers(0, len(lines) - 1))
+    rec = json.loads(lines[k])
+    field = data.draw(st.sampled_from(["win", "answers", "questions", "context"]))
+    if field == "win":
+        rec["win"] = not rec["win"]
+    elif field == "answers":
+        p, j = data.draw(st.sampled_from(
+            [(p, j) for p, values in enumerate(rec["answers"]) for j in range(len(values))]
+        ))
+        rec["answers"][p][j] *= -1
+    elif field == "questions":
+        p = data.draw(st.integers(0, len(rec["questions"]) - 1))
+        rec["questions"][p] = data.draw(st.sampled_from(QUESTION_IDS))
+    else:
+        rec["context"] = data.draw(st.sampled_from(CONTEXT_IDS))
+    lines[k] = json.dumps(rec)
+    log = TrialLog.from_jsonl("\n".join([header, *lines]) + "\n")
+    row = log.rows[log.index[k]]
+    game = game_by_name(name)
+    try:
+        scored = game.context_by_id(row[0]).row(row[2])
+    except (KeyError, ValueError):
+        scored = None
+    if scored == row:
+        assert statistics(log).rounds == len(lines)
+        nested_subgame_report(log)
+    else:
+        # every other row is as the game scores it, so round k is the first
+        for reader in (statistics, nested_subgame_report):
+            with pytest.raises(ValueError, match=f"^round {k}: "):
+                reader(log)
 
 
 def test_from_jsonl_rejects_unknown_version():
@@ -844,6 +968,10 @@ def test_hand_built_records_behave_like_a_list(drawn, cut):
         assert view != records[:-1] + [changed]
     # each row once, and equal rounds whatever the order of the table's rows
     assert len(log.rows) == len(set(log.rows))
+    firsts = {}
+    for record in records:
+        firsts.setdefault(record[1:], record.round)
+    assert log.tally() == [(row, drawn.count(row), p) for row, p in firsts.items()]
     other = TrialLog("hand-built", "s", 3)
     twice = log.rows[::-1] + log.rows
     other._fill(
@@ -890,4 +1018,8 @@ def test_run_trials_fills_the_table_from_the_plans(monkeypatch):
     assert len(log.rows) == len(plans)
     assert all(row is plan.row for row, plan in zip(log.rows, plans))
     assert log.index.shape == (3000,) and np.array_equal(log.index, index)
+    # the readers score the table's rows without building a record
+    statistics(log)
+    nested_subgame_report(log)
+    assert made == []
     assert [r.round for r in log.records] == list(range(3000))
