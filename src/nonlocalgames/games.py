@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
@@ -504,7 +504,10 @@ GAME_BUILDERS = {
 }
 
 
+@cache
 def game_by_name(name: str) -> NonlocalGame:
+    """The catalog game ``name``, built and validated once per process; a
+    game and its parts are frozen, so every caller may share it."""
     try:
         return GAME_BUILDERS[name]()
     except KeyError:

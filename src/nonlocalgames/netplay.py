@@ -83,7 +83,10 @@ adds the text the referee writes after the round number for its fields
 its values, with its encoded line after the round number
 (``_answer_ending``). A later question line that starts with the next
 round's canonical head, and whose text after it is known, is answered
-from the two without the decoder.
+from the two without the decoder. Every question, decoded or not, is
+passed to ``PartyStrategy.answer`` once, which keeps a third table: a
+memo from (observables, tape slice) to the answer values, so the
+strategy's ``respond`` runs once per distinct pair.
 
 Only the referee has a deadline. It gives each message from a player
 ``_PEER_TIMEOUT_S`` seconds in all, counted from its first wait for the
@@ -286,6 +289,12 @@ class PartyStrategy:
     the question asked are all the strategy's ``respond`` sees. Made by
     ``build_party_strategy``; without a strategy it has no questions, so
     every question it is asked is foreign.
+
+    ``answer`` keeps a memo from (observables, tape slice) to the answer
+    values, so ``respond`` runs once per distinct pair: at most one entry
+    per pair and one per round asked, never cleared, since ``respond`` is a
+    function of the party, the question and the slice alone. Each call
+    returns a fresh list, which the caller may edit.
     """
 
     party: int
@@ -295,19 +304,27 @@ class PartyStrategy:
     #: (slot, kind) pairs
     questions: dict[tuple[tuple[int, str], ...], Question] = field(default_factory=dict)
     _tape: tuple[int, ...] = ()
+    _answers: dict[tuple, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         self._tape = values
 
     def answer(self, round_index: int, observables: Sequence[tuple[int, str]]) -> list[int]:
-        question = self.questions.get(tuple(observables))
-        if question is None:
-            raise ProtocolError(f"asked a foreign question {list(observables)}", self.party)
         lo = round_index * self.width
         row = self._tape[lo : lo + self.width]
-        if round_index < 0 or len(row) != self.width:
+        key = (tuple(observables), row)
+        values = self._answers.get(key)
+        if values is None:
+            question = self.questions.get(key[0])
+            if question is None:
+                raise ProtocolError(f"asked a foreign question {list(observables)}", self.party)
+            if round_index < 0 or len(row) != self.width:
+                raise ProtocolError(f"no tape for round {round_index}", self.party)
+            values = self._answers[key] = tuple(self.strategy.respond(self.party, question, row))
+        elif round_index < 0:
+            # a width-0 tape, or a negative start, slices to a known slice
             raise ProtocolError(f"no tape for round {round_index}", self.party)
-        return list(self.strategy.respond(self.party, question, row))
+        return list(values)
 
 
 def build_party_strategy(
@@ -481,7 +498,9 @@ class RefereeServer:
         by value.
         The window is ``_WINDOW`` rounds, or fewer if one window of the
         session's longest answer line does not fit the receive buffer
-        granted on every connection (``_tune``). The log is filled once,
+        granted on every connection (``_tune``). Each window's round
+        numbers are formatted once; every seat's question lines and the
+        expected answer heads are built from them. The log is filled once,
         with the rounds whose answers were all read: the session, or the
         rounds before an abort."""
         if self._listener is None:
@@ -492,8 +511,11 @@ class RefereeServer:
         log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
         log.rows.extend(plan.row for plan in plans)
         played = 0
-        # per plan and party: the question line after its round number
-        asked = [[_question_tail(q.measured) for q in plan.context.questions] for plan in plans]
+        # per party and plan: the question line after its round number
+        asked = [
+            [_question_tail(plan.context.questions[p].measured) for plan in plans]
+            for p in range(game.parties)
+        ]
         # per party and plan: the planned answer line after its round number
         endings = [
             [_answer_ending(plan.answers[p]) for plan in plans] for p in range(game.parties)
@@ -544,15 +566,18 @@ class RefereeServer:
             for lo in range(0, self.rounds, window):
                 hi = min(lo + window, self.rounds)
                 rounds = range(lo, hi)
+                planned = ids[lo:hi]
+                # each round number formatted once, for every seat's lines
+                numbers = [b"%d" % r for r in rounds]
                 for seat in order:
+                    by_plan = asked[seat.party]
                     seat.send([
-                        b"%s%d%s" % (_QUESTION_HEAD, r, asked[ids[r]][seat.party])
-                        for r in rounds
+                        _QUESTION_HEAD + number + by_plan[i] for number, i in zip(numbers, planned)
                     ])
-                heads = [b"%s%d" % (_ANSWER_HEAD, r) for r in rounds]
+                heads = [_ANSWER_HEAD + number for number in numbers]
                 # per seat, the window's planned answer lines, in one string
                 expected = [
-                    b"".join(chain.from_iterable(zip(heads, map(by_plan.__getitem__, ids[lo:hi]))))
+                    b"".join(chain.from_iterable(zip(heads, map(by_plan.__getitem__, planned))))
                     for by_plan in endings
                 ]
                 try:
@@ -700,8 +725,10 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                 replies: list[bytes] = []
                 for line in batch:
                     # the referee asks rounds in order, so a canonical question
-                    # starts with the next round's head
-                    head = b"%s%d" % (_QUESTION_HEAD, round_index + 1)
+                    # starts with the next round's head; its number, formatted
+                    # once, heads the answer too
+                    number = b"%d" % (round_index + 1)
+                    head = _QUESTION_HEAD + number
                     observables = None
                     if not tape and line.startswith(head):
                         observables = asked.get(line[len(head) :])
@@ -727,6 +754,7 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                         # int() would answer 7.9 and true as rounds 7 and 1
                         if type(round_index) is not int:
                             raise ProtocolError(f"question round must be an int, got {round_index!r}")
+                        number = b"%d" % round_index
                         try:
                             observables = tuple(
                                 (o["slot"], o["kind"]) for o in message.get("observables", [])
@@ -747,7 +775,7 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     ending = answered.get(key)
                     if ending is None:
                         ending = answered[key] = _answer_ending(values)
-                    replies.append(b"%s%d%s" % (_ANSWER_HEAD, round_index, ending))
+                    replies.append(_ANSWER_HEAD + number + ending)
                 # every buffered line is handled, so the next read is the one
                 # that waits: the batch's answers go out before it, in one write
                 if replies:

@@ -478,6 +478,29 @@ MUTANTS = (
         ("tests/test_netplay.py::test_player_rejects_unknown_message_type",),
     ),
     Mutant(
+        "answer-memo-ignores-the-tape",
+        "netplay.py",
+        "key = (tuple(observables), row)",
+        "key = (tuple(observables), ())",
+        ("tests/test_netplay.py::test_one_question_is_answered_by_each_rounds_tape_slice",),
+    ),
+    Mutant(
+        "answer-memo-hit-skips-the-round-check",
+        "netplay.py",
+        "        elif round_index < 0:\n",
+        "        elif False:\n",
+        ("tests/test_netplay.py::test_a_memo_hit_still_needs_a_round",),
+    ),
+    Mutant(
+        # the memo keeps one list per key and hands that list out
+        "answer-memo-shares-its-list",
+        "netplay.py",
+        "= tuple(self.strategy.respond(self.party, question, row))\n",
+        "= list(self.strategy.respond(self.party, question, row))\n"
+        "            return values\n",
+        ("tests/test_netplay.py::test_the_answer_list_is_the_callers",),
+    ),
+    Mutant(
         "out-of-memory-is-a-traceback",
         "cli.py",
         "except MemoryError as exc:",

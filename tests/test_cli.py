@@ -127,12 +127,14 @@ def test_maxsat_needs_a_set(capsys):
         (["solve", "four-party", "--workers", "2"], None, None),
         (["solve", "four-party", "--budget", "-1"], None, None),
         (["solve", "four-party"], None, {cli.BUDGET_ENV: "-1"}),
+        (["solve", "four-party"], None, {cli.BUDGET_ENV: "lots"}),
+        (["maxsat", "--file"], "# no equations\n\n", None),
     ],
     ids=["negative-witnesses", "simulate-no-rounds", "serve-no-rounds",
          "missing-file", "bad-variable", "bad-sign", "repeated-variable",
          "serve-port-too-large", "play-port-too-large", "simulate-negative-seed",
          "serve-negative-seed", "workers-flag-is-gone", "negative-budget",
-         "negative-budget-env"],
+         "negative-budget-env", "budget-env-not-an-int", "no-constraints"],
 )
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, file_text, env):
     for name, value in (env or {}).items():

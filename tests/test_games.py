@@ -151,6 +151,13 @@ def test_tiny_game_constructs():
     assert game.context_by_id("a").predicate is not None
 
 
+def test_a_question_is_looked_up_in_its_own_partys_set():
+    game = _tiny_game()
+    assert game.question(0, "z1").id == "z1"
+    with pytest.raises(KeyError, match="party 1 has no question 'z1'"):
+        game.question(1, "z1")
+
+
 def test_weights_must_sum_to_one():
     q0 = make_question((1,), "z1")
     q1 = make_question((2,), "z2")
@@ -368,6 +375,16 @@ def test_catalog_weights_and_measurability():
 def test_game_by_name_unknown():
     with pytest.raises(KeyError):
         game_by_name("no-such-game")
+
+
+def test_game_by_name_builds_each_game_once():
+    assert game_by_name("four-party") is game_by_name("four-party")
+    assert game_by_name("four-party") == four_party_game()
+    # a failed lookup is not cached: it raises with the known names each time
+    known = "cabello-extended, cabello-restricted, four-party, mermin-ghz"
+    for _ in range(2):
+        with pytest.raises(KeyError, match=f"unknown game 'nope'; known games: {known}"):
+            game_by_name("nope")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import base64
 import json
 import multiprocessing
+import os
 import pickle
 import random
 import socket
@@ -9,6 +10,7 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -181,6 +183,12 @@ def test_a_session_that_cannot_be_planned_starts_no_player(monkeypatch):
     assert started == []
 
 
+def test_serve_before_bind_is_an_error():
+    server = RefereeServer(cabello_restricted(), 5, 0, automaton_model())
+    with pytest.raises(RuntimeError, match=r"^bind\(\) must be called before serve\(\)$"):
+        server.serve()
+
+
 def test_a_failed_serve_ends_the_players_at_once():
     # the referee raises on the first hello it reads; the other player's
     # connection waits, unaccepted, on the listener both players inherited
@@ -242,6 +250,52 @@ def test_players_cross_a_process_boundary_by_value(name, strategy_name):
 def test_a_player_without_a_strategy_has_no_questions():
     with pytest.raises(ProtocolError, match="party 0: asked a foreign question"):
         PartyStrategy(party=0).answer(0, [(1, "x"), (2, "x")])
+
+
+def _lambda_mu_player(party, tape):
+    game = cabello_restricted()
+    player = build_party_strategy(game, lambda_mu_model(), party)
+    player.set_tape(tape)
+    return player
+
+
+def test_one_question_is_answered_by_each_rounds_tape_slice():
+    # rounds 0 and 1 ask one question with different slices, so the memo
+    # must tell them apart by the slice
+    player = _lambda_mu_player(0, (1, 1, 1) + (-1, -1, 1))
+    observables, question = next(iter(player.questions.items()))
+    for r in (0, 1, 0, 1):
+        row = player._tape[3 * r : 3 * r + 3]
+        assert player.answer(r, observables) == list(player.strategy.respond(0, question, row))
+    assert player.answer(0, observables) != player.answer(1, observables)
+
+
+def test_a_memo_hit_still_needs_a_round():
+    # a width-0 tape slices to () at any round, round -1 included
+    game = cabello_restricted()
+    player = build_party_strategy(game, resolve_strategy(game, "best-classical"), 0)
+    assert player.width == 0
+    observables = next(iter(player.questions))
+    player.answer(0, observables)
+    with pytest.raises(ProtocolError, match=r"^party 0: no tape for round -1$"):
+        player.answer(-1, observables)
+
+
+def test_the_answer_list_is_the_callers():
+    player = _lambda_mu_player(1, (1, -1, -1))
+    observables = next(iter(player.questions))
+    values = player.answer(0, observables)
+    expected = list(values)
+    values[0] = -values[0]
+    assert player.answer(0, observables) == expected
+
+
+def test_a_round_past_the_tape_is_refused():
+    player = _lambda_mu_player(1, (1, -1, -1) * 2)
+    observables = next(iter(player.questions))
+    player.answer(1, observables)
+    with pytest.raises(ProtocolError, match=r"^party 1: no tape for round 2$"):
+        player.answer(2, observables)
 
 
 WINDOW_CASES = [
@@ -998,6 +1052,32 @@ class Contrary(PartyStrategy):
         return values
 
 
+@dataclass
+class Leaving(PartyStrategy):
+    """Ends its own process with status 5 when round ``at`` is asked."""
+
+    inner: PartyStrategy = None  # type: ignore[assignment]
+    at: int = 3
+
+    def set_tape(self, values: tuple[int, ...]) -> None:
+        self.inner.set_tape(values)
+
+    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
+        if round_index == self.at:
+            os._exit(5)
+        return self.inner.answer(round_index, observables)
+
+
+def test_a_player_that_exits_nonzero_fails_the_local_session():
+    # party 1 leaves at round 3, and the abort ends party 0 with 4
+    game = cabello_restricted()
+    strategy = lambda_mu_model()
+    players = [build_party_strategy(game, strategy, party) for party in range(2)]
+    players[1] = Leaving(party=1, inner=players[1])
+    with pytest.raises(ProtocolError, match=r"^player process\(es\) \[0, 1\] exited nonzero$"):
+        run_local_session(game, strategy, rounds=10, seed=4, player_specs=players)
+
+
 def _contrary_rows(game, planned, party, flipped):
     """The rows of ``planned`` with ``party``'s first value flipped, and
     re-scored, in the rounds ``flipped`` holds."""
@@ -1443,6 +1523,49 @@ def test_a_question_over_the_line_limit_ends_the_player_with_4(monkeypatch, caps
     status, _ = _play_lines(lines, player, answers=1)
     assert status == 4
     assert "player 0: message longer than 256 bytes" in capsys.readouterr().err
+
+
+def test_a_line_past_the_limit_before_its_newline_is_a_protocol_error(monkeypatch):
+    monkeypatch.setattr(netplay, "_MAX_LINE", 16)
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(b"x" * 16)
+        with pytest.raises(ProtocolError, match=r"^message longer than 16 bytes$"):
+            netplay._LineReader(ours).line()
+
+
+def test_a_line_unfinished_at_its_deadline_times_out(monkeypatch):
+    # the first bytes come in time, and by the seat's next wait the clock is
+    # past the deadline, so no recv is left to time out
+    clock = iter([0.0, 0.0])
+    monkeypatch.setattr(netplay, "time", SimpleNamespace(monotonic=lambda: next(clock, 100.0)))
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(b'{"type":"answer"')
+        seat = netplay._Seat(ours)
+        seat.party = 1
+        with pytest.raises(netplay.PlayerDisconnected, match=r"^party 1 timed out after 30.0 s$"):
+            seat.read()
+
+
+def test_a_referee_that_leaves_mid_session_ends_the_player_with_4(capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def leave_after_the_hello():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as f:
+            f.readline()
+
+    thread = threading.Thread(target=leave_after_the_hello, daemon=True)
+    thread.start()
+    player = build_party_strategy(cabello_restricted(), automaton_model(), 0)
+    try:
+        status = run_player(listener.getsockname()[:2], player)
+        thread.join(timeout=10)
+    finally:
+        listener.close()
+    assert status == 4
+    assert "player 0: referee closed the connection mid-session" in capsys.readouterr().err
 
 
 def test_a_hello_with_a_huge_party_is_a_protocol_error():

@@ -40,6 +40,12 @@ def test_psi_amplitudes():
     assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bits", ["000", "00000", "0a01", "0 01"])
+def test_an_amplitude_needs_one_bit_per_qubit(bits):
+    with pytest.raises(ValueError, match=f"bad basis label {bits!r}"):
+        make_psi().amplitude(bits)
+
+
 def test_ghz_amplitudes():
     ghz = make_ghz(4)
     assert ghz.amplitude("0000") == pytest.approx(1 / math.sqrt(2))
