@@ -36,12 +36,12 @@ import numpy as np
 
 from .games import (
     ALWAYS_WIN,
+    Answers,
     Context,
     NonlocalGame,
     ParityConstraint,
     Question,
     SiteObservable,
-    predicate_eval,
 )
 
 #: default cap on (outer indices x parities) evaluations per solve, summed
@@ -277,7 +277,7 @@ def model_distribution(
 ) -> dict[tuple[int, ...], Fraction]:
     """Joint answer distribution a model induces in one context.
 
-    Keys are the flattened answers in the same order as
+    Keys are the answers flattened party by party, the order of
     ``game.measured_observables(context)``, so the result is directly
     comparable with ``quantum.joint_distribution``. A deterministic
     strategy has no hidden bits, so it gives a point mass. The model is
@@ -285,19 +285,21 @@ def model_distribution(
     """
     model.check(game)
     draws = 2**model.hidden_bits
-    return {key: Fraction(n, draws) for key, n in _answer_counts(model, context).items()}
+    return {
+        tuple(v for values in answers for v in values): Fraction(n, draws)
+        for answers, n in _answer_counts(model, context).items()
+    }
 
 
-def _answer_counts(model: LocalModel, context: Context) -> dict[tuple[int, ...], int]:
+def _answer_counts(model: LocalModel, context: Context) -> dict[Answers, int]:
     """How many of the model's ``2**hidden_bits`` hidden-bit draws give each
-    flattened answer in one context, keys in order of first occurrence.
-    The model must already have been checked against the game."""
-    counts: dict[tuple[int, ...], int] = {}
+    round's answers (one tuple per party) in one context, keys in order of
+    first occurrence. The model must already have been checked against the
+    game."""
+    counts: dict[Answers, int] = {}
     for bits in itertools.product((+1, -1), repeat=model.hidden_bits):
         key = tuple(
-            v
-            for party, q in enumerate(context.questions)
-            for v in model.respond(party, q, bits)
+            tuple(model.respond(party, q, bits)) for party, q in enumerate(context.questions)
         )
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -308,19 +310,16 @@ def win_probability(game: NonlocalGame, strategy: LocalModel) -> Fraction:
 
     The strategy is checked against the game once (``strategy.check``,
     which raises ``ValueError`` for a partial strategy or a wrong answer
-    arity); then each context's answer counts are scored unchecked, summed
-    in integers over the weights' common denominator.
+    arity); then each context's distinct answers are scored by
+    ``Context.row``, as a played round is, and the draws that win are
+    summed in integers over the weights' common denominator.
     """
     strategy.check(game)
     denominator, weights = _scaled_weights(game)
     won = 0
     for ctx, weight in zip(game.contexts, weights):
-        observables = game.measured_observables(ctx)
-        draws = sum(
-            n
-            for values, n in _answer_counts(strategy, ctx).items()
-            if predicate_eval(ctx.predicate, dict(zip(observables, values)))
-        )
+        counts = _answer_counts(strategy, ctx)
+        draws = sum(n for answers, n in counts.items() if ctx.row(answers)[3])
         won += draws * weight
     return Fraction(won, denominator << strategy.hidden_bits)
 

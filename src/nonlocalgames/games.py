@@ -6,6 +6,8 @@ contexts. A context fixes one question per party and either a parity
 predicate over the measured outcomes or "always win". Everything is
 validated eagerly: a game object that constructs successfully has
 rational weights summing to one and only measurable predicates.
+``Context.row`` scores every round. All catalog games but the restricted
+one ask one context per parity equality, built by ``_equality_contexts``.
 
 The observables the parity predicates range over live here too, as
 plain (qubit, letter) pairs: ``SiteObservable(3, "x")`` is X on qubit 3,
@@ -17,6 +19,7 @@ field. This module is plain Python; ``quantum`` holds the numerics.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
@@ -51,7 +54,8 @@ class SiteObservable(NamedTuple):
 def site(text: str) -> SiteObservable:
     """Parse compact notation like ``x1`` or ``z4``; qubits count from 1."""
     text = text.strip().lower()
-    if len(text) < 2 or text[0] not in "xyz" or not text[1:].isdigit() or int(text[1:]) < 1:
+    # ASCII digits only: str.isdigit takes "²", which int() refuses, and "١", read as 1
+    if not re.fullmatch("[xyz][0-9]+", text) or int(text[1:]) < 1:
         raise ValueError(f"cannot parse site observable {text!r}")
     return SiteObservable(int(text[1:]), text[0])
 
@@ -117,14 +121,6 @@ def parse_constraint_line(line: str) -> ParityConstraint:
     return ParityConstraint(frozenset(variables), int(tokens[0]))
 
 
-def predicate_eval(
-    predicate: ParityConstraint | None, outcomes: Mapping[SiteObservable, int]
-) -> bool:
-    """Evaluate a context predicate on measured outcomes: ``ALWAYS_WIN``
-    evaluates to True, a parity constraint to ``predicate.holds(outcomes)``."""
-    return predicate is ALWAYS_WIN or predicate.holds(outcomes)
-
-
 @dataclass(frozen=True)
 class Question:
     """What one party is asked: a kind letter (or SKIP) per owned qubit slot.
@@ -139,8 +135,7 @@ class Question:
 
     @cached_property
     def id(self) -> str:
-        toks = [f"{k}{q}" for q, k in self.measurements if k is not None]
-        return "".join(toks) if toks else "skip"
+        return "".join(map(str, self.measured)) or "skip"
 
     @cached_property
     def measured(self) -> tuple[SiteObservable, ...]:
@@ -190,14 +185,12 @@ class Context:
 
     def row(self, answers: Sequence[Sequence[int]]) -> Row:
         """The scored row of one round's answers (one tuple per party):
-        (context id, question ids, answers as tuples, win)."""
+        (context id, question ids, answers as tuples, win). The answers
+        must fit the questions even where the predicate is ``ALWAYS_WIN``."""
         answers = tuple(map(tuple, answers))
-        return (
-            self.id,
-            tuple(q.id for q in self.questions),
-            answers,
-            predicate_eval(self.predicate, self.outcomes(answers)),
-        )
+        outcomes = self.outcomes(answers)
+        win = self.predicate is ALWAYS_WIN or self.predicate.holds(outcomes)
+        return (self.id, tuple(q.id for q in self.questions), answers, win)
 
 
 @dataclass(frozen=True)
@@ -329,6 +322,9 @@ def equation_label(index: int) -> str:
     return f"eq{index + 1:02d}"
 
 
+_FOURTEEN_IDS = tuple(equation_label(i) for i in range(len(_FOURTEEN)))
+
+
 # ---------------------------------------------------------------------------
 # game catalog
 # ---------------------------------------------------------------------------
@@ -367,37 +363,57 @@ def cabello_restricted() -> NonlocalGame:
     )
 
 
+def _equality_contexts(
+    owned: Sequence[Sequence[int]], eqs: Sequence[ParityConstraint], ids: Sequence[str]
+) -> tuple[Context, ...]:
+    """One context per equality, named by ``ids`` and each of weight
+    1/len(eqs). The party holding qubits ``owned[p]`` measures the
+    equality's variables on those qubits (SKIP on the others); a party the
+    equality leaves out is asked Z on each of its qubits, so that every
+    party is questioned in every round (the predicate ignores its answer)."""
+    contexts = []
+    for eq, ctx_id in zip(eqs, ids, strict=True):
+        questions = []
+        for qubits in owned:
+            text = " ".join(str(v) for v in eq.sorted_vars if v.qubit in qubits)
+            questions.append(make_question(qubits, text or " ".join(f"z{q}" for q in qubits)))
+        contexts.append(Context(ctx_id, tuple(questions), eq, Fraction(1, len(eqs))))
+    return tuple(contexts)
+
+
 def cabello_extended() -> NonlocalGame:
     """The extended two-party game testing all fourteen equalities.
 
-    One context per equality: party 0 measures exactly the equality's
-    variables on qubits 1-2 (SKIP for absent qubits), party 1 likewise on
-    qubits 3-4. Weights are uniform. The per-equation question derivation
-    is a convention of this catalog and is isolated here so an alternate
-    question protocol can be substituted.
+    Party 0 holds qubits 1-2 and party 1 qubits 3-4; each equality is one
+    uniformly weighted context (``_equality_contexts``), with ids
+    eq01..eq14. Every equality has variables on both sides, so each party
+    measures exactly its share of them.
     """
-    eqs = fourteen_equalities()
-    contexts = []
-    for idx, eq in enumerate(eqs):
-        a_text = " ".join(str(v) for v in eq.sorted_vars if v.qubit <= 2)
-        b_text = " ".join(str(v) for v in eq.sorted_vars if v.qubit >= 3)
-        qa = make_question((1, 2), a_text)
-        qb = make_question((3, 4), b_text)
-        contexts.append(
-            Context(
-                id=equation_label(idx),
-                questions=(qa, qb),
-                predicate=eq,
-                weight=Fraction(1, 14),
-            )
-        )
+    contexts = _equality_contexts(((1, 2), (3, 4)), fourteen_equalities(), _FOURTEEN_IDS)
     return NonlocalGame(
         name="cabello-extended",
         parties=2,
         qubit_ownership=((1, 0), (2, 0), (3, 1), (4, 1)),
         # each question occurs in one context; a repeat would be a duplicate id
         question_sets=tuple(tuple(ctx.questions[p] for ctx in contexts) for p in (0, 1)),
-        contexts=tuple(contexts),
+        contexts=contexts,
+    )
+
+
+def _one_qubit_game(
+    name: str, kinds: str, eqs: Sequence[ParityConstraint], ids: Sequence[str]
+) -> NonlocalGame:
+    """The game where party p holds qubit p + 1 alone and may be asked any
+    of ``kinds`` on it, with one context per equality."""
+    qubits = range(1, 1 + max(v.qubit for eq in eqs for v in eq.vars))
+    return NonlocalGame(
+        name=name,
+        parties=len(qubits),
+        qubit_ownership=tuple((q, q - 1) for q in qubits),
+        question_sets=tuple(
+            tuple(make_question((q,), f"{kind}{q}") for kind in kinds) for q in qubits
+        ),
+        contexts=_equality_contexts([(q,) for q in qubits], eqs, ids),
     )
 
 
@@ -405,37 +421,10 @@ def four_party_game() -> NonlocalGame:
     """The four-party pseudo-telepathy game: one qubit per party.
 
     Every party can be asked X, Y or Z. Each of the fourteen equalities
-    becomes one uniformly weighted context; parties whose qubit does not
-    occur in the equality are asked Z so that every party is questioned
-    in every round (their answer is ignored by the predicate).
+    becomes one uniformly weighted context, with ids eq01..eq14; a party
+    whose qubit does not occur in the equality is asked Z.
     """
-    eqs = fourteen_equalities()
-    question_sets = tuple(
-        tuple(make_question((qubit,), f"{kind}{qubit}") for kind in "xyz")
-        for qubit in range(1, 5)
-    )
-    contexts = []
-    for idx, eq in enumerate(eqs):
-        kinds = {v.qubit: v.kind for v in eq.vars}
-        questions = tuple(
-            question_sets[qubit - 1]["xyz".index(kinds.get(qubit, "z"))]
-            for qubit in range(1, 5)
-        )
-        contexts.append(
-            Context(
-                id=equation_label(idx),
-                questions=questions,
-                predicate=eq,
-                weight=Fraction(1, 14),
-            )
-        )
-    return NonlocalGame(
-        name="four-party",
-        parties=4,
-        qubit_ownership=tuple((q, q - 1) for q in range(1, 5)),
-        question_sets=question_sets,
-        contexts=tuple(contexts),
-    )
+    return _one_qubit_game("four-party", "xyz", fourteen_equalities(), _FOURTEEN_IDS)
 
 
 # in the equation-file format; a context's id is its kinds in qubit order
@@ -445,33 +434,13 @@ _MERMIN_GHZ = ("+1 x1 x2 x3", "-1 x1 y2 y3", "-1 y1 x2 y3", "-1 y1 y2 x3")
 def mermin_ghz() -> NonlocalGame:
     """The three-party parity game with questions {X, Y}.
 
-    Contexts: XXX must multiply to +1 and XYY, YXY, YYX to -1, each with
-    weight 1/4. Its classical value is 3/4 while the three-qubit GHZ state
-    wins it surely.
+    One context per equality of ``_MERMIN_GHZ``, named by its kinds: XXX
+    must multiply to +1 and XYY, YXY, YYX to -1, each with weight 1/4. Its
+    classical value is 3/4 while the three-qubit GHZ state wins it surely.
     """
-    question_sets = tuple(
-        tuple(make_question((qubit,), f"{kind}{qubit}") for kind in "xy")
-        for qubit in range(1, 4)
-    )
-    contexts = []
-    for eq in map(parse_constraint_line, _MERMIN_GHZ):
-        contexts.append(
-            Context(
-                id="".join(v.kind for v in eq.sorted_vars),
-                questions=tuple(
-                    question_sets[v.qubit - 1]["xy".index(v.kind)] for v in eq.sorted_vars
-                ),
-                predicate=eq,
-                weight=Fraction(1, 4),
-            )
-        )
-    return NonlocalGame(
-        name="mermin-ghz",
-        parties=3,
-        qubit_ownership=tuple((q, q - 1) for q in range(1, 4)),
-        question_sets=question_sets,
-        contexts=tuple(contexts),
-    )
+    eqs = tuple(map(parse_constraint_line, _MERMIN_GHZ))
+    ids = ["".join(v.kind for v in eq.sorted_vars) for eq in eqs]
+    return _one_qubit_game("mermin-ghz", "xy", eqs, ids)
 
 
 def nested_ghz_contexts(selector_outcome: int) -> list[ParityConstraint]:

@@ -356,8 +356,6 @@ class TrialLog:
         """Whether both logs hold equal rounds, whatever the order of rows
         in either table: each row is mapped to its first equal row in
         either table, and the mapped index columns are compared."""
-        if self._size != other._size:
-            return False
         ids: dict[Row, int] = {}
         mine = np.array([ids.setdefault(row, len(ids)) for row in self.rows], dtype=np.intp)
         theirs = np.array([ids.setdefault(row, len(ids)) for row in other.rows], dtype=np.intp)

@@ -138,6 +138,13 @@ MUTANTS = (
         ("tests/test_quantum.py::test_site_parsing",),
     ),
     Mutant(
+        "left-out-party-asked-x",
+        "games.py",
+        'text or " ".join(f"z{q}" for q in qubits)',
+        'text or " ".join(f"x{q}" for q in qubits)',
+        ("tests/test_games.py::test_describe_golden[four-party]",),
+    ),
+    Mutant(
         "joint-distribution-accepts-qubit-0",
         "quantum.py",
         "if not 1 <= q <= state.num_qubits]",
@@ -530,6 +537,13 @@ MUTANTS = (
         'except OSError as exc:\n        raise CliError(EXIT_USAGE, f"cannot write',
         'except ValueError as exc:\n        raise CliError(EXIT_USAGE, f"cannot write',
         ("tests/test_cli.py::test_serve_with_an_unwritable_out_exits_2_before_binding",),
+    ),
+    Mutant(
+        "leak-check-passes-a-hello",
+        "verification.py",
+        "leaks.append(f\"party {party} received {message['type']!r}\")",
+        "pass",
+        ("tests/test_netplay.py::test_the_leak_check_names_each_leaky_message",),
     ),
 )
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from nonlocalgames.games import (
     Context,
     NonlocalGame,
     ParityConstraint,
+    Question,
     cabello_extended,
     cabello_restricted,
     contradiction_subset,
@@ -21,7 +23,6 @@ from nonlocalgames.games import (
     mermin_ghz,
     nested_ghz_contexts,
     parse_constraint_line,
-    predicate_eval,
     site,
     sites,
 )
@@ -76,16 +77,21 @@ def test_constraint_line_round_trip():
 
 def test_predicate_eval_basic():
     eq = parse_constraint_line("+1 x1 x3 z4")
-    assert predicate_eval(eq, {site("x1"): -1, site("x3"): +1, site("z4"): -1})
+    assert eq.holds({site("x1"): -1, site("x3"): +1, site("z4"): -1})
     eq10 = parse_constraint_line("-1 y1 y3 z4")
-    assert not predicate_eval(eq10, {site("y1"): +1, site("y3"): +1, site("z4"): +1})
-    assert predicate_eval(ALWAYS_WIN, {})
+    assert not eq10.holds({site("y1"): +1, site("y3"): +1, site("z4"): +1})
+    # an always-win context wins whatever the answers, once they fit its questions
+    free = cabello_restricted().context_by_id("x1x2|x3y4")
+    assert free.predicate is ALWAYS_WIN
+    assert free.row([(1, -1), (-1, -1)]) == (
+        "x1x2|x3y4", ("x1x2", "x3y4"), ((1, -1), (-1, -1)), True
+    )
 
 
 def test_predicate_eval_accepts_outcome_pairs_and_rejects_missing():
     eq = parse_constraint_line("+1 z1 z3")
     with pytest.raises(ValueError):
-        predicate_eval(eq, {site("z1"): +1})
+        eq.holds({site("z1"): +1})
 
 
 @settings(max_examples=50, deadline=None)
@@ -104,7 +110,11 @@ def test_predicate_eval_matches_product(values, sign):
     prod = 1
     for v in mapping.values():
         prod *= v
-    assert predicate_eval(constraint, mapping) == (prod == sign)
+    assert constraint.holds(mapping) == (prod == sign)
+    # the same outcomes as a round's answers, one observable per party
+    questions = tuple(Question((obs,)) for obs in mapping)
+    ctx = Context("c", questions, constraint, Fraction(1))
+    assert ctx.row([(v,) for v in mapping.values()])[3] == (prod == sign)
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +428,20 @@ def test_nested_consistency_via_conditioning():
 # description golden file
 # ---------------------------------------------------------------------------
 
-RESTRICTED_DESCRIPTION = """\
-game cabello-restricted
-parties: 2
-qubits: 1->p0 2->p0 3->p1 4->p1
-party 0 questions: x1x2 y1x2
-party 1 questions: x3y4 x3z4 y3y4 y3z4
-contexts:
-  x1x2|x3y4  w=1/8  [x1x2 x3y4]  (always win)
-  x1x2|x3z4  w=1/8  [x1x2 x3z4]  x1*x3*z4 = +1
-  x1x2|y3y4  w=1/8  [x1x2 y3y4]  x1*x2*y3*y4 = +1
-  x1x2|y3z4  w=1/8  [x1x2 y3z4]  (always win)
-  y1x2|x3y4  w=1/8  [y1x2 x3y4]  y1*x2*x3*y4 = +1
-  y1x2|x3z4  w=1/8  [y1x2 x3z4]  (always win)
-  y1x2|y3y4  w=1/8  [y1x2 y3y4]  (always win)
-  y1x2|y3z4  w=1/8  [y1x2 y3z4]  y1*y3*z4 = -1"""
+# sha256 of each catalog game's description, so a builder that changes a
+# game in any question, id, weight or predicate fails here
+DESCRIBE_SHA256 = {
+    "cabello-extended": "8b6305d912bb7d4d5e87e80e0dc25df8663d4a01892b188101faf3dfb45f72e8",
+    "cabello-restricted": "095cf266f7acab48a911fcc23214654e7d396ba032d94bd42e0e19c3d50d84f2",
+    "four-party": "15bebc0cf62f7f633c9fad3c1e8ac1ce0e6575379729a5dce90088df15ad87a6",
+    "mermin-ghz": "a4de12de65b6619a41ed6b417164181c7f0c664ed1db474f8254916fd1e17c4e",
+}
 
 
-def test_describe_golden():
-    assert describe(cabello_restricted()) == RESTRICTED_DESCRIPTION
+@pytest.mark.parametrize("name", sorted(DESCRIBE_SHA256))
+def test_describe_golden(name):
+    text = describe(game_by_name(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == DESCRIBE_SHA256[name]
 
 
 def test_describe_mentions_every_context():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonlocalgames import netplay
+from nonlocalgames import netplay, verification
 from nonlocalgames.classical import automaton_model, lambda_mu_model
 from nonlocalgames.games import (
     ALWAYS_WIN,
@@ -596,6 +596,23 @@ def test_transcript_never_leaks_foreign_data():
         assert kinds[0] == "dealt"
         assert kinds[-1] == "end"
         assert kinds.count("question") == 120
+
+
+def test_the_leak_check_names_each_leaky_message():
+    # party 0 holds qubit 1 alone: a question on slot 2 is another party's,
+    # and an answer or a hello is never sent to a player
+    sent = [
+        {"type": "dealt", "tape": ""},
+        {"type": "question", "round": 0, "observables": [{"slot": 2, "kind": "x"}]},
+        {"type": "answer", "round": 0, "values": [1]},
+        {"type": "hello", "party": 0, "protocol_version": 1},
+        {"type": "end", "reason": "complete"},
+    ]
+    leaks = verification._transcript_leaks(
+        four_party_game(), {0: [encode_message(m) for m in sent]}
+    )
+    assert len(leaks) == 3
+    assert all(leak.startswith("party 0 ") for leak in leaks)
 
 
 # ---------------------------------------------------------------------------

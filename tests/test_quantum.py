@@ -96,6 +96,10 @@ def test_site_parsing():
         site("w2")
     with pytest.raises(ValueError):
         site("x0")
+    # str.isdigit holds for both; int() refuses the first and reads the second as 1
+    for text in ("x²", "x١"):
+        with pytest.raises(ValueError, match="cannot parse site observable"):
+            site(text)
 
 
 @pytest.mark.parametrize(

@@ -865,11 +865,12 @@ def test_a_round_off_its_position_is_rejected(line, bad_line):
         '{{"type": "round", "round": 5, "context": "a", "questions": "x1", "answers": [], "win": true}}',
         '{{"type": "turn", "round": 6, {tail}',
         '{{"type": "round", "round": 7, "type": "turn", {tail}',
+        '{{"type": "round", "round": 5, "context": ',
     ],
     ids=["leading-zero", "trailing-junk", "extra-brace", "answers-not-a-list", "no-round",
          "questions-not-a-list", "answer-not-a-list", "no-win", "cut-short",
          "not-an-object", "bare-int", "questions-not-a-list-in-order", "questions-a-string",
-         "another-type", "duplicate-type-key"],
+         "another-type", "duplicate-type-key", "canonical-head-cut-short"],
 )
 def test_from_jsonl_raises_as_plain_decoder(bad_line):
     game = cabello_restricted()
@@ -981,6 +982,10 @@ def test_hand_built_records_behave_like_a_list(drawn, cut):
     )
     assert other.records == view and repr(other.records) == repr(records)
     assert other == log
+    if records:
+        shorter = TrialLog("hand-built", "s", 3, records[:-1])
+        assert shorter.records != view and view != shorter.records
+        assert shorter != log and log != shorter
     header = {"type": "header", "version": 1, "game": "hand-built", "strategy": "s",
               "seed": 3, "complete": True}
     text = "\n".join([json.dumps(header), *map(json.dumps, map(_round_line, records))]) + "\n"
