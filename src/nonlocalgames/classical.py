@@ -210,22 +210,20 @@ class MaxSatResult:
 # ---------------------------------------------------------------------------
 
 
-class _LambdaMuAlice:
-    def __call__(self, question_id: str, bits: tuple[int, ...]) -> tuple[int, ...]:
-        lam1, lam2, _ = bits
-        return (lam1, lam2)
+def _lambda_mu_alice(question_id: str, bits: tuple[int, ...]) -> tuple[int, ...]:
+    lam1, lam2, _ = bits
+    return (lam1, lam2)
 
 
-class _LambdaMuBob:
-    def __call__(self, question_id: str, bits: tuple[int, ...]) -> tuple[int, ...]:
-        lam1, lam2, mu = bits
-        table = {
-            "x3y4": (mu, mu * lam1 * lam2),
-            "x3z4": (mu, mu * lam1),
-            "y3y4": (mu, mu * lam1 * lam2),
-            "y3z4": (mu, -mu * lam1),
-        }
-        return table[question_id]
+def _lambda_mu_bob(question_id: str, bits: tuple[int, ...]) -> tuple[int, ...]:
+    lam1, lam2, mu = bits
+    table = {
+        "x3y4": (mu, mu * lam1 * lam2),
+        "x3z4": (mu, mu * lam1),
+        "y3y4": (mu, mu * lam1 * lam2),
+        "y3z4": (mu, -mu * lam1),
+    }
+    return table[question_id]
 
 
 def lambda_mu_model() -> HiddenVariableModel:
@@ -239,7 +237,7 @@ def lambda_mu_model() -> HiddenVariableModel:
     return HiddenVariableModel(
         name="lambda-mu",
         hidden_bits=3,
-        responders=(_LambdaMuAlice(), _LambdaMuBob()),
+        responders=(_lambda_mu_alice, _lambda_mu_bob),
     )
 
 

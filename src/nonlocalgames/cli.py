@@ -81,7 +81,8 @@ def _check_at_least(flag: str, value: int, minimum: int) -> None:
 
 def _parse_host_port(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit() or host.startswith("[") != host.endswith("]"):
+    port_ok = port.isascii() and port.isdigit()  # str.isdigit also takes "²" and "٣"
+    if not sep or not port_ok or host.startswith("[") != host.endswith("]"):
         raise CliError(EXIT_USAGE, f"expected HOST:PORT, got {text!r}")
     if int(port) > 65535:
         raise CliError(EXIT_USAGE, f"port must be 0-65535, got {port}")

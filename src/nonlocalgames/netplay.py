@@ -186,14 +186,12 @@ class _LineReader:
         end of stream as it is, and None once nothing is left."""
         while True:
             end = self._buf.find(b"\n", self._pos)
+            if (end if end >= 0 else len(self._buf)) - self._pos >= _MAX_LINE:
+                raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
             if end >= 0:
-                if end - self._pos >= _MAX_LINE:
-                    raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
                 line = self._buf[self._pos : end]
                 self._pos = end + 1
                 return line
-            if len(self._buf) - self._pos >= _MAX_LINE:
-                raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
             if not self._fill():
                 line = self._buf[self._pos :]
                 self._pos = len(self._buf)
@@ -379,7 +377,8 @@ class _Seat(_LineReader):
     bytes, that is the first wait once the line before it has arrived
     whole. The first transport failure of a read, a timeout included, is
     kept, and raised again at every later wait, so a reread of what was
-    buffered before it ends where it did, with the same cause."""
+    buffered before it ends where it did, with the same cause. Each
+    message it receives is read by ``message``, which names its party."""
 
     def __init__(self, conn: socket.socket):
         super().__init__(conn)
@@ -416,24 +415,22 @@ class _Seat(_LineReader):
         except OSError as exc:
             raise self._lost(exc) from None
 
-    def read(self) -> bytes:
+    def message(self, kind: str) -> dict:
+        """The next line, decoded whole; a type other than ``kind`` is an error."""
         try:
             line = self.line()
-        except ProtocolError as exc:
-            raise ProtocolError(str(exc), self.party) from None
-        if line is None:
-            raise PlayerDisconnected(self.party)
-        return line
-
-    def read_answer(self, r: int, arity: int) -> tuple[int, ...]:
-        """Round r's answer values, from a line decoded whole."""
-        line = self.read()
-        try:
+            if line is None:
+                raise PlayerDisconnected(self.party)
             message = decode_message(line)
         except ProtocolError as exc:
             raise ProtocolError(str(exc), self.party) from None
-        if message["type"] != "answer":
-            raise ProtocolError(f"expected answer, got {message['type']!r}", self.party)
+        if message["type"] != kind:
+            raise ProtocolError(f"expected {kind}, got {message['type']!r}", self.party)
+        return message
+
+    def read_answer(self, r: int, arity: int) -> tuple[int, ...]:
+        """Round r's answer values, from a line decoded whole."""
+        message = self.message("answer")
         # true and 1.0 equal 1, so they would be taken as round 1
         if type(message.get("round")) is not int or message["round"] != r:
             raise ProtocolError(
@@ -486,16 +483,18 @@ class RefereeServer:
         """Run the session; returns the log (flagged incomplete on abort).
 
         Plays the plans and index ``__init__`` made (``trials._plan_session``).
-        Answers are read two ways. Once a window's questions are sent, each
-        seat's buffered answers are compared in one go with the window's
-        planned answer lines, byte for byte as ``encode_message`` writes
-        them (``_LineReader.match``). If every seat's bytes match, they are
-        consumed and the window is played as planned. Otherwise the window
-        is read again round by round, party by party, each line decoded
-        whole and checked (``_Seat.read_answer``), and a transport failure
-        a seat met while matching is raised where its round comes. Only a
-        round whose answers are not its plan's is scored, its row looked up
-        by value.
+        Hellos and answers are read by ``_Seat.message``. A connection that
+        fails or ends before its hello is dropped; a bad hello ends the
+        session. Answers are read two ways. Once a window's questions are
+        sent, each seat's buffered answers are compared in one go with the
+        window's planned answer lines, byte for byte as ``encode_message``
+        writes them (``_LineReader.match``). If every seat's bytes match,
+        they are consumed and the window is played as planned. Otherwise the
+        window is read again round by round, party by party, each line
+        decoded whole and checked (``_Seat.read_answer``), and a transport
+        failure a seat met while matching is raised where its round comes.
+        Only a round whose answers are not its plan's is scored, its row
+        looked up by value.
         The window is ``_WINDOW`` rounds, or fewer if one window of the
         session's longest answer line does not fit the receive buffer
         granted on every connection (``_tune``). Each window's round
@@ -534,15 +533,12 @@ class RefereeServer:
                     seat = _Seat(conn)
                     try:
                         fits = _tune(conn, longest)
-                        line = seat.read()
+                        hello = seat.message("hello")
                     except (OSError, PlayerDisconnected):
                         # a client that is silent or slow, resets or leaves
                         # before its hello is not a player
                         conn.close()
                         continue
-                    hello = decode_message(line)
-                    if hello["type"] != "hello":
-                        raise ProtocolError(f"expected hello, got {hello['type']!r}")
                     party = hello.get("party")
                     # true equals 1, so it would be taken as party 1
                     if type(party) is not int or not 0 <= party < game.parties:

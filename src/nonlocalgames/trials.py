@@ -102,19 +102,17 @@ class QuantumStrategy:
         )
 
     def dealer(self, game: NonlocalGame) -> Dealer:
+        """Deal outcomes drawn from ``_exact_distributions``, computed once per session."""
         if self.state.num_qubits != game.num_qubits:
             raise ValueError(
                 f"state has {self.state.num_qubits} qubits, game expects {game.num_qubits}"
             )
         widths = [self.tape_width(game, party) for party in range(game.parties)]
-        # per context: running totals of the outcome distribution, and the
-        # outcome values, whose tapes are built only when a session draws them
-        totals: list[np.ndarray] = []
-        values: list[list[tuple[int, ...]]] = []
-        for ctx in game.contexts:
-            dist = quantum.joint_distribution(self.state, game.measured_observables(ctx))
-            totals.append(np.cumsum(list(dist.values())))
-            values.append(list(dist))
+        # per context: running totals of the outcome distribution, and the outcome
+        # values, split into tapes (+1 on unmeasured slots) only when a session draws them
+        distributions = _exact_distributions(self.state, game).values()
+        totals = [np.cumsum(list(dist.values())) for dist in distributions]
+        values = [list(dist) for dist in distributions]
 
         def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
             # the first outcome whose running total exceeds u, or the last
@@ -127,19 +125,22 @@ class QuantumStrategy:
             return outcomes
 
         def tapes(context: int, code: int) -> Tapes:
-            return _outcome_tapes(game.contexts[context], values[context][code], widths)
+            flat = iter(values[context][code])
+            return tuple(
+                tuple(next(flat) if kind is not None else +1 for _, kind in q.measurements)
+                + (+1,) * (width - len(q.measurements))
+                for q, width in zip(game.contexts[context].questions, widths)
+            )
 
         return Dealer(uniforms=1, bits=0, codes=codes, tapes=tapes)
 
 
-def _outcome_tapes(context: Context, values: tuple[int, ...], widths: list[int]) -> Tapes:
-    """Split one joint outcome into per-party tapes, +1 on unmeasured slots."""
-    flat = iter(values)
-    return tuple(
-        tuple(next(flat) if kind is not None else +1 for _, kind in q.measurements)
-        + (+1,) * (width - len(q.measurements))
-        for q, width in zip(context.questions, widths)
-    )
+def _exact_distributions(state: Statevector, game: NonlocalGame) -> dict[str, dict]:
+    """Each context's exact joint outcome distribution on the state, by id, in game order."""
+    return {
+        ctx.id: quantum.joint_distribution(state, game.measured_observables(ctx))
+        for ctx in game.contexts
+    }
 
 
 Strategy = QuantumStrategy | DeterministicStrategy | HiddenVariableModel
@@ -423,10 +424,10 @@ class TrialLog:
         header = json.loads(lines[0])
         if type(header) is not dict or header.get("type") != "header":
             raise ValueError("trial log must start with a header record")
-        if header.get("version") != LOG_FORMAT_VERSION:
+        version = header.get("version")
+        if type(version) is not int or version != LOG_FORMAT_VERSION:  # true and 1.0 equal 1
             raise ValueError(
-                f"unsupported trial log version {header.get('version')!r}, "
-                f"expected {LOG_FORMAT_VERSION}"
+                f"unsupported trial log version {version!r}, expected {LOG_FORMAT_VERSION}"
             )
         # the game is looked up only by the readers that score the rows by it
         for name in ("game", "strategy"):
@@ -725,14 +726,8 @@ def tv_distance(
 
 
 def quantum_reference(game: NonlocalGame) -> dict[str, dict[tuple[int, ...], float]]:
-    """Exact per-context joint distributions of the game's quantum strategy."""
-    strategy = quantum_strategy(game)
-    return {
-        ctx.id: quantum.joint_distribution(
-            strategy.state, game.measured_observables(ctx)
-        )
-        for ctx in game.contexts
-    }
+    """The exact per-context distributions the catalog quantum strategy's dealer draws from."""
+    return _exact_distributions(quantum_strategy(game).state, game)
 
 
 # ---------------------------------------------------------------------------

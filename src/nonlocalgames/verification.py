@@ -63,14 +63,14 @@ def check_restricted_game_is_classical() -> tuple[bool, str]:
 
 
 def check_mimicry_on_tested_contexts() -> tuple[bool, str]:
+    """The lambda-mu model against ``trials.quantum_reference``, per context."""
     game = games.cabello_restricted()
     model = classical.lambda_mu_model()
-    state = quantum.make_psi()
+    reference = trials.quantum_reference(game)
     tested, untested = [], []
     for ctx in game.contexts:
         model_dist = classical.model_distribution(model, game, ctx)
-        quantum_dist = quantum.joint_distribution(state, game.measured_observables(ctx))
-        distance = trials.tv_distance(quantum_dist, model_dist)
+        distance = trials.tv_distance(reference[ctx.id], model_dist)
         (untested if ctx.predicate is games.ALWAYS_WIN else tested).append(distance)
     matching = sum(1 for d in tested if d <= 1e-9)
     at_half = sum(1 for d in untested if abs(d - 0.5) <= 1e-9)

@@ -187,6 +187,16 @@ MUTANTS = (
         ("tests/test_trials.py::test_from_jsonl_rejects_header_values_never_written",),
     ),
     Mutant(
+        "header-version-may-equal-an-int",
+        "trials.py",
+        "if type(version) is not int or version != LOG_FORMAT_VERSION:",
+        "if version != LOG_FORMAT_VERSION:",
+        (
+            "tests/test_trials.py::test_from_jsonl_rejects_header_values_never_written[version-true]",
+            "tests/test_trials.py::test_from_jsonl_rejects_header_values_never_written[version-float]",
+        ),
+    ),
+    Mutant(
         "row-answers-may-be-bools",
         "trials.py",
         "if any(type(v) is not int or v not in (1, -1) for a in answers for v in a):",
@@ -284,8 +294,8 @@ MUTANTS = (
     Mutant(
         "over-long-line-accepted",
         "netplay.py",
-        "if end - self._pos >= _MAX_LINE:",
-        "if end - self._pos >= 64 * _MAX_LINE:",
+        "if (end if end >= 0 else len(self._buf)) - self._pos >= _MAX_LINE:",
+        "if (end if end >= 0 else len(self._buf)) - self._pos >= 64 * _MAX_LINE:",
         ("tests/test_netplay.py::test_a_valid_answer_over_the_line_limit_is_a_protocol_error",),
     ),
     Mutant(
@@ -391,6 +401,16 @@ MUTANTS = (
         "if answers != plan.answers:",
         "if False:",
         ("tests/test_netplay.py::test_referee_scores_the_answers_sent",),
+    ),
+    Mutant(
+        "seat-takes-any-message-type",
+        "netplay.py",
+        'if message["type"] != kind:',
+        "if False:",
+        (
+            "tests/test_netplay.py::test_a_first_line_that_is_not_a_hello_is_a_protocol_error",
+            "tests/test_netplay.py::test_a_line_in_place_of_an_answer_is_a_protocol_error",
+        ),
     ),
     Mutant(
         "hello-party-may-be-a-bool",
@@ -522,6 +542,16 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_a_malformed_host_port_exits_2[unclosed-bracket]",
             "tests/test_cli.py::test_a_malformed_host_port_exits_2[unopened-bracket]",
+        ),
+    ),
+    Mutant(
+        "host-port-takes-any-digit",
+        "cli.py",
+        "port_ok = port.isascii() and port.isdigit()",
+        "port_ok = port.isdigit()",
+        (
+            "tests/test_cli.py::test_a_malformed_host_port_exits_2[superscript-port]",
+            "tests/test_cli.py::test_a_malformed_host_port_exits_2[arabic-indic-port]",
         ),
     ),
     Mutant(

@@ -8,10 +8,18 @@ Run from anywhere, with the test requirements installed::
 It runs the tier-1 suite in this process, with ``--hypothesis-seed=0`` so
 that the lines reached are the same from run to run, under a stdlib
 ``sys.settrace`` line tracer that records the lines of
-``src/nonlocalgames/`` only (threads included). A ``raise`` statement is
-reached when any of its lines ran. The tracer does not follow player or
-CLI subprocesses: a raise reached only there is listed in ``UNREACHED``
-and its reason says so.
+``src/nonlocalgames/`` only (threads included), by resolved path.
+
+Python subprocesses the tests start, such as ``python -m
+nonlocalgames.cli`` and the demos, are traced too: the gate writes a
+``sitecustomize.py`` into a temporary directory put first on the
+children's ``PYTHONPATH``. In each child it loads this file, installs the
+same tracer, and at exit writes the lines reached to that directory,
+where the gate merges them with its own. Players that
+``run_local_session`` forks end through ``os._exit``, which runs no exit
+handler, so their lines are not recorded: a raise reached only there
+counts as unreached. A ``raise`` statement is reached when any of its
+lines ran.
 
 Exit status 0 means the suite passed, every raise it did not reach is in
 ``UNREACHED``, and every entry names a raise the suite did not reach.
@@ -24,7 +32,10 @@ suite (it does not match ``test_*.py``).
 from __future__ import annotations
 
 import ast
+import atexit
+import os
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -33,12 +44,18 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nonlocalgames"
 
 #: (file in src/nonlocalgames, the raise's first line, stripped) -> why no
-#: tier-1 test reaches it in the pytest process
-UNREACHED = {
-    ("cli.py", "raise SystemExit(main())"): (
-        "runs only as `python -m nonlocalgames.cli`, in CLI subprocesses"
-    ),
-}
+#: tier-1 test reaches it, in the pytest process or a subprocess it starts
+UNREACHED: dict[tuple[str, str], str] = {}
+
+#: a child's ``sitecustomize.py``: trace through this file's ``_trace_child``
+_CHILD_HOOK = """\
+import importlib.util
+
+spec = importlib.util.spec_from_file_location("_reach_gate", {gate!r})
+gate = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gate)
+gate._trace_child({out!r})
+"""
 
 
 def _raises() -> dict[tuple[str, str], list[tuple[Path, int, int]]]:
@@ -55,13 +72,11 @@ def _raises() -> dict[tuple[str, str], list[tuple[Path, int, int]]]:
     return found
 
 
-def _traced_run() -> tuple[int, set[tuple[str, int]]]:
-    """Run tier-1 under the line tracer; pytest's exit code and the
-    (file name, line) pairs of the package that ran."""
-    import pytest
-
-    files = {str(path) for path in PACKAGE.glob("*.py")}
-    reached: set[tuple[str, int]] = set()
+def _trace(reached: set[tuple[str, int]]) -> None:
+    """From now on, add to ``reached`` the (file name, line) of each line of
+    the package that runs, in this thread and in threads started later."""
+    files = {str(path.resolve()) for path in PACKAGE.glob("*.py")}
+    ours: dict[str, bool] = {}
 
     def on_line(frame, event, arg):
         if event == "line":
@@ -70,23 +85,69 @@ def _traced_run() -> tuple[int, set[tuple[str, int]]]:
 
     def on_call(frame, event, arg):
         # trace only the package's frames; every other call runs untraced
-        return on_line if frame.f_code.co_filename in files else None
+        name = frame.f_code.co_filename
+        if name not in ours:
+            ours[name] = str(Path(name).resolve()) in files
+        return on_line if ours[name] else None
 
     threading.settrace(on_call)
     sys.settrace(on_call)
-    try:
-        status = pytest.main(
-            ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
+
+
+def _untrace() -> None:
+    sys.settrace(None)
+    threading.settrace(None)
+
+
+def _trace_child(out: str) -> None:
+    """In a subprocess: trace the package, and at exit write the lines
+    reached, one ``file name<TAB>line`` each, to a file in ``out``."""
+    reached: set[tuple[str, int]] = set()
+
+    def write() -> None:
+        _untrace()
+        lines = "".join(f"{Path(name).name}\t{line}\n" for name, line in reached)
+        Path(out, f"reached-{os.getpid()}.tsv").write_text(lines)
+
+    atexit.register(write)
+    _trace(reached)
+
+
+def _traced_run() -> tuple[int, set[tuple[str, int]]]:
+    """Run tier-1 under the line tracer, its Python subprocesses included;
+    pytest's exit code and the (file name, line) pairs of the package that
+    ran."""
+    import pytest
+
+    reached: set[tuple[str, int]] = set()
+    saved = os.environ.get("PYTHONPATH")
+    with tempfile.TemporaryDirectory(prefix="reach-") as out:
+        Path(out, "sitecustomize.py").write_text(
+            _CHILD_HOOK.format(gate=str(Path(__file__).resolve()), out=out)
         )
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [out, saved]))
+        _trace(reached)
+        try:
+            status = pytest.main(
+                ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")]
+            )
+        finally:
+            _untrace()
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+        found = {(Path(name).name, line) for name, line in reached}
+        for path in Path(out).glob("reached-*.tsv"):
+            for row in path.read_text().splitlines():
+                name, line = row.split("\t")
+                found.add((name, int(line)))
     # pyproject.toml puts src/ first on pytest's path
     import nonlocalgames
 
     if Path(nonlocalgames.__file__).resolve().parent != PACKAGE:
         raise SystemExit(f"traced {PACKAGE}, but the tests imported {nonlocalgames.__file__}")
-    return int(status), {(Path(name).name, line) for name, line in reached}
+    return int(status), found
 
 
 def main() -> int:

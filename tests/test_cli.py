@@ -161,8 +161,9 @@ def test_host_port_parsing(text, address):
 
 @pytest.mark.parametrize(
     "text",
-    ["[::1]", "[::1:80", "::1]:80", "localhost", "host:http"],
-    ids=["no-port", "unclosed-bracket", "unopened-bracket", "no-colon", "named-port"],
+    ["[::1]", "[::1:80", "::1]:80", "localhost", "host:http", "h:\u00b2", "h:\u0663"],
+    ids=["no-port", "unclosed-bracket", "unopened-bracket", "no-colon", "named-port",
+         "superscript-port", "arabic-indic-port"],
 )
 def test_a_malformed_host_port_exits_2(text):
     with pytest.raises(cli.CliError, match="expected HOST:PORT") as info:

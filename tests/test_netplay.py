@@ -247,6 +247,13 @@ def test_players_cross_a_process_boundary_by_value(name, strategy_name):
             assert copy.answer(r, observables) == expected
 
 
+def test_a_lambda_mu_model_compares_equal_to_a_rebuilt_or_pickled_one():
+    # its responders are module functions, equal by identity after a pickle
+    assert lambda_mu_model() == lambda_mu_model()
+    player = build_party_strategy(cabello_restricted(), lambda_mu_model(), 1)
+    assert pickle.loads(pickle.dumps(player)) == player
+
+
 def test_a_player_without_a_strategy_has_no_questions():
     with pytest.raises(ProtocolError, match="party 0: asked a foreign question"):
         PartyStrategy(party=0).answer(0, [(1, "x"), (2, "x")])
@@ -1562,7 +1569,7 @@ def test_a_line_unfinished_at_its_deadline_times_out(monkeypatch):
         seat = netplay._Seat(ours)
         seat.party = 1
         with pytest.raises(netplay.PlayerDisconnected, match=r"^party 1 timed out after 30.0 s$"):
-            seat.read()
+            seat.message("answer")
 
 
 def test_a_referee_that_leaves_mid_session_ends_the_player_with_4(capsys):

@@ -420,11 +420,13 @@ def test_from_jsonl_rejects_unknown_version():
         ({"complete": 1}, "header field 'complete'"),
         ({"abort_reason": 7}, "header field 'abort_reason'"),
         ({"abort_reason": None}, "header field 'abort_reason'"),
+        ({"version": True}, "unsupported trial log version True"),
+        ({"version": 1.0}, "unsupported trial log version 1.0"),
         ([1, 2], "must start with a header record"),
     ],
     ids=["strategy-number", "strategy-missing", "game-list", "seed-text", "seed-negative",
          "seed-true", "seed-float", "complete-text", "complete-1", "reason-number",
-         "reason-null", "not-an-object"],
+         "reason-null", "version-true", "version-float", "not-an-object"],
 )
 def test_from_jsonl_rejects_header_values_never_written(change, error):
     text = run_trials(cabello_restricted(), automaton_model(), rounds=3, seed=0).to_jsonl()
