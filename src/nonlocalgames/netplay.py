@@ -692,13 +692,20 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     Every other line is decoded whole; a decoded question adds to the
     question table the text ``_question_tail`` writes for its fields, not
     the text it came in.
+    An ASCII host is passed to the resolver as bytes, which loads no IDNA
+    codec.
     Returns 4 on protocol errors and aborted sessions (and prints the
     reason to stderr), which matches the CLI exit-code convention. The
     player waits on the referee without a deadline; the referee gives
     each of the player's messages ``_PEER_TIMEOUT_S`` seconds in all.
     """
+    host, port = address
+    if isinstance(host, str) and host.isascii():
+        # getaddrinfo encodes a str host with the IDNA codec, whose import
+        # costs a player process several ms
+        host = host.encode()
     try:
-        with socket.create_connection(address) as conn:
+        with socket.create_connection((host, port)) as conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.sendall(
                 encode_message(

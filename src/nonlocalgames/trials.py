@@ -24,23 +24,29 @@ so each is scored once, by ``Context.row``, in its ``RoundPlan``. A
 position in ``rows`` (``index``). Round r is the log's r-th round: its
 number is its position, so no log stores round numbers, and a record or
 line numbered otherwise raises ``ValueError``. ``run_trials`` fills the
-table from the plans as they are, and ``from_jsonl`` decodes each
-distinct row text once, so a line of the form ``to_jsonl`` writes is one
-dict lookup. ``to_jsonl`` encodes each row once. ``statistics`` and
-``nested_subgame_report`` read a log's ``tally`` and score each row in it
-once by the catalog game its header names: a row that game's
-``Context.row`` would not write raises ``ValueError``. ``records`` is a
-view that builds a ``TrialRecord`` (position, then row) for a round when
-asked. It has a list's length, iteration, indexing, slices, repr and
-``==``, against a list or another log's records whatever the order of
-either table's rows, and its ``append`` adds the next round. Only
-hand-built logs and ``perfbench``'s traced split append: ``run_trials``,
-the referee and ``from_jsonl`` fill the table at once. Logs and reports
-are byte for byte what scoring and encoding every round on its own
-gives. Rows hold the package's value types (strings, tuples of strings,
-tuples of +-1 ints, a bool) and are compared by value; ``from_jsonl``
-rejects any other, and a record whose row cannot be hashed, such as one
-holding lists, raises ``TypeError`` when it is added.
+table from the plans as they are, and ``to_jsonl`` encodes each row once.
+``from_jsonl`` reads a text of the form ``to_jsonl`` writes (a header
+line, then round lines, each ended by a newline) in blocks of
+``_BLOCK`` lines: ``_after_heads`` checks the heads of a block's lines
+(each line's text up to its row's fields, round number included) at
+once, per run of round numbers with equally many digits, and each
+distinct text after a head is decoded once. Any other text is decoded
+line by line, each line whole, and both ways raise the same errors.
+``statistics`` and ``nested_subgame_report`` read a log's ``tally`` and
+score each row in it once by the catalog game its header names: a row
+that game's ``Context.row`` would not write raises ``ValueError``.
+``records`` is a view that builds a
+``TrialRecord`` (position, then row) for a round when asked. It has a
+list's length, iteration, indexing, slices, repr and ``==``, against a
+list or another log's records whatever the order of either table's
+rows, and its ``append`` adds the next round. Only hand-built logs and
+``perfbench``'s traced split append: ``run_trials``, the referee and
+``from_jsonl`` fill the table at once. Logs and reports are byte for
+byte what scoring and encoding every round on its own gives. Rows hold
+the package's value types (strings, tuples of strings, tuples of +-1
+ints, a bool) and are compared by value; ``from_jsonl`` rejects any
+other, and a record whose row cannot be hashed, such as one holding
+lists, raises ``TypeError`` when it is added.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -108,20 +115,31 @@ class QuantumStrategy:
                 f"state has {self.state.num_qubits} qubits, game expects {game.num_qubits}"
             )
         widths = [self.tape_width(game, party) for party in range(game.parties)]
-        # per context: running totals of the outcome distribution, and the outcome
-        # values, split into tapes (+1 on unmeasured slots) only when a session draws them
+        # per context: the outcome values, split into tapes (+1 on unmeasured
+        # slots) only when a session draws them; the running totals of the
+        # outcome probabilities, each below quantum.PROB_TOL (round-off on an
+        # outcome the state forbids) counted as 0; and the position of the
+        # last outcome the state allows
         distributions = _exact_distributions(self.state, game).values()
-        totals = [np.cumsum(list(dist.values())) for dist in distributions]
         values = [list(dist) for dist in distributions]
+        totals = []
+        last = []
+        for dist in distributions:
+            p = np.array(list(dist.values()))
+            p[p < quantum.PROB_TOL] = 0.0
+            totals.append(np.cumsum(p))
+            last.append(np.flatnonzero(p)[-1])
 
         def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
-            # the first outcome whose running total exceeds u, or the last
-            # one when u lands in the round-off sliver
+            # the first outcome whose running total exceeds u, which a forbidden
+            # outcome's zero width never is; or the last allowed one when u
+            # lands in the round-off sliver at the top. A code is a position
+            # in the context's whole distribution.
             outcomes = np.empty(len(contexts), dtype=np.intp)
             for i, total in enumerate(totals):
                 rows = contexts == i
                 picked = np.searchsorted(total, uniforms[rows, 0], side="right")
-                outcomes[rows] = np.minimum(picked, len(total) - 1)
+                outcomes[rows] = np.minimum(picked, last[i])
             return outcomes
 
         def tapes(context: int, code: int) -> Tapes:
@@ -225,20 +243,9 @@ def _row_of(k: int, rec: dict) -> Row:
     return context, tuple(questions), tuple(tuple(a) for a in answers), win
 
 
-def _decode_line(k: int, line: str, tail: str | None) -> tuple[Row, str | None]:
-    """Line k's row, and ``tail`` when the row was decoded from it alone.
-
-    ``tail`` is the line's text after ``_ROUND_PREFIX`` and k, when it
-    starts with them; holding the row's fields and nothing else, it is
-    decoded alone. Any other line is decoded whole by json.loads, must be
-    an object of type "round" and numbered k."""
-    if tail is not None:
-        try:
-            fields = json.loads("{" + tail)
-        except json.JSONDecodeError:
-            fields = {}
-        if fields.keys() == set(_ROW_FIELDS):
-            return _row_of(k, fields), tail
+def _decode_line(k: int, line: str) -> Row:
+    """Line k's row, from the line decoded whole: it must be an object of
+    type "round", numbered k."""
     rec = json.loads(line)
     if type(rec) is not dict:
         raise ValueError(f"round {k}: a round line must be an object, got {rec!r}")
@@ -250,7 +257,66 @@ def _decode_line(k: int, line: str, tail: str | None) -> tuple[Row, str | None]:
     # true equals 1, so it is rejected by type
     if type(rec["round"]) is not int or rec["round"] != k:
         raise ValueError(f"round {k} is numbered {rec['round']!r}; round r must be the r-th")
-    return _row_of(k, rec), None
+    return _row_of(k, rec)
+
+
+def _after_heads(lines: Sequence[str], prefix: str, first: int, suffix: str) -> list[str] | None:
+    """Each line's text after its head, or None if any head is off.
+
+    ``lines`` should be rounds ``first``, ``first + 1``, ... (``first`` >=
+    0): line j's head is ``prefix``, round ``first + j`` in decimal, then
+    ``suffix`` (neither holds a ``%``). The heads of each run of rounds
+    with equally many digits are joined and compared with one formatted
+    string, and the texts after them are taken by one slice map."""
+    head = prefix + "%d" + suffix
+    after: list[str] = []
+    lo = 0
+    while lo < len(lines):
+        digits = len(str(first + lo))
+        hi = min(len(lines), 10**digits - first)
+        size = len(prefix) + digits + len(suffix)
+        run = lines[lo:hi]
+        if "".join(map(itemgetter(slice(size)), run)) != head * len(run) % tuple(
+            range(first + lo, first + hi)
+        ):
+            return None
+        after += map(itemgetter(slice(size, None)), run)
+        lo = hi
+    return after
+
+
+#: round lines ``from_jsonl`` checks and decodes at a time
+_BLOCK = 1024
+
+
+def _written_table(lines: list[str]) -> tuple[list[Row], np.ndarray] | None:
+    """The rows and index of round lines all of the form ``to_jsonl``
+    writes, numbered by their position: the head ``_after_heads`` checks,
+    then the row's four fields and nothing else. Each distinct text after
+    a head is decoded once. None if a line is of another form; a row value
+    the package never writes raises as ``_decode_line`` would."""
+    rows: dict[Row, int] = {}  # row -> its position, in order of first occurrence
+    ids: dict[str, int] = {}  # text after a head -> its row's position
+    index = np.empty(len(lines), dtype=np.intp)
+    for lo in range(0, len(lines), _BLOCK):
+        tails = _after_heads(lines[lo : lo + _BLOCK], _ROUND_PREFIX, lo, ", ")
+        if tails is None:
+            return None
+        for j, tail in enumerate(tails):
+            if tail in ids:
+                continue
+            try:
+                fields = json.loads("{" + tail)
+            except ValueError:
+                return None
+            if fields.keys() != set(_ROW_FIELDS):
+                return None
+            # each line before this text's first holds a row: a value rejected
+            # here is the first error a line-by-line read meets
+            row = _row_of(lo + j, fields)
+            ids[tail] = rows.setdefault(row, len(rows))
+        index[lo : lo + len(tails)] = np.fromiter(map(ids.__getitem__, tails), np.intp, len(tails))
+    return list(rows), index
 
 
 class TrialRecords:
@@ -418,9 +484,13 @@ class TrialLog:
     @classmethod
     def from_jsonl(cls, text: str) -> "TrialLog":
         # JSON Lines ends a line at "\n" only; json.loads takes a "\r" before it
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        if not lines:
-            raise ValueError("empty trial log")
+        lines = text.split("\n")
+        # as to_jsonl writes it: a header line first, and a newline ending every line
+        written = lines[1:-1] if lines[0].strip() and not lines[-1] else None
+        if written is None:
+            lines = [ln for ln in lines if ln.strip()]
+            if not lines:
+                raise ValueError("empty trial log")
         header = json.loads(lines[0])
         if type(header) is not dict or header.get("type") != "header":
             raise ValueError("trial log must start with a header record")
@@ -449,22 +519,14 @@ class TrialLog:
             complete=complete,
             abort_reason=reason,
         )
-        # a line of the form to_jsonl writes, numbered by its position, is
-        # split after its round number, and each distinct text after it is
-        # decoded once
-        tails: dict[str | None, int] = {}
-        index: list[int] = []
-        for k, ln in enumerate(lines[1:]):
-            head = f"{_ROUND_PREFIX}{k}, "
-            tail = ln[len(head) :] if ln.startswith(head) else None
-            i = tails.get(tail)
-            if i is None:
-                row, tail = _decode_line(k, ln, tail)
-                i = log._row_id(row)
-                if tail is not None:
-                    tails[tail] = i
-            index.append(i)
-        log._fill(log.rows, np.array(index, dtype=np.intp))
+        table = None if written is None else _written_table(written)
+        if table is None:
+            index = [
+                log._row_id(_decode_line(k, ln))
+                for k, ln in enumerate(ln for ln in lines[1:] if ln.strip())
+            ]
+            table = log.rows, np.array(index, dtype=np.intp)
+        log._fill(*table)
         return log
 
 

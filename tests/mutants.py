@@ -173,6 +173,33 @@ MUTANTS = (
         ("tests/test_trials.py::test_quantum_outcomes_follow_draw_from",),
     ),
     Mutant(
+        "dealer-clamps-to-the-last-outcome",
+        "trials.py",
+        "last.append(np.flatnonzero(p)[-1])",
+        "last.append(len(p) - 1)",
+        ("tests/test_trials.py::test_the_quantum_dealer_deals_no_losing_round_at_the_edges",),
+    ),
+    Mutant(
+        "dealer-deals-round-off-mass",
+        "trials.py",
+        "p[p < quantum.PROB_TOL] = 0.0",
+        "pass",
+        (
+            "tests/test_trials.py::"
+            "test_the_quantum_dealer_deals_no_losing_round_at_the_edges[mermin-ghz]",
+        ),
+    ),
+    Mutant(
+        "written-lines-heads-unchecked",
+        "trials.py",
+        "            return None\n        after += map(",
+        "            pass\n        after += map(",
+        (
+            "tests/test_trials.py::test_a_misnumbered_written_line_is_rejected",
+            "tests/test_trials.py::test_a_round_off_its_position_is_rejected[one-on-line-0]",
+        ),
+    ),
+    Mutant(
         "high-half-word-first",
         "trials.py",
         "halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()",
@@ -372,6 +399,13 @@ MUTANTS = (
             "tests/test_netplay.py::"
             "test_canonical_questions_out_of_order_are_answered_for_their_rounds",
         ),
+    ),
+    Mutant(
+        "player-host-through-the-idna-codec",
+        "netplay.py",
+        "host = host.encode()",
+        "host = host",
+        ("tests/test_netplay.py::test_a_player_connects_without_loading_the_idna_codec",),
     ),
     Mutant(
         "player-truncates-the-round",

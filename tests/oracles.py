@@ -41,17 +41,25 @@ def kron_projector_distribution(amplitudes, observables):
     return dist
 
 
+#: below this, a probability is round-off on an outcome the state forbids
+FORBIDDEN_BELOW = 1e-9
+
+
 def draw_from(dist, u):
     """Pick the outcome whose cumulative probability interval contains u.
 
     Iterates ``dist`` in its insertion order, which for the package's
-    distributions is the canonical +1-before--1 product order; a u in the
-    round-off sliver at the top takes the last outcome. The reference for
-    the outcome pick of the quantum strategy's dealer.
+    distributions is the canonical +1-before--1 product order. An outcome
+    with probability below ``FORBIDDEN_BELOW`` has an empty interval, and
+    a u in the round-off sliver at the top takes the last outcome that has
+    one. The reference for the outcome pick of the quantum strategy's
+    dealer.
     """
     acc = 0.0
     last = None
     for values, p in dist.items():
+        if p < FORBIDDEN_BELOW:
+            continue
         acc += p
         last = values
         if u < acc:

@@ -1689,3 +1689,45 @@ def test_a_repeated_canonical_question_skips_the_decoder():
     end = encode_message({"type": "end", "reason": "complete"})
     # the first question sets the tape; the spaced one is not canonical
     assert decoded == [dealt[:-1], questions[0][:-1], spaced, end[:-1]]
+
+
+_IDNA_PLAYER = """
+import sys
+from nonlocalgames.classical import automaton_model
+from nonlocalgames.games import cabello_restricted
+from nonlocalgames.netplay import build_party_strategy, run_player
+
+player = build_party_strategy(cabello_restricted(), automaton_model(), 0)
+status = run_player(("127.0.0.1", int(sys.argv[1])), player)
+print(status, "encodings.idna" in sys.modules)
+"""
+
+
+def test_a_player_connects_without_loading_the_idna_codec():
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+    )
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(30)
+        port = listener.getsockname()[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _IDNA_PLAYER, str(port)],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(30)
+                f = conn.makefile("rwb")
+                assert decode_message(f.readline())["type"] == "hello"
+                f.write(encode_message({"type": "end", "reason": "complete"}))
+                f.flush()
+            out, _ = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+    assert out.split() == ["0", "False"]

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from functools import cache
 from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nonlocalgames.games import (
     mermin_ghz,
 )
 from nonlocalgames.trials import (
+    CATALOG,
     QuantumStrategy,
     TrialLog,
     TrialRecord,
@@ -535,28 +537,59 @@ def test_session_draws_match_per_call_draws(seed, rounds, uniforms, bits):
     assert got_bits.tolist() == drawn
 
 
-@pytest.mark.parametrize("game", [four_party_game(), cabello_restricted()], ids=lambda g: g.name)
-def test_quantum_outcomes_follow_draw_from(game):
+def _edge_uniforms(dist):
+    """0, 0.5, the round-off sliver at the top (1 - 2**-53, and 1.0 itself),
+    and each running total of ``dist`` with its neighbours."""
+    points = [0.0, 0.5, 1 - 2**-53, 1.0]
+    total = 0.0
+    for p in dist.values():
+        total += p
+        points += [np.nextafter(total, 0.0), total, np.nextafter(total, 2.0)]
+    return points
+
+
+def _deal(dealer, contexts, uniforms):
+    return dealer.codes(
+        np.array(contexts), np.array(uniforms)[:, None], np.empty((len(uniforms), 0), int)
+    ).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_quantum_outcomes_follow_draw_from(name):
+    game = game_by_name(name)
     strategy = quantum_strategy(game)
     dealer = strategy.dealer(game)
     contexts, uniforms, dists = [], [], []
     for i, ctx in enumerate(game.contexts):
         dist = joint_distribution(strategy.state, game.measured_observables(ctx))
         dists.append(dist)
-        # each running total and its neighbours; u at or above the last total
-        # (the round-off sliver, and 1.0 itself) takes the last outcome
-        points = [0.0, 0.5, 1 - 2**-53, 1.0]
-        total = 0.0
-        for p in dist.values():
-            total += p
-            points += [np.nextafter(total, 0.0), total, np.nextafter(total, 2.0)]
+        # an outcome below 1e-9 takes no u, and u at or above the last running
+        # total takes the last outcome that does
+        points = _edge_uniforms(dist)
         contexts += [i] * len(points)
         uniforms += points
-    codes = dealer.codes(
-        np.array(contexts), np.array(uniforms)[:, None], np.empty((len(uniforms), 0), int)
-    )
-    for i, u, code in zip(contexts, uniforms, codes.tolist()):
+    for i, u, code in zip(contexts, uniforms, _deal(dealer, contexts, uniforms)):
         assert list(dists[i])[code] == draw_from(dists[i], u)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_the_quantum_dealer_deals_no_losing_round_at_the_edges(name):
+    # the state forbids every losing outcome, but its distribution keeps
+    # round-off mass on them and its running totals end short of 1: neither
+    # may deal one (mermin-ghz yyx lists a forbidden outcome first, and the
+    # four-party eq03-eq10 end 4 steps of 2**-53 short of 1)
+    game = game_by_name(name)
+    strategy = quantum_strategy(game)
+    dealer = strategy.dealer(game)
+    for i, ctx in enumerate(game.contexts):
+        dist = joint_distribution(strategy.state, game.measured_observables(ctx))
+        points = _edge_uniforms(dist)
+        for u, code in zip(points, _deal(dealer, [i] * len(points), points)):
+            tapes = dealer.tapes(i, code)
+            answers = tuple(
+                strategy.respond(party, q, tapes[party]) for party, q in enumerate(ctx.questions)
+            )
+            assert ctx.row(answers)[3], f"{ctx.id} at u = {u!r} deals {list(dist)[code]}"
 
 
 def test_a_context_uniform_on_a_running_weight_takes_the_next_context(monkeypatch):
@@ -932,6 +965,104 @@ def test_from_jsonl_ends_lines_at_newline_only(boundary):
     assert raw.count(boundary) == 2
     assert TrialLog.from_jsonl(raw) == log
     assert TrialLog.from_jsonl(raw.replace("\n", "\r\n")) == log
+
+
+def _decoded(text):
+    """``from_jsonl``'s log as (records' repr, rows, index), or its error's
+    type and message."""
+    try:
+        log = TrialLog.from_jsonl(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(log.records), log.rows, log.index.tolist()
+
+
+def _line_by_line(text):
+    """``_decoded`` with every line decoded whole, as a text in another
+    form than ``to_jsonl``'s is."""
+    with patch.object(trials, "_after_heads", lambda *args: None):
+        return _decoded(text)
+
+
+@pytest.mark.parametrize(
+    "rounds", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 1024, 1025, 1026]
+)
+def test_a_written_log_is_read_a_block_at_a_time_as_line_by_line(rounds):
+    game = four_party_game()
+    log = run_trials(game, quantum_strategy(game), rounds=rounds, seed=rounds)
+    text = log.to_jsonl()
+    assert trials._written_table(text.split("\n")[1:-1]) is not None
+    back = TrialLog.from_jsonl(text)
+    assert back == log
+    assert repr(back.records) == repr(_plain_records(text))
+    assert _decoded(text) == _line_by_line(text)
+
+
+@pytest.mark.parametrize("k", [0, 9, 10, 1023, 1024, 1025])
+def test_a_misnumbered_written_line_is_rejected(k):
+    game = four_party_game()
+    lines = run_trials(game, quantum_strategy(game), rounds=1026, seed=2).to_jsonl().split("\n")
+    text = _perturbed(lines, k, "misnumbered")
+    error = f"round {k} is numbered {k + 1}; round r must be the r-th"
+    with pytest.raises(ValueError) as expected:
+        _plain_records(text)
+    assert str(expected.value) == error
+    assert _decoded(text) == _line_by_line(text) == (ValueError, error)
+
+
+@cache
+def _long_log_lines():
+    """A written four-party log of 1100 rounds, past one block, by line."""
+    game = four_party_game()
+    return run_trials(game, quantum_strategy(game), rounds=1100, seed=3).to_jsonl().split("\n")
+
+
+def _perturbed(lines, k, change):
+    """The text of ``lines`` with round line k changed by ``change``."""
+    lines = list(lines)
+    line = lines[k + 1]
+    head = f'{{"type": "round", "round": {k}, '
+    if change == "blank":
+        lines.insert(k + 1, " ")
+    elif change == "crlf":
+        lines[k + 1] = line + "\r"
+    elif change == "misnumbered":
+        lines[k + 1] = line.replace(head, f'{{"type": "round", "round": {k + 1}, ')
+    elif change == "leading-zero":
+        lines[k + 1] = line.replace(head, f'{{"type": "round", "round": 0{k}, ')
+    elif change == "extra-field":
+        lines[k + 1] = line[:-1] + ', "extra": 1}'
+    elif change == "reordered":
+        lines[k + 1] = json.dumps(dict(reversed(json.loads(line).items())))
+    elif change == "bad-row-value":
+        lines[k + 1] = line.replace('"win": true', '"win": 1')
+    elif change == "no-final-newline":
+        lines.pop()
+    return "\n".join(lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.one_of(st.sampled_from([0, 9, 10, 1023, 1024, 1099]), st.integers(0, 1099)),
+    change=st.sampled_from(
+        ["blank", "crlf", "misnumbered", "leading-zero", "extra-field", "reordered",
+         "bad-row-value", "no-final-newline"]
+    ),
+)
+def test_a_changed_line_is_read_as_line_by_line(k, change):
+    text = _perturbed(_long_log_lines(), k, change)
+    got = _decoded(text)
+    assert got == _line_by_line(text)
+    try:
+        plain = repr(_plain_records(text))
+    except Exception as exc:
+        assert got == (type(exc), str(exc))
+    else:
+        if got[0] is ValueError:
+            # the plain decoder takes any row value; the package, only its own
+            assert change == "bad-row-value" and f"round {k}: round field 'win'" in got[1]
+        else:
+            assert got[0] == plain
 
 
 # ---------------------------------------------------------------------------
