@@ -57,36 +57,44 @@ could wait on the peer's delayed acknowledgement of the last one.
 
 Both ends read lines through one ``_LineReader``: a byte buffer and an
 offset into it, with no options. Only the referee's reader, ``_Seat``,
-adds a deadline. The referee reads answers in two ways. The fast one is
-for the answers a faithful player sends. Before round 1 the referee
-builds each plan's answer ending for each party (the line after the
-round number, ``_answer_ending``); per window it builds each round's
-head (the line up to it), and joins each party's heads and endings into
-the window's expected answer bytes. ``match`` compares the bytes a party
-sends with them as they arrive, and waits for more only while those
-buffered are a proper prefix; it consumes nothing. If every party's
-bytes match, the window is consumed and played as planned, with no work
-per round. Otherwise the window is read again from the buffers, round by
-round, party by party, each line decoded whole and checked field by
-field (``_Seat.read_answer``), and a round whose answers are not its
-plan's is scored from them. A transport failure met while matching is
-kept by the party's connection and raised again when the reread reaches
-the round it cut off, so blame, cause and the rounds kept are those of a
+adds a deadline. Before round 1 the referee builds, for each plan and
+party, a template of the question line and one of the planned answer
+line (``_template``: the head, ``%d`` for the round number, then the rest
+of the line with any ``%`` escaped). A window's bytes for one party are
+its plans' templates joined and formatted once with the window's round
+numbers: its questions go out in one write (``_Seat.send``), and its
+expected answers are built the same way. The referee reads answers in
+two ways. The fast one is for the answers a faithful player sends.
+``match`` compares the bytes a party sends with the expected ones as they
+arrive, and waits for more only while those buffered are a proper
+prefix; it consumes nothing. If every party's bytes match, the window is
+consumed and played as planned, with no work per round. Otherwise the
+window is read again from the buffers, round by round, party by party,
+each line decoded whole and checked field by field
+(``_Seat.read_answer``), and a round whose answers are not its plan's is
+scored from them. A transport failure met while matching is kept by the
+party's connection and raised again when the reread reaches the round it
+cut off, so blame, cause and the rounds kept are those of a
 round-by-round read.
 
 A player reads every whole line buffered in one split (``lines``), and
-waits only when none is. It sends the answers to a batch in one write
-once the batch is handled, before it reads again, so it never waits with
-answers unsent. It fills two tables as it plays. Each decoded question
-adds the text the referee writes after the round number for its fields
-(``_question_tail``), with its observables; each distinct answer adds
-its values, with its encoded line after the round number
-(``_answer_ending``). A later question line that starts with the next
-round's canonical head, and whose text after it is known, is answered
-from the two without the decoder. Every question, decoded or not, is
-passed to ``PartyStrategy.answer`` once, which keeps a third table: a
-memo from (observables, tape slice) to the answer values, so the
-strategy's ``respond`` runs once per distinct pair.
+waits only when none is; a wait returns every whole line it brought, so
+a window written at once is read as one batch. It sends the answers to a
+batch in one write once the batch is handled, before it reads again, so
+it never waits with answers unsent. It keeps a question table, filled as
+it plays: each decoded question adds the text the referee writes after
+the round number for its fields (``_question_tail``), with its
+observables. A run of lines that ``_asked_run`` finds to be canonical
+questions for the next rounds, each with a text in that table, is
+checked at once and answered at once without the decoder: the run's
+heads are compared with one formatted string per run of round numbers
+with equally many digits, and its texts looked up by one ``map``. Every
+other line is decoded whole. Every question is passed to
+``PartyStrategy.answer`` once, in round order, which keeps a memo from
+(observables, tape slice) to the answer values, so the strategy's
+``respond`` runs once per distinct pair. Each distinct answer's line is
+encoded once, as a template like the referee's, and a run's replies are
+those templates joined and formatted at once with its round numbers.
 
 Only the referee has a deadline. It gives each message from a player
 ``_PEER_TIMEOUT_S`` seconds in all, counted from its first wait for the
@@ -110,7 +118,7 @@ from itertools import chain
 from typing import Sequence
 
 from .games import NonlocalGame, Question
-from .trials import Strategy, TrialLog, _plan_session
+from .trials import Strategy, TrialLog, _after_heads, _plan_session
 
 PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
@@ -200,15 +208,24 @@ class _LineReader:
     def lines(self) -> list[bytes]:
         """Every whole line buffered, without their newlines, in one split.
 
-        Only when none is buffered, or the buffered ones might hold one
-        over ``_MAX_LINE``, does it return the one next line as ``line``
-        reads it, waiting for it if need be; an empty list once nothing is
-        left."""
+        When none is buffered it first waits for the next line as ``line``
+        does, then returns it with every whole line the wait brought
+        besides, so a window written at once is one batch. A last line cut
+        short by the end of stream comes as it is; an empty list once
+        nothing is left. Lines that might hold one over ``_MAX_LINE`` are
+        left to the next call, which returns the next line alone as
+        ``line`` reads it."""
+        batch = []
         end = self._buf.rfind(b"\n", self._pos)
-        if end < 0 or end - self._pos >= _MAX_LINE:
+        if end < 0:
             line = self.line()
-            return [] if line is None else [line]
-        batch = self._buf[self._pos : end].split(b"\n")
+            if line is None:
+                return batch
+            batch.append(line)
+            end = self._buf.rfind(b"\n", self._pos)
+        if end < 0 or end - self._pos >= _MAX_LINE:
+            return batch or [self.line()]
+        batch += self._buf[self._pos : end].split(b"\n")
         self._pos = end + 1
         return batch
 
@@ -291,8 +308,9 @@ class PartyStrategy:
     ``answer`` keeps a memo from (observables, tape slice) to the answer
     values, so ``respond`` runs once per distinct pair: at most one entry
     per pair and one per round asked, never cleared, since ``respond`` is a
-    function of the party, the question and the slice alone. Each call
-    returns a fresh list, which the caller may edit.
+    function of the party, the question and the slice alone. The memo is
+    one table per question asked, keyed by the slice, so a hit builds no
+    key. Each call returns a fresh list, which the caller may edit.
     """
 
     party: int
@@ -302,7 +320,10 @@ class PartyStrategy:
     #: (slot, kind) pairs
     questions: dict[tuple[tuple[int, str], ...], Question] = field(default_factory=dict)
     _tape: tuple[int, ...] = ()
-    _answers: dict[tuple, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
+    #: observables -> tape slice -> answer values
+    _answers: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def set_tape(self, values: tuple[int, ...]) -> None:
         self._tape = values
@@ -310,19 +331,32 @@ class PartyStrategy:
     def answer(self, round_index: int, observables: Sequence[tuple[int, str]]) -> list[int]:
         lo = round_index * self.width
         row = self._tape[lo : lo + self.width]
-        key = (tuple(observables), row)
-        values = self._answers.get(key)
-        if values is None:
-            question = self.questions.get(key[0])
-            if question is None:
-                raise ProtocolError(f"asked a foreign question {list(observables)}", self.party)
-            if round_index < 0 or len(row) != self.width:
-                raise ProtocolError(f"no tape for round {round_index}", self.party)
-            values = self._answers[key] = tuple(self.strategy.respond(self.party, question, row))
-        elif round_index < 0:
+        try:
+            values = self._answers[observables][row]
+        except (KeyError, TypeError):
+            # a pair not asked before, or observables given as a list
+            values = self._respond(round_index, tuple(observables), row)
+        if round_index < 0:
             # a width-0 tape, or a negative start, slices to a known slice
             raise ProtocolError(f"no tape for round {round_index}", self.party)
         return list(values)
+
+    def _respond(
+        self, round_index: int, key: tuple[tuple[int, str], ...], row: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        """The memo's values for (``key``, ``row``), from ``respond`` if it has none."""
+        by_row = self._answers.get(key)
+        if by_row is None:
+            if key not in self.questions:
+                raise ProtocolError(f"asked a foreign question {list(key)}", self.party)
+            by_row = self._answers[key] = {}
+        values = by_row.get(row)
+        if values is None:
+            if round_index < 0 or len(row) != self.width:
+                raise ProtocolError(f"no tape for round {round_index}", self.party)
+            question = self.questions[key]
+            values = by_row[row] = tuple(self.strategy.respond(self.party, question, row))
+        return values
 
 
 def build_party_strategy(
@@ -354,6 +388,13 @@ def _question_tail(observables: Sequence[tuple[int, str]]) -> bytes:
 def _answer_ending(values: Sequence[int]) -> bytes:
     """An answer line after its round number, as ``encode_message`` writes it."""
     return b"," + encode_message({"values": [int(v) for v in values]})[1:]
+
+
+def _template(head: bytes, tail: bytes) -> bytes:
+    """A line of ``head``, a round number and ``tail``, with ``%d`` in place
+    of the number and every ``%`` of the tail escaped, so that ``%`` with the
+    number writes the line."""
+    return head + b"%d" + tail.replace(b"%", b"%%")
 
 
 def _tune(conn: socket.socket, line_bytes: int) -> int:
@@ -405,13 +446,15 @@ class _Seat(_LineReader):
                 self._failure = self._lost(exc)
         raise self._failure
 
-    def send(self, lines: list[bytes]) -> None:
+    def send(self, data: bytes) -> None:
+        """Write ``data``, whole lines, in one ``sendall``; a transcript
+        being recorded gets them one line at a time."""
         if self.outbox is not None:
-            self.outbox.extend(lines)
+            self.outbox.extend(data.splitlines(keepends=True))
         try:
             # a read may have left the socket with only its remaining time
             self.conn.settimeout(_PEER_TIMEOUT_S)
-            self.conn.sendall(b"".join(lines))
+            self.conn.sendall(data)
         except OSError as exc:
             raise self._lost(exc) from None
 
@@ -497,11 +540,12 @@ class RefereeServer:
         looked up by value.
         The window is ``_WINDOW`` rounds, or fewer if one window of the
         session's longest answer line does not fit the receive buffer
-        granted on every connection (``_tune``). Each window's round
-        numbers are formatted once; every seat's question lines and the
-        expected answer heads are built from them. The log is filled once,
-        with the rounds whose answers were all read: the session, or the
-        rounds before an abort."""
+        granted on every connection (``_tune``). Each seat's question
+        lines for a window, and the answer lines expected back, are each
+        one string: the plans' line templates (``_template``) joined and
+        formatted at once with the window's round numbers. The log is
+        filled once, with the rounds whose answers were all read: the
+        session, or the rounds before an abort."""
         if self._listener is None:
             raise RuntimeError("bind() must be called before serve()")
         game = self.game
@@ -510,11 +554,6 @@ class RefereeServer:
         log = TrialLog(game=game.name, strategy=self.strategy.name, seed=self.seed)
         log.rows.extend(plan.row for plan in plans)
         played = 0
-        # per party and plan: the question line after its round number
-        asked = [
-            [_question_tail(plan.context.questions[p].measured) for plan in plans]
-            for p in range(game.parties)
-        ]
         # per party and plan: the planned answer line after its round number
         endings = [
             [_answer_ending(plan.answers[p]) for plan in plans] for p in range(game.parties)
@@ -522,6 +561,14 @@ class RefereeServer:
         longest = len(b"%s%d" % (_ANSWER_HEAD, self.rounds - 1)) + max(
             len(ending) for by_plan in endings for ending in by_plan
         )
+        # per party and plan: the question line and the planned answer line,
+        # each a template for its round number
+        asked = [
+            [_template(_QUESTION_HEAD, _question_tail(plan.context.questions[p].measured))
+             for plan in plans]
+            for p in range(game.parties)
+        ]
+        answered = [[_template(_ANSWER_HEAD, ending) for ending in by_plan] for by_plan in endings]
         window = _WINDOW
         seats: dict[int, _Seat] = {}
         opened: list[socket.socket] = []
@@ -557,24 +604,19 @@ class RefereeServer:
 
             for seat in order:
                 tapes = [plan.tapes[seat.party] for plan in plans]
-                seat.send(_deal_lines(tuple(chain.from_iterable(tapes[i] for i in ids))))
+                seat.send(b"".join(_deal_lines(tuple(chain.from_iterable(tapes[i] for i in ids)))))
 
             for lo in range(0, self.rounds, window):
                 hi = min(lo + window, self.rounds)
                 rounds = range(lo, hi)
                 planned = ids[lo:hi]
-                # each round number formatted once, for every seat's lines
-                numbers = [b"%d" % r for r in rounds]
+                numbers = tuple(rounds)
+                # per seat, the window's question lines and its planned answer
+                # lines, each one string formatted at once from the templates
                 for seat in order:
-                    by_plan = asked[seat.party]
-                    seat.send([
-                        _QUESTION_HEAD + number + by_plan[i] for number, i in zip(numbers, planned)
-                    ])
-                heads = [_ANSWER_HEAD + number for number in numbers]
-                # per seat, the window's planned answer lines, in one string
+                    seat.send(b"".join(map(asked[seat.party].__getitem__, planned)) % numbers)
                 expected = [
-                    b"".join(chain.from_iterable(zip(heads, map(by_plan.__getitem__, planned))))
-                    for by_plan in endings
+                    b"".join(map(by_plan.__getitem__, planned)) % numbers for by_plan in answered
                 ]
                 try:
                     taken = all(seat.match(lines) for seat, lines in zip(order, expected))
@@ -597,7 +639,7 @@ class RefereeServer:
                     played = r + 1
 
             for seat in order:
-                seat.send([encode_message({"type": "end", "reason": "complete"})])
+                seat.send(encode_message({"type": "end", "reason": "complete"}))
         except PlayerDisconnected as exc:
             log.complete = False
             log.abort_reason = str(exc)
@@ -614,7 +656,7 @@ class RefereeServer:
     def _end_all(self, seats: dict[int, _Seat], reason: str) -> None:
         for seat in seats.values():
             try:
-                seat.send([encode_message({"type": "end", "reason": reason})])
+                seat.send(encode_message({"type": "end", "reason": reason}))
             except PlayerDisconnected:
                 pass
 
@@ -678,20 +720,56 @@ def run_local_session(
 # ---------------------------------------------------------------------------
 
 
+#: a question line's head, with ``%d`` in place of its round number
+_QUESTION_FORMAT = _QUESTION_HEAD + b"%d"
+
+
+def _asked_run(
+    lines: list[bytes], first: int, asked: dict[bytes, tuple[tuple[int, str], ...]]
+) -> list[tuple[tuple[int, str], ...]] | None:
+    """The observables of ``lines``, or None unless every line is a question
+    as the referee writes it for rounds ``first``, ``first + 1``, ...: the
+    head ``_QUESTION_HEAD`` and the round number, checked at once by
+    ``trials._after_heads``, then a text in ``asked``, looked up by one
+    ``map``."""
+    tails = _after_heads(lines, _QUESTION_FORMAT, first)
+    if tails is None:
+        return None
+    found = list(map(asked.get, tails))
+    return None if None in found else found
+
+
+class _AnswerLines(dict):
+    """Answer values -> the template of their answer line (``_template``),
+    each encoded when first asked for."""
+
+    def __missing__(self, values: tuple[int, ...]) -> bytes:
+        line = self[values] = _template(_ANSWER_HEAD, _answer_ending(values))
+        return line
+
+
 def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     """Connect, answer every question until the end message; 0 on success.
 
     Lines are read a batch at a time: every whole line buffered, in one
-    split (``_LineReader.lines``); each is handled in turn, and the
-    batch's answers go out in one write before the next read, the one
-    that waits for more input, with Nagle's algorithm off. A question
-    line that begins as ``encode_message`` begins round r + 1, r the
-    round last answered, and goes on with a text in the question table
-    is read from that table when no tape is pending; its answer line is
-    built from the answer table.
-    Every other line is decoded whole; a decoded question adds to the
-    question table the text ``_question_tail`` writes for its fields, not
-    the text it came in.
+    split (``_LineReader.lines``), and the batch's answers go out in one
+    write before the next read, the one that waits for more input, with
+    Nagle's algorithm off. With no tape pending, the player takes the
+    longest run of lines it can from the batch that ``_asked_run`` reads
+    as canonical questions for rounds r + 1, r + 2, ..., r the round last
+    answered, each with a text after its round number in the question
+    table. A check covers at most twice the longest run confirmed since
+    the last check that failed, and after a failed check the next covers
+    one line, so the lines examined stay linear in the lines read,
+    whatever the referee sends. The run
+    is answered at once: ``party_strategy.answer`` once per round, in
+    round order, and one reply: the answers' line templates
+    (``_AnswerLines``) joined and formatted at once with the run's round
+    numbers.
+    Every other line (a dealt line, the end, a question whose text is new
+    or not canonical) is decoded whole and answered as a run of one; a
+    decoded question adds to the question table the text
+    ``_question_tail`` writes for its fields, not the text it came in.
     An ASCII host is passed to the resolver as bytes, which loads no IDNA
     codec.
     Returns 4 on protocol errors and aborted sessions (and prints the
@@ -716,29 +794,34 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                     }
                 )
             )
-            # canonical question text after the round number -> observables,
-            # and answer values -> canonical answer text after the round number
+            # canonical question text after the round number -> observables
             asked: dict[bytes, tuple[tuple[int, str], ...]] = {}
-            answered: dict[tuple, bytes] = {}
+            answered = _AnswerLines()
             # the dealt pieces, handed to the strategy at the first question
             tape: list[tuple[int, ...]] = []
             reader = _LineReader(conn)
             round_index = -1
+            # lines the next run check may cover
+            reach = 1
             while batch := reader.lines():
                 replies: list[bytes] = []
-                for line in batch:
-                    # the referee asks rounds in order, so a canonical question
-                    # starts with the next round's head; its number, formatted
-                    # once, heads the answer too
-                    number = b"%d" % (round_index + 1)
-                    head = _QUESTION_HEAD + number
-                    observables = None
-                    if not tape and line.startswith(head):
-                        observables = asked.get(line[len(head) :])
-                    if observables is not None:
-                        round_index += 1
+                i = 0
+                while i < len(batch):
+                    run = None
+                    if not tape:
+                        checked = batch[i : i + reach]
+                        run = _asked_run(checked, round_index + 1, asked)
+                        if run is None and len(checked) > 1:
+                            reach = 1
+                            continue
+                    if run is not None:
+                        i += len(run)
+                        # a run the batch's end cut short keeps the reach
+                        reach = max(reach, 2 * len(run))
+                        first = round_index + 1
                     else:
-                        message = decode_message(line)
+                        message = decode_message(batch[i])
+                        i += 1
                         kind = message["type"]
                         if kind == "dealt":
                             # a player does not know the session length: take every bit
@@ -753,11 +836,10 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                         if tape:
                             party_strategy.set_tape(tuple(chain.from_iterable(tape)))
                             tape = []
-                        round_index = message.get("round")
+                        first = message.get("round")
                         # int() would answer 7.9 and true as rounds 7 and 1
-                        if type(round_index) is not int:
-                            raise ProtocolError(f"question round must be an int, got {round_index!r}")
-                        number = b"%d" % round_index
+                        if type(first) is not int:
+                            raise ProtocolError(f"question round must be an int, got {first!r}")
                         try:
                             observables = tuple(
                                 (o["slot"], o["kind"]) for o in message.get("observables", [])
@@ -773,12 +855,11 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                         # keyed by what the referee writes for these fields, never by
                         # this line, which may repeat a key, add spaces or fields
                         asked[_question_tail(observables)[:-1]] = observables
-                    values = party_strategy.answer(round_index, observables)
-                    key = tuple(values)
-                    ending = answered.get(key)
-                    if ending is None:
-                        ending = answered[key] = _answer_ending(values)
-                    replies.append(_ANSWER_HEAD + number + ending)
+                        run = [observables]
+                    round_index = first + len(run) - 1
+                    rounds = range(first, round_index + 1)
+                    values = map(tuple, map(party_strategy.answer, rounds, run))
+                    replies.append(b"".join(map(answered.__getitem__, values)) % tuple(rounds))
                 # every buffered line is handled, so the next read is the one
                 # that waits: the batch's answers go out before it, in one write
                 if replies:

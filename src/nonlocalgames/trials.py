@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AnyStr, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,23 +260,23 @@ def _decode_line(k: int, line: str) -> Row:
     return _row_of(k, rec)
 
 
-def _after_heads(lines: Sequence[str], prefix: str, first: int, suffix: str) -> list[str] | None:
+def _after_heads(lines: Sequence[AnyStr], head: AnyStr, first: int) -> list[AnyStr] | None:
     """Each line's text after its head, or None if any head is off.
 
     ``lines`` should be rounds ``first``, ``first + 1``, ... (``first`` >=
-    0): line j's head is ``prefix``, round ``first + j`` in decimal, then
-    ``suffix`` (neither holds a ``%``). The heads of each run of rounds
-    with equally many digits are joined and compared with one formatted
-    string, and the texts after them are taken by one slice map."""
-    head = prefix + "%d" + suffix
-    after: list[str] = []
+    0): line j's head is ``head % (first + j)``, where ``head`` (text or
+    bytes, as the lines are) holds one ``%d`` and no other ``%``. The heads
+    of each run of rounds with equally many digits are joined and compared
+    with one formatted string, and the texts after them are taken by one
+    slice map."""
+    after: list = []
     lo = 0
     while lo < len(lines):
         digits = len(str(first + lo))
         hi = min(len(lines), 10**digits - first)
-        size = len(prefix) + digits + len(suffix)
+        size = len(head) - 2 + digits
         run = lines[lo:hi]
-        if "".join(map(itemgetter(slice(size)), run)) != head * len(run) % tuple(
+        if head[:0].join(map(itemgetter(slice(size)), run)) != head * len(run) % tuple(
             range(first + lo, first + hi)
         ):
             return None
@@ -299,7 +299,7 @@ def _written_table(lines: list[str]) -> tuple[list[Row], np.ndarray] | None:
     ids: dict[str, int] = {}  # text after a head -> its row's position
     index = np.empty(len(lines), dtype=np.intp)
     for lo in range(0, len(lines), _BLOCK):
-        tails = _after_heads(lines[lo : lo + _BLOCK], _ROUND_PREFIX, lo, ", ")
+        tails = _after_heads(lines[lo : lo + _BLOCK], _ROUND_PREFIX + "%d, ", lo)
         if tails is None:
             return None
         for j, tail in enumerate(tails):

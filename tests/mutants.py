@@ -391,14 +391,54 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the run check takes each text after a round number, whatever the round
         "player-reads-any-round-as-the-next",
         "netplay.py",
-        "if not tape and line.startswith(head):",
-        "if not tape and line.startswith(_QUESTION_HEAD):",
+        "tails = _after_heads(lines, _QUESTION_FORMAT, first)",
+        'tails = [line[line.find(b",", len(_QUESTION_HEAD)) :] for line in lines]',
         (
             "tests/test_netplay.py::"
             "test_canonical_questions_out_of_order_are_answered_for_their_rounds",
         ),
+    ),
+    Mutant(
+        # the head compare the player's run check shares with from_jsonl
+        "player-run-heads-unchecked",
+        "trials.py",
+        "            return None\n        after += map(",
+        "            pass\n        after += map(",
+        ("tests/test_netplay.py::test_a_line_that_only_starts_like_a_question_is_decoded_whole",),
+    ),
+    Mutant(
+        "player-run-takes-unknown-texts",
+        "netplay.py",
+        "return None if None in found else found",
+        "return found",
+        ("tests/test_netplay.py::test_a_player_answers_runs_as_it_answers_lines_decoded_whole",),
+    ),
+    Mutant(
+        "player-run-check-unbounded",
+        "netplay.py",
+        "reach = max(reach, 2 * len(run))",
+        "reach = len(batch)",
+        (
+            "tests/test_netplay.py::"
+            "test_the_lines_a_player_checks_grow_linearly_with_odd_lines[200]",
+        ),
+    ),
+    Mutant(
+        "player-batch-stops-at-the-first-line",
+        "netplay.py",
+        '            batch.append(line)\n            end = self._buf.rfind(b"\\n", self._pos)\n',
+        "            return [line]\n",
+        ("tests/test_netplay.py::test_each_batch_holds_every_whole_line_received_so_far",),
+    ),
+    Mutant(
+        "referee-template-percent-unescaped",
+        "netplay.py",
+        'tail.replace(b"%", b"%%")',
+        "tail",
+        ("tests/test_netplay.py::test_a_template_escapes_every_percent_of_its_tail",),
     ),
     Mutant(
         "player-host-through-the-idna-codec",
@@ -410,8 +450,8 @@ MUTANTS = (
     Mutant(
         "player-truncates-the-round",
         "netplay.py",
-        'round_index = message.get("round")',
-        'round_index = int(message.get("round"))',
+        'first = message.get("round")',
+        'first = int(message.get("round"))',
         (
             "tests/test_netplay.py::test_a_question_with_a_round_never_written_ends_the_player_with_4"
             "[true]",
@@ -539,26 +579,26 @@ MUTANTS = (
         ("tests/test_netplay.py::test_player_rejects_unknown_message_type",),
     ),
     Mutant(
+        # a first slice of a question answers it at every other slice
         "answer-memo-ignores-the-tape",
         "netplay.py",
-        "key = (tuple(observables), row)",
-        "key = (tuple(observables), ())",
+        "values = by_row.get(row)",
+        "values = next(iter(by_row.values()), None)",
         ("tests/test_netplay.py::test_one_question_is_answered_by_each_rounds_tape_slice",),
     ),
     Mutant(
         "answer-memo-hit-skips-the-round-check",
         "netplay.py",
-        "        elif round_index < 0:\n",
-        "        elif False:\n",
+        "        if round_index < 0:\n",
+        "        if False:\n",
         ("tests/test_netplay.py::test_a_memo_hit_still_needs_a_round",),
     ),
     Mutant(
-        # the memo keeps one list per key and hands that list out
-        "answer-memo-shares-its-list",
+        # the memo hands out the values it keeps
+        "answer-memo-shares-its-values",
         "netplay.py",
-        "= tuple(self.strategy.respond(self.party, question, row))\n",
-        "= list(self.strategy.respond(self.party, question, row))\n"
-        "            return values\n",
+        "        return list(values)\n",
+        "        return values\n",
         ("tests/test_netplay.py::test_the_answer_list_is_the_callers",),
     ),
     Mutant(

@@ -515,11 +515,11 @@ def _question_batches(monkeypatch):
     batches = []
     send = netplay._Seat.send
 
-    def recording(seat, lines):
-        asked = sum(line.startswith(netplay._QUESTION_HEAD) for line in lines)
+    def recording(seat, data):
+        asked = sum(line.startswith(netplay._QUESTION_HEAD) for line in data.splitlines())
         if asked:
             batches.append(asked)
-        send(seat, lines)
+        send(seat, data)
 
     monkeypatch.setattr(netplay._Seat, "send", recording)
     return batches
@@ -1689,6 +1689,192 @@ def test_a_repeated_canonical_question_skips_the_decoder():
     end = encode_message({"type": "end", "reason": "complete"})
     # the first question sets the tape; the spaced one is not canonical
     assert decoded == [dealt[:-1], questions[0][:-1], spaced, end[:-1]]
+
+
+class _FakeConnection:
+    """A connection whose ``recv`` returns the chunks given, one a call (a
+    chunk past the size asked for in several), then b"" (the end of stream),
+    and which keeps every write."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.received = b""
+        self.ended = False
+        self.sent = []
+
+    def recv(self, size):
+        self.ended = not self.chunks
+        chunk = self.chunks.pop(0) if self.chunks else b""
+        if len(chunk) > size:
+            self.chunks.insert(0, chunk[size:])
+            chunk = chunk[:size]
+        self.received += chunk
+        return chunk
+
+    def sendall(self, data):
+        self.sent.append(data)
+
+    def setsockopt(self, *args):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"")), max_size=12),
+    cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=8),
+    cut_short=st.booleans(),
+)
+@example(lines=[b"a", b"bb", b"c"], cuts=[1, 3], cut_short=True)
+def test_each_batch_holds_every_whole_line_received_so_far(lines, cuts, cut_short):
+    data = b"".join(line + b"\n" for line in lines) + (b"tail" if cut_short else b"")
+    points = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+    fake = _FakeConnection(data[a:b] for a, b in zip(points, points[1:]) if b > a)
+    reader = netplay._LineReader(fake)
+    read = []
+    while batch := reader.lines():
+        read += batch
+        *whole, rest = fake.received.split(b"\n")
+        # at the end of stream, the last line cut short comes too
+        assert read == whole + ([rest] if fake.ended and rest else [])
+    assert read == lines + ([b"tail"] if cut_short else [])
+
+
+def _player_batches(chunks, *, whole=False):
+    """A lambda-mu party 0 of cabello-restricted against a fake referee whose
+    bytes arrive in ``chunks``: its status and the bytes it sent after the
+    hello. The end of the session comes in a chunk of its own, after the
+    rest, as a referee sends it once every answer is in. With ``whole``, no
+    run is checked, so every line is decoded whole."""
+    player = build_party_strategy(cabello_restricted(), lambda_mu_model(), 0)
+    fake = _FakeConnection([*chunks, encode_message({"type": "end", "reason": "complete"})])
+    with patch.object(socket, "create_connection", lambda address: fake):
+        if whole:
+            with patch.object(netplay, "_asked_run", lambda *args: None):
+                status = run_player(("127.0.0.1", 0), player)
+        else:
+            status = run_player(("127.0.0.1", 0), player)
+    assert decode_message(fake.sent[0])["type"] == "hello"
+    return status, b"".join(fake.sent[1:])
+
+
+def _canonical(r, observables):
+    listed = [{"slot": slot, "kind": kind} for slot, kind in observables]
+    return encode_message({"type": "question", "round": r, "observables": listed})
+
+
+def _spaced(r, observables):
+    return _canonical(r, observables).replace(b",", b", ")
+
+
+def test_a_player_answers_runs_as_it_answers_lines_decoded_whole():
+    first, second = list(build_party_strategy(cabello_restricted(), lambda_mu_model(), 0).questions)
+    tape = tuple((-1) ** (i * 7 % 5) for i in range(3 * 120))
+    order = [first, second, second, first]
+    lines = netplay._deal_lines(tape) + [_canonical(0, first), _canonical(1, second)]
+    # a canonical run across 9 -> 10
+    lines += [_canonical(r, order[r % 4]) for r in range(2, 14)]
+    # an extra space, then a canonical question out of order
+    lines += [_spaced(14, first), _canonical(20, second)]
+    # a canonical run across 99 -> 100
+    lines += [_canonical(r, order[r % 4]) for r in range(21, 110)]
+    data = b"".join(lines)
+    end = encode_message({"type": "end", "reason": "complete"})
+    decoded = []
+    decode = netplay.decode_message
+
+    def recording(line):
+        decoded.append(line)
+        return decode(line)
+
+    for cuts in ([], [700, 701, 2500], list(range(300, len(data), 997))):
+        points = [0, *cuts, len(data)]
+        chunks = [data[a:b] for a, b in zip(points, points[1:])]
+        decoded.clear()
+        with patch.object(netplay, "decode_message", recording):
+            status, sent = _player_batches(chunks)
+        expected = _player_batches(chunks, whole=True)
+        assert (status, sent) == expected
+        assert status == 0 and sent.count(b"\n") == 2 + 12 + 2 + 89
+        # only the lines the table cannot answer are decoded
+        assert decoded == [
+            line[:-1]
+            for line in (*lines[:3], _spaced(14, first), _canonical(20, second), end)
+        ]
+
+
+#: a canonical question for the next round, or for another, or one with spaces
+_KINDS_OF_LINE = ["next", "next", "next", "spaced", "ahead", "behind"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(_KINDS_OF_LINE), max_size=60),
+    start=st.sampled_from([0, 5, 95, 995]),
+    picks=st.lists(st.integers(min_value=0, max_value=1), min_size=60, max_size=60),
+    cuts=st.lists(st.integers(min_value=0, max_value=6000), max_size=6),
+)
+def test_a_player_answers_any_mixed_batch_as_it_answers_lines_decoded_whole(
+    kinds, start, picks, cuts
+):
+    questions = list(build_party_strategy(cabello_restricted(), lambda_mu_model(), 0).questions)
+    tape = tuple((-1) ** (i * 5 % 7) for i in range(3 * 1200))
+    r = start - 1
+    lines = netplay._deal_lines(tape)
+    for kind, pick in zip(kinds, picks):
+        r = {"ahead": r + 3, "behind": max(r - 2, 0)}.get(kind, r + 1)
+        lines.append((_spaced if kind == "spaced" else _canonical)(r, questions[pick]))
+    data = b"".join(lines)
+    points = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+    chunks = [data[a:b] for a, b in zip(points, points[1:]) if b > a]
+    status, sent = _player_batches(chunks)
+    assert status == 0
+    assert (status, sent) == _player_batches(chunks, whole=True)
+
+
+@pytest.mark.parametrize("pairs", [200, 800])
+def test_the_lines_a_player_checks_grow_linearly_with_odd_lines(pairs):
+    observables = next(iter(build_party_strategy(cabello_restricted(), lambda_mu_model(), 0).questions))
+    tape = (1, -1, 1) * (2 * pairs + 1)
+    lines = netplay._deal_lines(tape) + [_canonical(0, observables)]
+    for r in range(1, 2 * pairs + 1, 2):
+        lines += [_canonical(r, observables), _spaced(r + 1, observables)]
+    examined = []
+    asked_run = netplay._asked_run
+
+    def counting(checked, first, asked):
+        examined.append(len(checked))
+        return asked_run(checked, first, asked)
+
+    with patch.object(netplay, "_asked_run", counting):
+        status, sent = _player_batches([b"".join(lines)])
+    assert status == 0 and sent.count(b"\n") == 2 * pairs + 1
+    # each canonical line and each odd one is examined twice, a few times more at the start
+    assert sum(examined) <= 4 * pairs + 8
+
+
+def test_a_line_that_only_starts_like_a_question_is_decoded_whole(capsys):
+    observables = next(iter(build_party_strategy(cabello_restricted(), lambda_mu_model(), 0).questions))
+    tape = (1, -1, 1) * 4
+    # a head as long as the question head, then a known text
+    lookalike = _canonical(1, observables).replace(b'"question"', b'"Question"')
+    lines = [*netplay._deal_lines(tape), _canonical(0, observables), lookalike]
+    assert _player_batches([b"".join(lines)]) == (4, b"")
+    assert "player 0: unknown message type 'Question'" in capsys.readouterr().err
+
+
+def test_a_template_escapes_every_percent_of_its_tail():
+    tail = b',"observables":[{"slot":1,"kind":"%d%%s"}]}\n'
+    template = netplay._template(netplay._QUESTION_HEAD, tail)
+    assert template % 12 == netplay._QUESTION_HEAD + b"12" + tail
+    assert b"".join([template] * 3) % (7, 8, 9) == b"".join(
+        netplay._QUESTION_HEAD + b"%d" % r + tail for r in (7, 8, 9)
+    )
 
 
 _IDNA_PLAYER = """
