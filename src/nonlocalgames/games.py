@@ -265,12 +265,6 @@ class NonlocalGame:
                 return q
         raise KeyError(f"party {party} has no question {question_id!r}")
 
-    def context_by_id(self, context_id: str) -> Context:
-        for ctx in self.contexts:
-            if ctx.id == context_id:
-                return ctx
-        raise KeyError(f"no context {context_id!r}")
-
     def measured_observables(self, context: Context) -> tuple[SiteObservable, ...]:
         """Measured observables of a context, party-major then slot order."""
         out: list[SiteObservable] = []

@@ -22,18 +22,20 @@ tapes, and each party's answer is a function of its own question and
 tape alone. One player type, ``PartyStrategy``, plays every strategy:
 it holds one party's questions and dealt tape, and the strategy's
 ``respond`` gives each answer.
-Before round 1 the referee deals each player the
-concatenation of its per-round tapes, ``tape_width`` values a round, and
-never sends shared randomness during play. A deterministic table deals
-nothing, a hidden-variable model deals its shared bits to every party,
-and the quantum strategy deals each party the drawn outcome values
-of its own slots. There is no entangled hardware here, so the quantum
-case is a trusted-dealer simulation: it preserves the joint statistics
-exactly, but it is not physics. A tape too long for one line is dealt in
-several ``dealt`` lines, cut at multiples of 3 bytes so that only the
-last one can end in base64 padding; the player joins them and hands the
-tape to its strategy once, before its first question. A tape that fits
-is dealt in one line.
+Before round 1 the referee deals each player the concatenation of its
+per-round tapes, ``tape_width`` values a round, and never sends shared
+randomness during play. That concatenation is the party's table of
+tapes, one ``int8`` row per plan, indexed by the session's plan index,
+and it is packed into bits by one ``np.packbits`` (``_deal_lines``). A
+deterministic table deals nothing, a hidden-variable model deals its
+shared bits to every party, and the quantum strategy deals each party
+the drawn outcome values of its own slots. There is no entangled
+hardware here, so the quantum case is a trusted-dealer simulation: it
+preserves the joint statistics exactly, but it is not physics. A tape
+too long for one line is dealt in several ``dealt`` lines, cut at
+multiples of 3 bytes so that only the last one can end in base64
+padding; the player joins them and hands the tape to its strategy once,
+before its first question. A tape that fits is dealt in one line.
 
 The referee plays in windows of up to ``_WINDOW`` rounds. For each
 window it sends every party all of its questions at once, then reads the
@@ -55,9 +57,11 @@ size), and shortens the window to what fits, never below one round. Both
 ends turn off Nagle's algorithm (``TCP_NODELAY``), or each window's write
 could wait on the peer's delayed acknowledgement of the last one.
 
-Both ends read lines through one ``_LineReader``: a byte buffer and an
-offset into it, with no options. Only the referee's reader, ``_Seat``,
-adds a deadline. Before round 1 the referee builds, for each plan and
+Both ends read lines through one ``_LineReader``, with no options: one
+``bytearray``, appended to in place as bytes arrive and consumed from
+its front, so bytes that trickle in are copied and searched a bounded
+number of times each. Only the referee's reader, ``_Seat``, adds a
+deadline. Before round 1 the referee builds, for each plan and
 party, a template of the question line and one of the planned answer
 line (``_template``: the head, ``%d`` for the round number, then the rest
 of the line with any ``%`` escaped). A window's bytes for one party are
@@ -117,6 +121,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
 from .games import NonlocalGame, Question
 from .trials import Strategy, TrialLog, _after_heads, _plan_session
 
@@ -168,9 +174,12 @@ def decode_message(line: bytes) -> dict:
 
 
 class _LineReader:
-    """The lines one connection receives, read through one byte buffer and
-    an offset into it.
+    """The lines one connection receives, read through one ``bytearray``.
 
+    Bytes are appended to the buffer in place as they arrive and consumed
+    from its front (``del``), which CPython does without moving the bytes
+    that remain, so bytes that trickle in are copied and searched a bounded
+    number of times each. Lines come out as ``bytes``, which hash.
     Every read waits as the socket does: the reader sets no deadline of its
     own. A line longer than ``_MAX_LINE`` bytes, newline included, is a
     protocol error. Transport failures surface as ``OSError``.
@@ -178,31 +187,32 @@ class _LineReader:
 
     def __init__(self, conn: socket.socket):
         self.conn = conn
-        self._buf = b""
-        self._pos = 0
+        self._buf = bytearray()
 
     def _fill(self) -> bytes:
         """Wait for more bytes, buffer them and return them; empty at end of
         stream."""
         chunk = self.conn.recv(_RECV_BYTES)
-        self._buf = self._buf[self._pos :] + chunk
-        self._pos = 0
+        self._buf += chunk
         return chunk
 
     def line(self) -> bytes | None:
         """The next line without its newline; a last line cut short by the
-        end of stream as it is, and None once nothing is left."""
+        end of stream as it is, and None once nothing is left. Each wait's
+        bytes alone are searched for the newline."""
+        searched = 0
         while True:
-            end = self._buf.find(b"\n", self._pos)
-            if (end if end >= 0 else len(self._buf)) - self._pos >= _MAX_LINE:
+            end = self._buf.find(b"\n", searched)
+            if (end if end >= 0 else len(self._buf)) >= _MAX_LINE:
                 raise ProtocolError(f"message longer than {_MAX_LINE} bytes")
             if end >= 0:
-                line = self._buf[self._pos : end]
-                self._pos = end + 1
+                line = bytes(self._buf[:end])
+                del self._buf[: end + 1]
                 return line
+            searched = len(self._buf)
             if not self._fill():
-                line = self._buf[self._pos :]
-                self._pos = len(self._buf)
+                line = bytes(self._buf)
+                self._buf.clear()
                 return line or None
 
     def lines(self) -> list[bytes]:
@@ -216,17 +226,17 @@ class _LineReader:
         left to the next call, which returns the next line alone as
         ``line`` reads it."""
         batch = []
-        end = self._buf.rfind(b"\n", self._pos)
+        end = self._buf.rfind(b"\n")
         if end < 0:
             line = self.line()
             if line is None:
                 return batch
             batch.append(line)
-            end = self._buf.rfind(b"\n", self._pos)
-        if end < 0 or end - self._pos >= _MAX_LINE:
+            end = self._buf.rfind(b"\n")
+        if end < 0 or end >= _MAX_LINE:
             return batch or [self.line()]
-        batch += self._buf[self._pos : end].split(b"\n")
-        self._pos = end + 1
+        batch += bytes(self._buf[:end]).split(b"\n")
+        del self._buf[: end + 1]
         return batch
 
     def match(self, expected: bytes) -> bool:
@@ -238,8 +248,8 @@ class _LineReader:
         trickle in cost time linear in their number."""
         checked = 0
         while True:
-            have = min(len(self._buf) - self._pos, len(expected))
-            if not self._buf.startswith(expected[checked:have], self._pos + checked):
+            have = min(len(self._buf), len(expected))
+            if not self._buf.startswith(expected[checked:have], checked):
                 return False
             if have == len(expected):
                 return True
@@ -249,22 +259,11 @@ class _LineReader:
 
     def skip(self, size: int) -> None:
         """Consume ``size`` buffered bytes, which ``match`` has seen."""
-        self._pos += size
+        del self._buf[:size]
 
 
 #: each byte's eight tape values, low bit first; bit 1 is the value -1
 _BYTE_VALUES = [tuple(-1 if byte >> k & 1 else +1 for k in range(8)) for byte in range(256)]
-_VALUES_BYTE = {values: byte for byte, values in enumerate(_BYTE_VALUES)}
-
-
-def _pack_tape(values: Sequence[int]) -> bytes:
-    values = tuple(values) + (+1,) * (-len(values) % 8)
-    try:
-        # eight values at a time
-        return bytes(map(_VALUES_BYTE.__getitem__, zip(*[iter(values)] * 8)))
-    except KeyError:
-        bad = next(v for v in values if v not in (1, -1))
-        raise ValueError(f"tape values must be +-1, got {bad}") from None
 
 
 def decode_tape(text: str) -> tuple[int, ...]:
@@ -279,9 +278,17 @@ def decode_tape(text: str) -> tuple[int, ...]:
     return tuple(chain.from_iterable(map(_BYTE_VALUES.__getitem__, raw)))
 
 
-def _deal_lines(values: Sequence[int]) -> list[bytes]:
-    """The ``dealt`` lines of one player's tape, each within ``_MAX_LINE``."""
-    packed = _pack_tape(values)
+def _deal_lines(values: Sequence[int] | np.ndarray) -> list[bytes]:
+    """The ``dealt`` lines of one player's tape, each within ``_MAX_LINE``.
+
+    ``values``, a sequence or an array of +-1 (read flat), are packed by one
+    ``np.packbits``: eight a byte, low bit first, bit 1 for the value -1,
+    and the last byte filled up with +1. Any other value is a ValueError."""
+    values = np.asarray(values)
+    bad = (values != 1) & (values != -1)
+    if bad.any():
+        raise ValueError(f"tape values must be +-1, got {values[bad][0]}")
+    packed = np.packbits(values < 0, bitorder="little").tobytes()
     # 4 base64 characters per 3 bytes, beside the line's other 27 bytes
     step = (_MAX_LINE - len(encode_message({"type": "dealt", "tape": ""}))) // 4 * 3
     return [
@@ -603,8 +610,8 @@ class RefereeServer:
             order = [seats[party] for party in range(game.parties)]
 
             for seat in order:
-                tapes = [plan.tapes[seat.party] for plan in plans]
-                seat.send(b"".join(_deal_lines(tuple(chain.from_iterable(tapes[i] for i in ids)))))
+                tapes = np.array([plan.tapes[seat.party] for plan in plans], dtype=np.int8)
+                seat.send(b"".join(_deal_lines(tapes[index])))
 
             for lo in range(0, self.rounds, window):
                 hi = min(lo + window, self.rounds)
@@ -840,6 +847,10 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                         # int() would answer 7.9 and true as rounds 7 and 1
                         if type(first) is not int:
                             raise ProtocolError(f"question round must be an int, got {first!r}")
+                        # the referee numbers rounds by a numpy intp; the next
+                        # round's head could pass Python's int-to-str digit limit
+                        if first >= 1 << 63:
+                            raise ProtocolError("question round must be below 2**63")
                         try:
                             observables = tuple(
                                 (o["slot"], o["kind"]) for o in message.get("observables", [])

@@ -79,12 +79,6 @@ class Statevector:
         return complex(self.amplitudes[int(bits, 2)])
 
 
-def basis_state(num_qubits: int, index: int = 0) -> Statevector:
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return Statevector(num_qubits, amps)
-
-
 def make_psi() -> Statevector:
     """The four-qubit state behind every game in the catalog.
 

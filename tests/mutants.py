@@ -321,9 +321,26 @@ MUTANTS = (
     Mutant(
         "over-long-line-accepted",
         "netplay.py",
-        "if (end if end >= 0 else len(self._buf)) - self._pos >= _MAX_LINE:",
-        "if (end if end >= 0 else len(self._buf)) - self._pos >= 64 * _MAX_LINE:",
+        "if (end if end >= 0 else len(self._buf)) >= _MAX_LINE:",
+        "if (end if end >= 0 else len(self._buf)) >= 64 * _MAX_LINE:",
         ("tests/test_netplay.py::test_a_valid_answer_over_the_line_limit_is_a_protocol_error",),
+    ),
+    Mutant(
+        "reader-rebuilds-its-buffer",
+        "netplay.py",
+        "self._buf += chunk",
+        "self._buf = self._buf + chunk",
+        (
+            "tests/test_netplay.py::test_a_long_line_that_trickles_in_is_searched_once",
+            "tests/test_netplay.py::test_a_window_that_trickles_in_is_matched_in_one_pass",
+        ),
+    ),
+    Mutant(
+        "line-searches-every-held-byte",
+        "netplay.py",
+        'end = self._buf.find(b"\\n", searched)',
+        'end = self._buf.find(b"\\n")',
+        ("tests/test_netplay.py::test_a_long_line_that_trickles_in_is_searched_once",),
     ),
     Mutant(
         "take-accepts-a-partial-line",
@@ -359,7 +376,7 @@ MUTANTS = (
     Mutant(
         "player-lines-over-the-limit-accepted",
         "netplay.py",
-        "if end < 0 or end - self._pos >= _MAX_LINE:",
+        "if end < 0 or end >= _MAX_LINE:",
         "if end < 0:",
         ("tests/test_netplay.py::test_a_question_over_the_line_limit_ends_the_player_with_4",),
     ),
@@ -429,7 +446,7 @@ MUTANTS = (
     Mutant(
         "player-batch-stops-at-the-first-line",
         "netplay.py",
-        '            batch.append(line)\n            end = self._buf.rfind(b"\\n", self._pos)\n',
+        '            batch.append(line)\n            end = self._buf.rfind(b"\\n")\n',
         "            return [line]\n",
         ("tests/test_netplay.py::test_each_batch_holds_every_whole_line_received_so_far",),
     ),
@@ -522,6 +539,31 @@ MUTANTS = (
         (
             "tests/test_netplay.py::"
             "test_a_referee_field_of_the_wrong_type_ends_the_player_with_4[int-kind]",
+        ),
+    ),
+    Mutant(
+        "tape-packed-high-bit-first",
+        "netplay.py",
+        'bitorder="little"',
+        'bitorder="big"',
+        ("tests/test_netplay.py::test_tape_round_trip[9]",),
+    ),
+    Mutant(
+        "tape-values-unchecked",
+        "netplay.py",
+        "    if bad.any():\n",
+        "    if False:\n",
+        ("tests/test_netplay.py::test_tape_rejects_non_pm_one",),
+    ),
+    Mutant(
+        # the next round's head meets Python's 4,300-digit limit: a traceback
+        "player-takes-any-round",
+        "netplay.py",
+        "if first >= 1 << 63:",
+        "if False:",
+        (
+            "tests/test_netplay.py::test_a_question_round_past_int64_ends_the_player_with_4"
+            "[most-digits-json-reads]",
         ),
     ),
     Mutant(

@@ -155,7 +155,7 @@ def test_wrong_arity_rejected():
 
 def test_lambda_mu_distribution_on_a_tested_context():
     game = cabello_restricted()
-    ctx = game.context_by_id("x1x2|x3z4")
+    ctx = next(c for c in game.contexts if c.id == "x1x2|x3z4")
     dist = model_distribution(lambda_mu_model(), game, ctx)
     assert len(dist) == 8
     assert all(p == Fraction(1, 8) for p in dist.values())

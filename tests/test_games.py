@@ -81,7 +81,7 @@ def test_predicate_eval_basic():
     eq10 = parse_constraint_line("-1 y1 y3 z4")
     assert not eq10.holds({site("y1"): +1, site("y3"): +1, site("z4"): +1})
     # an always-win context wins whatever the answers, once they fit its questions
-    free = cabello_restricted().context_by_id("x1x2|x3y4")
+    free = next(c for c in cabello_restricted().contexts if c.id == "x1x2|x3y4")
     assert free.predicate is ALWAYS_WIN
     assert free.row([(1, -1), (-1, -1)]) == (
         "x1x2|x3y4", ("x1x2", "x3y4"), ((1, -1), (-1, -1)), True
@@ -158,7 +158,8 @@ def _tiny_game(weight_fix=Fraction(1, 2), predicate_vars="z1 z2"):
 def test_tiny_game_constructs():
     game = _tiny_game()
     assert game.num_qubits == 2
-    assert game.context_by_id("a").predicate is not None
+    assert [c.id for c in game.contexts] == ["a", "b"]
+    assert game.contexts[0].predicate is not None
 
 
 def test_a_question_is_looked_up_in_its_own_partys_set():
@@ -312,7 +313,8 @@ def test_extended_game_structure():
     game = cabello_extended()
     assert len(game.contexts) == 14
     assert all(ctx.weight == Fraction(1, 14) for ctx in game.contexts)
-    eq1 = game.context_by_id("eq01")
+    eq1 = game.contexts[0]
+    assert eq1.id == "eq01"
     assert eq1.questions[0].id == "z1"
     assert eq1.questions[0].measurements == ((1, "z"), (2, None))
     assert eq1.questions[1].id == "z3"
@@ -340,14 +342,16 @@ def test_four_party_game_structure():
     for party, questions in enumerate(game.question_sets):
         assert [q.id for q in questions] == [f"x{party+1}", f"y{party+1}", f"z{party+1}"]
     # every party questioned in every context; absent parties get Z
-    eq6 = game.context_by_id("eq03")  # tests x1 = x3 z4; party 1 uninvolved
+    eq6 = game.contexts[2]  # eq03 tests x1 = x3 z4; party 1 uninvolved
+    assert eq6.id == "eq03"
     assert [q.id for q in eq6.questions] == ["x1", "z2", "x3", "z4"]
     for ctx in game.contexts:
         assert len(ctx.questions) == 4
 
 
 def test_context_row_scores_without_keeping_state():
-    ctx = four_party_game().context_by_id("eq03")  # x1 = x3 z4
+    ctx = four_party_game().contexts[2]  # eq03: x1 = x3 z4
+    assert ctx.id == "eq03"
     before = dict(vars(ctx))
     row = ctx.row([[1], [-1], [1], [1]])
     assert row == ("eq03", ("x1", "z2", "x3", "z4"), ((1,), (-1,), (1,), (1,)), True)

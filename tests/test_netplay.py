@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ from itertools import product
 from types import SimpleNamespace
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -91,9 +93,13 @@ def _packed_bit_by_bit(values):
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.sampled_from((1, -1)), max_size=2000))
 def test_tape_codec_matches_a_bit_by_bit_reference(values):
-    packed = netplay._pack_tape(values)
+    [line] = netplay._deal_lines(values)
+    # the referee deals an int8 table's rows
+    assert netplay._deal_lines(np.array(values, dtype=np.int8).reshape(-1, 1)) == [line]
+    tape = decode_message(line)["tape"]
+    packed = base64.b64decode(tape)
     assert packed == _packed_bit_by_bit(values)
-    decoded = decode_tape(base64.b64encode(packed).decode())
+    decoded = decode_tape(tape)
     assert decoded == tuple(
         -1 if packed[i // 8] >> (i % 8) & 1 else 1 for i in range(len(packed) * 8)
     )
@@ -333,6 +339,91 @@ def test_window_leaves_transcripts_and_logs_unchanged(
         sessions.append((log.to_jsonl(), transcript))
     assert sessions[0] == sessions[1]
     assert sessions[0][0] == run_trials(game, strategy, rounds=rounds, seed=seed).to_jsonl()
+
+
+#: per catalog game and strategy, the sha256 of each party's referee-to-player
+#: lines in a 100-round session of seed 8; a change here changes the wire bytes
+PINNED_TRANSCRIPTS = {
+    ("cabello-restricted", "quantum"): (
+        "68f3d49e60f50c0e8a33ba36d2a2dd6c047a8a3e8c15290c76fe1a6637515546",
+        "daad223fca22829d8185cfa8ab8fd69dfc7523913c178754b2e68b7f7b86f627",
+    ),
+    ("cabello-restricted", "lambda-mu"): (
+        "4f7382958de38e4a7cc92a965ba3cf0cff6981308197cc26d03a51c5098062af",
+        "de63f0866268fe134c5e5025bcb9e846152a220b47a1d98c6f81a7a7edea1dfe",
+    ),
+    ("cabello-restricted", "automaton"): (
+        "958f5e1fb66a0bf612ea4e1e2c5ec7a9021e4aedfda50b1eee4bfa24d630e906",
+        "506808693f3e074f08c7ef4636c8001d8f5c58797e11556475b086685f78a041",
+    ),
+    ("cabello-restricted", "best-classical"): (
+        "958f5e1fb66a0bf612ea4e1e2c5ec7a9021e4aedfda50b1eee4bfa24d630e906",
+        "506808693f3e074f08c7ef4636c8001d8f5c58797e11556475b086685f78a041",
+    ),
+    ("cabello-extended", "quantum"): (
+        "287185ceba02fe900813dadc8a9d07b2f0f31b218bd6384c8b8d6bb4d0a1aed4",
+        "7f90f21ec4dd5cbfb788a9af6d4c2a9b9965c20e220f266ca96740abf6ddf844",
+    ),
+    ("cabello-extended", "best-classical"): (
+        "86e9a6a4dac84dcb6558c2319e7fa3ea53027e30b8deaa5c9a4864ceb72e7135",
+        "3bfad3b2bd8fb3891b12ef74cd3a1423da307b66b3a825173d0e3a4b1f58cb48",
+    ),
+    ("four-party", "quantum"): (
+        "c9857aeb9ff60fa76db0d1b5b1ddc9aad841572a7f96795c2ec48d7ddcec2c4e",
+        "2be072f07ee9cca17983540daab688bed8263cc10ceb0020003c3544faa102cd",
+        "e51bd1a8b6b2532b17e5af188e4f75f95f0c81e346145ceb1ba8cefa10543161",
+        "72b93aa32446337639f3718419e4de40d99464f8c86dae2884695381fa4bbaa9",
+    ),
+    ("four-party", "best-classical"): (
+        "0cc26febc77cefbfb25dece0e0a58f41a82fa85365ff1df09a830583d9ce4264",
+        "8bc4aaadcebe849af8bf9a310649587449f351c2917c9e84e3118a5f0ffea553",
+        "6a391f11d0458fb468b6e764d050671b4aea79e5232309e997be79181c19f8ab",
+        "2949268dc07a79e76740a4c77967c9eba1aa1562b65a238a703649e03600900c",
+    ),
+    ("mermin-ghz", "quantum"): (
+        "c9456653149df6953b03fddda9f64967ba48b85f08aeec62bf9ebc78df562288",
+        "6c0c16f874d5b690f609c8460fb68dbf962aacfc7dfc16a58ee60bc2703efe7d",
+        "d9a0faab7ccb81e84fb47fbf943dc4e64109389863d0a4afa3511f17b3e937aa",
+    ),
+    ("mermin-ghz", "best-classical"): (
+        "63188763f6770bfb6c07e2ffe2101571074c48766a03a4a36570b411ea6e6837",
+        "03a7a72230683513e340224a28cbf7b1c48a4662d890eb291f66c22d3786e4ab",
+        "bcba085ce1b7d17daf7a265e8e868f56674859e45cd236ee4d30aee3f1526b9c",
+    ),
+}
+
+
+def _transcript_digests(game, strategy, rounds, seed):
+    transcript: dict[int, list[bytes]] = {}
+    run_local_session(game, strategy, rounds=rounds, seed=seed, transcript=transcript)
+    return tuple(hashlib.sha256(b"".join(transcript[p])).hexdigest() for p in sorted(transcript))
+
+
+@pytest.mark.parametrize(
+    "name,strategy_name",
+    [
+        (name, strategy_name)
+        for name, entry in CATALOG.items()
+        for strategy_name in ("quantum", *entry.models, "best-classical")
+    ],
+)
+def test_referee_transcripts_are_pinned(name, strategy_name):
+    game = GAME_BUILDERS[name]()
+    strategy = resolve_strategy(game, strategy_name)
+    digests = _transcript_digests(game, strategy, 100, 8)
+    assert digests == PINNED_TRANSCRIPTS[name, strategy_name]
+
+
+def test_a_tape_dealt_in_several_lines_is_pinned(monkeypatch):
+    # the forked players read with the same limit
+    monkeypatch.setattr(netplay, "_MAX_LINE", 256)
+    # 9000 tape values are 1125 bytes, 171 a line
+    assert len(netplay._deal_lines((1,) * 9000)) == 7
+    game = cabello_restricted()
+    assert _transcript_digests(game, lambda_mu_model(), 3000, 3) == (
+        "7ec6c58acc69e20f6f1c78144386ad103b5565e493670235ba72ab43b36f3632",
+        "a70e13ffdc6b846ff01146d87e3ced848ee142f94675e42017748a840dd7ca29",
+    )
 
 
 def _lock_step_player(address, player, encode, delay=0.0):
@@ -1105,13 +1196,14 @@ def test_a_player_that_exits_nonzero_fails_the_local_session():
 def _contrary_rows(game, planned, party, flipped):
     """The rows of ``planned`` with ``party``'s first value flipped, and
     re-scored, in the rounds ``flipped`` holds."""
+    contexts = {c.id: c for c in game.contexts}
     rows = []
     for plan in planned:
         answers = list(plan.answers)
         if plan.round in flipped:
             first, *rest = answers[party]
             answers[party] = (-first, *rest)
-        rows.append((plan.round, *game.context_by_id(plan.context_id).row(answers)))
+        rows.append((plan.round, *contexts[plan.context_id].row(answers)))
     return rows
 
 
@@ -1123,6 +1215,7 @@ def test_referee_scores_the_answers_sent():
     planned = run_trials(game, strategy, rounds=200, seed=8)
     log = run_local_session(game, strategy, rounds=200, seed=8, player_specs=players)
     assert log.complete and len(log.records) == 200
+    contexts = {c.id: c for c in game.contexts}
     lost = 0
     for sent, plan in zip(log.records, planned.records):
         if sent.round % 2 == 0:
@@ -1131,7 +1224,7 @@ def test_referee_scores_the_answers_sent():
         (first, *rest), *others = plan.answers
         assert sent.answers == ((-first, *rest), *others)
         # flipping x1 or y1 breaks every tested equality
-        tested = game.context_by_id(sent.context_id).predicate is not ALWAYS_WIN
+        tested = contexts[sent.context_id].predicate is not ALWAYS_WIN
         assert sent.win is not tested
         lost += tested
     assert lost > 0
@@ -1745,6 +1838,64 @@ def test_each_batch_holds_every_whole_line_received_so_far(lines, cuts, cut_shor
     assert read == lines + ([b"tail"] if cut_short else [])
 
 
+class _CountingBuffer(bytearray):
+    """A reader's buffer that counts the bytes handed to ``find`` and to
+    ``startswith``."""
+
+    scanned = 0
+
+    def find(self, sub, start=0, *args):
+        self.scanned += len(self) - start
+        return super().find(sub, start, *args)
+
+    def startswith(self, prefix, start=0, *args):
+        self.scanned += len(prefix)
+        return super().startswith(prefix, start, *args)
+
+
+class _OneByteAtATime:
+    """A connection whose ``recv`` returns one byte of ``data`` a call, then b""."""
+
+    def __init__(self, data):
+        self.data = data
+        self.at = 0
+
+    def recv(self, size):
+        self.at += 1
+        return self.data[self.at - 1 : self.at]
+
+
+def _trickling_reader(data):
+    """A reader of ``data`` arriving a byte a ``recv``, and its counting buffer."""
+    reader = netplay._LineReader(_OneByteAtATime(data))
+    buf = reader._buf = _CountingBuffer()
+    return reader, buf
+
+
+def test_a_long_line_that_trickles_in_is_searched_once():
+    data = b"x" * 20000 + b"\n"
+    reader, buf = _trickling_reader(data + b"next\n")
+    line = reader.line()
+    assert line == data[:-1] and type(line) is bytes
+    # the buffer grew in place, and each byte was searched once
+    assert reader._buf is buf and buf == b""
+    assert buf.scanned == len(data)
+    assert reader.lines() == [b"next"] and reader._buf is buf
+
+
+def test_a_window_that_trickles_in_is_matched_in_one_pass():
+    template = netplay._template(netplay._ANSWER_HEAD, b',"values":[1,-1]}\n')
+    expected = template * 512 % tuple(range(512))
+    reader, buf = _trickling_reader(expected + b"next\n")
+    assert reader.match(expected)
+    # the buffer grew in place, and each byte was compared once
+    assert reader._buf is buf and buf == expected
+    assert buf.scanned == len(expected)
+    reader.skip(len(expected))
+    assert reader._buf is buf and buf == b""
+    assert reader.lines() == [b"next"]
+
+
 def _player_batches(chunks, *, whole=False):
     """A lambda-mu party 0 of cabello-restricted against a fake referee whose
     bytes arrive in ``chunks``: its status and the bytes it sent after the
@@ -1770,6 +1921,36 @@ def _canonical(r, observables):
 
 def _spaced(r, observables):
     return _canonical(r, observables).replace(b",", b", ")
+
+
+@pytest.mark.parametrize(
+    "round_index,status",
+    [(2**63 - 1, 0), (2**63, 4), (10**4300 - 1, 4)],
+    ids=["largest", "past-int64", "most-digits-json-reads"],
+)
+def test_a_question_round_past_int64_ends_the_player_with_4(capsys, round_index, status):
+    # a width-0 strategy answers any round; after 10**4300 - 1 the next
+    # round's head would pass Python's 4,300-digit limit for int to str
+    player = build_party_strategy(cabello_restricted(), automaton_model(), 0)
+    assert player.width == 0
+    observables = next(iter(player.questions))
+    end = encode_message({"type": "end", "reason": "complete"})
+    fake = _FakeConnection(
+        [
+            b"".join([*netplay._deal_lines(()), _canonical(0, observables)]),
+            _canonical(0, observables).replace(b'"round":0', b'"round":%d' % round_index),
+            end,
+        ]
+    )
+    with patch.object(socket, "create_connection", lambda address: fake):
+        assert run_player(("127.0.0.1", 0), player) == status
+    rounds = [decode_message(line)["round"] for line in fake.sent[1:]]
+    if status:
+        assert rounds == [0]
+        # the message does not print the number
+        assert capsys.readouterr().err == "player 0: question round must be below 2**63\n"
+    else:
+        assert rounds == [0, round_index]
 
 
 def test_a_player_answers_runs_as_it_answers_lines_decoded_whole():

@@ -9,7 +9,6 @@ from nonlocalgames import games, quantum
 from nonlocalgames.games import SiteObservable, site, sites
 from nonlocalgames.quantum import (
     Statevector,
-    basis_state,
     expectation,
     joint_distribution,
     make_ghz,
@@ -64,7 +63,7 @@ def test_statevector_validation():
         Statevector(2, np.array([1.0, 0.0], dtype=complex))  # wrong length
     with pytest.raises(ValueError):
         Statevector(1, np.array([1.0, 1.0], dtype=complex))  # not normalized
-    sv = basis_state(2, 0)
+    sv = Statevector(2, np.array([1, 0, 0, 0], dtype=complex))
     assert not sv.amplitudes.flags.writeable
 
 
@@ -139,7 +138,7 @@ def test_basis_changes_diagonalize_the_paulis(kind):
 
 
 def test_x_on_basis_state_is_uniform():
-    dist = joint_distribution(basis_state(1), [site("x1")])
+    dist = joint_distribution(Statevector(1, np.array([1, 0], dtype=complex)), [site("x1")])
     assert dist[(+1,)] == pytest.approx(0.5)
     assert dist[(-1,)] == pytest.approx(0.5)
 

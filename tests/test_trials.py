@@ -264,7 +264,8 @@ def test_nested_subgame_report_reads_the_restricted_game_too():
     assert set(report["-1"]) == {"x1*y3*y4 = -1", "y1*x3*y4 = -1"}
     for stats in report.values():
         assert all(checked == satisfied for checked, satisfied in stats.values())
-    tested = sum(1 for r in log.records if game.context_by_id(r.context_id).predicate)
+    contexts = {c.id: c for c in game.contexts}
+    tested = sum(1 for r in log.records if contexts[r.context_id].predicate)
     assert sum(c for stats in report.values() for c, _ in stats.values()) == tested
 
 
@@ -385,7 +386,7 @@ def test_an_edited_row_is_rejected_exactly_when_its_game_scores_it_otherwise(dat
     row = log.rows[log.index[k]]
     game = game_by_name(name)
     try:
-        scored = game.context_by_id(row[0]).row(row[2])
+        scored = {c.id: c for c in game.contexts}[row[0]].row(row[2])
     except (KeyError, ValueError):
         scored = None
     if scored == row:
