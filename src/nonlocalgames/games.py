@@ -183,14 +183,21 @@ class Context:
             outcomes.update(zip(q.measured, values))
         return outcomes
 
-    def row(self, answers: Sequence[Sequence[int]]) -> Row:
-        """The scored row of one round's answers (one tuple per party):
-        (context id, question ids, answers as tuples, win). The answers
-        must fit the questions even where the predicate is ``ALWAYS_WIN``."""
+    def scored(
+        self, answers: Sequence[Sequence[int]]
+    ) -> tuple[Row, dict[SiteObservable, int]]:
+        """The scored row of one round's answers (one tuple per party),
+        (context id, question ids, answers as tuples, win), and the
+        ``outcomes`` it was scored from. The answers must fit the questions
+        even where the predicate is ``ALWAYS_WIN``."""
         answers = tuple(map(tuple, answers))
         outcomes = self.outcomes(answers)
         win = self.predicate is ALWAYS_WIN or self.predicate.holds(outcomes)
-        return (self.id, tuple(q.id for q in self.questions), answers, win)
+        return (self.id, tuple(q.id for q in self.questions), answers, win), outcomes
+
+    def row(self, answers: Sequence[Sequence[int]]) -> Row:
+        """The row ``scored`` gives, alone."""
+        return self.scored(answers)[0]
 
 
 @dataclass(frozen=True)

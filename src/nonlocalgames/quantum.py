@@ -12,6 +12,15 @@ Conventions used throughout the package:
 States are dense complex vectors. All probabilities arising from the
 bundled games are dyadic rationals, so the 1e-9 "happens surely / never"
 decision threshold is far away from every value that actually occurs.
+
+``joint_distributions`` is the one path from a state to outcome
+probabilities: it measures several contexts (lists of observables) in
+one pass over a stack of copies of the state, one ``einsum`` per qubit
+applying each context's basis change there (the identity for ``z`` and
+for an unmeasured qubit, so those are read with no round-off), then
+marginalizes each context on its own. ``joint_distribution`` is its
+one-context case, and ``verify_constraints`` measures all its
+constraints in one call.
 """
 
 from __future__ import annotations
@@ -120,12 +129,6 @@ def _check_observables(
         raise ValueError(f"unknown observable kind in {unknown}; kinds are x, y, z")
 
 
-def _apply_single_qubit(amps: np.ndarray, u: np.ndarray, axis: int, n: int) -> np.ndarray:
-    t = amps.reshape([2] * n)
-    t = np.moveaxis(np.tensordot(u, t, axes=([1], [axis])), 0, axis)
-    return t.reshape(-1)
-
-
 def joint_distribution(
     state: Statevector, observables: Sequence[SiteObservable]
 ) -> dict[tuple[int, ...], float]:
@@ -136,25 +139,49 @@ def joint_distribution(
     Unmeasured qubits are marginalized. Probabilities sum to the squared
     norm of the state, which is 1 within ``SUM_TOL``.
     """
-    _check_observables(state, observables)
+    return joint_distributions(state, [observables])[0]
+
+
+def joint_distributions(
+    state: Statevector, contexts: Sequence[Sequence[SiteObservable]]
+) -> list[dict[tuple[int, ...], float]]:
+    """``joint_distribution`` of each list of observables in ``contexts``,
+    in order, computed together.
+
+    The state is stacked once per context, and each qubit's basis changes
+    (the identity where a context measures it in ``z`` or not at all) are
+    applied to the whole stack in one ``einsum``; each context is then
+    marginalized on its own. A bad observable in any context raises as
+    ``joint_distribution`` does, before anything is computed.
+    """
+    if not contexts:
+        raise ValueError("need at least one context")
+    for observables in contexts:
+        _check_observables(state, observables)
     n = state.num_qubits
-    amps = np.asarray(state.amplitudes)
-    for obs in observables:
-        if obs.kind != "z":
-            amps = _apply_single_qubit(amps, _BASIS_CHANGES[obs.kind], obs.qubit - 1, n)
-    probs = np.abs(amps.reshape([2] * n)) ** 2
-    measured_axes = [o.qubit - 1 for o in observables]
-    unmeasured = tuple(ax for ax in range(n) if ax not in measured_axes)
-    if unmeasured:
-        probs = probs.sum(axis=unmeasured)
-    # remaining axes are in qubit order; put them in observables order
-    rank = np.argsort(np.argsort(measured_axes))
-    probs = np.transpose(probs, rank)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-    outcomes = itertools.product((+1, -1), repeat=len(observables))
-    return dict(zip(outcomes, probs.ravel().tolist()))
+    kinds = [{o.qubit: o.kind for o in observables} for observables in contexts]
+    amps = np.broadcast_to(state.amplitudes.reshape([2] * n), (len(contexts),) + (2,) * n)
+    # einsum axis labels: 0 the context, 1..n the qubits, n + 1 the summed one
+    axes = list(range(n + 1))
+    for q in range(1, n + 1):
+        u = np.array([_BASIS_CHANGES[k.get(q, "z")] for k in kinds])
+        summed = axes[:q] + [n + 1] + axes[q + 1 :]
+        amps = np.einsum(u, [0, q, n + 1], amps, summed, axes)
+    dists = []
+    for observables, probs in zip(contexts, np.abs(amps) ** 2):
+        measured_axes = [o.qubit - 1 for o in observables]
+        unmeasured = tuple(ax for ax in range(n) if ax not in measured_axes)
+        if unmeasured:
+            probs = probs.sum(axis=unmeasured)
+        # remaining axes are in qubit order; put them in observables order
+        rank = np.argsort(np.argsort(measured_axes))
+        probs = np.transpose(probs, rank)
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        outcomes = itertools.product((+1, -1), repeat=len(observables))
+        dists.append(dict(zip(outcomes, probs.ravel().tolist())))
+    return dists
 
 
 def expectation(state: Statevector, observables: Sequence[SiteObservable]) -> float:
@@ -209,12 +236,17 @@ def verify_constraints(
 
     For each constraint the listed observables are measured jointly and
     the probability mass on outcomes violating the required parity is
-    reported; ``holds_surely`` means that mass is below 1e-9.
+    reported; ``holds_surely`` means that mass is below 1e-9. All the
+    constraints are measured by one ``joint_distributions`` call.
     """
+    constraints = list(constraints)
+    if not constraints:
+        return []
+    measured = [sorted(constraint.vars) for constraint in constraints]
     reports = []
-    for constraint in constraints:
-        observables = sorted(constraint.vars)
-        dist = joint_distribution(state, observables)
+    for constraint, observables, dist in zip(
+        constraints, measured, joint_distributions(state, measured)
+    ):
         mass = 0.0
         for values, p in dist.items():
             if not constraint.holds(dict(zip(observables, values))):

@@ -15,7 +15,13 @@ per uniform (its context's first, then a quantum outcome's), then its k
 bits from the top bits of 32-bit halves, low half first, a high half
 left over carrying into the next round. The strategy's ``Dealer`` maps
 these columns to one code per round, and rounds with the same context
-and code share one ``RoundPlan``.
+and code share one ``RoundPlan``. The quantum dealer takes every
+context's exact distribution from one ``quantum.joint_distributions``
+pass, and picks a round's outcome by one compare of its uniform with its
+context's row of running totals: the number of totals at or below u. It
+compares a chunk of rounds at a time, so that the compare's temporaries
+hold about ``_DEAL_CELLS`` (round, outcome) cells whatever the session's
+length.
 
 A game has few distinct rounds (at most 14 x 16 in the four-party game),
 so each is scored once, by ``Context.row``, in its ``RoundPlan``. A
@@ -30,11 +36,13 @@ line, then round lines, each ended by a newline) in blocks of
 ``_BLOCK`` lines: ``_after_heads`` checks the heads of a block's lines
 (each line's text up to its row's fields, round number included) at
 once, per run of round numbers with equally many digits, and each
-distinct text after a head is decoded once. Any other text is decoded
-line by line, each line whole, and both ways raise the same errors.
+distinct text after a head is decoded once; a block holding no text not
+seen before is not walked at all. Any other text is decoded line by
+line, each line whole, and both ways raise the same errors.
 ``statistics`` and ``nested_subgame_report`` read a log's ``tally`` and
-score each row in it once by the catalog game its header names: a row
-that game's ``Context.row`` would not write raises ``ValueError``.
+score each row in it once by the catalog game its header names, with
+``Context.scored``, and count the outcomes that scoring read: a row that
+game's ``Context.row`` would not write raises ``ValueError``.
 ``records`` is a view that builds a
 ``TrialRecord`` (position, then row) for a round when asked. It has a
 list's length, iteration, indexing, slices, repr and ``==``, against a
@@ -84,6 +92,9 @@ from .quantum import Statevector, make_ghz, make_psi
 
 LOG_FORMAT_VERSION = 1
 
+#: about the most (round, outcome) cells the quantum dealer compares at a time
+_DEAL_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuantumStrategy:
@@ -116,30 +127,36 @@ class QuantumStrategy:
             )
         widths = [self.tape_width(game, party) for party in range(game.parties)]
         # per context: the outcome values, split into tapes (+1 on unmeasured
-        # slots) only when a session draws them; the running totals of the
-        # outcome probabilities, each below quantum.PROB_TOL (round-off on an
-        # outcome the state forbids) counted as 0; and the position of the
-        # last outcome the state allows
+        # slots) only when a session draws them; a row of ``totals``, the
+        # running totals of the outcome probabilities, each below
+        # quantum.PROB_TOL (round-off on an outcome the state forbids) counted
+        # as 0, then inf, at least once, to one past the widest context; and
+        # the position of the last outcome the state allows
         distributions = _exact_distributions(self.state, game).values()
         values = [list(dist) for dist in distributions]
-        totals = []
-        last = []
-        for dist in distributions:
+        totals = np.full((len(values), 1 + max(map(len, values))), np.inf)
+        last = np.empty(len(values), dtype=np.intp)
+        for i, dist in enumerate(distributions):
             p = np.array(list(dist.values()))
             p[p < quantum.PROB_TOL] = 0.0
-            totals.append(np.cumsum(p))
-            last.append(np.flatnonzero(p)[-1])
+            totals[i, : len(p)] = np.cumsum(p)
+            last[i] = np.flatnonzero(p)[-1]
 
         def codes(contexts: np.ndarray, uniforms: np.ndarray, bits: np.ndarray) -> np.ndarray:
             # the first outcome whose running total exceeds u, which a forbidden
             # outcome's zero width never is; or the last allowed one when u
             # lands in the round-off sliver at the top. A code is a position
-            # in the context's whole distribution.
+            # in the context's whole distribution. The totals at or below u
+            # are a prefix of the row, which an inf ends, so its length is
+            # the first False of one compare. Rounds are compared a chunk at
+            # a time, so the compare's temporaries hold about _DEAL_CELLS
+            # (round, outcome) cells, and never fewer rounds than one.
             outcomes = np.empty(len(contexts), dtype=np.intp)
-            for i, total in enumerate(totals):
-                rows = contexts == i
-                picked = np.searchsorted(total, uniforms[rows, 0], side="right")
-                outcomes[rows] = np.minimum(picked, last[i])
+            step = max(1, _DEAL_CELLS // totals.shape[1])
+            for lo in range(0, len(contexts), step):
+                rows = contexts[lo : lo + step]
+                below = totals.take(rows, axis=0) <= uniforms[lo : lo + step, :1]
+                outcomes[lo : lo + step] = np.minimum(below.argmin(axis=1), last[rows])
             return outcomes
 
         def tapes(context: int, code: int) -> Tapes:
@@ -155,10 +172,9 @@ class QuantumStrategy:
 
 def _exact_distributions(state: Statevector, game: NonlocalGame) -> dict[str, dict]:
     """Each context's exact joint outcome distribution on the state, by id, in game order."""
-    return {
-        ctx.id: quantum.joint_distribution(state, game.measured_observables(ctx))
-        for ctx in game.contexts
-    }
+    observables = [game.measured_observables(ctx) for ctx in game.contexts]
+    dists = quantum.joint_distributions(state, observables)
+    return {ctx.id: dist for ctx, dist in zip(game.contexts, dists)}
 
 
 Strategy = QuantumStrategy | DeterministicStrategy | HiddenVariableModel
@@ -302,19 +318,21 @@ def _written_table(lines: list[str]) -> tuple[list[Row], np.ndarray] | None:
         tails = _after_heads(lines[lo : lo + _BLOCK], _ROUND_PREFIX + "%d, ", lo)
         if tails is None:
             return None
-        for j, tail in enumerate(tails):
-            if tail in ids:
-                continue
-            try:
-                fields = json.loads("{" + tail)
-            except ValueError:
-                return None
-            if fields.keys() != set(_ROW_FIELDS):
-                return None
-            # each line before this text's first holds a row: a value rejected
-            # here is the first error a line-by-line read meets
-            row = _row_of(lo + j, fields)
-            ids[tail] = rows.setdefault(row, len(rows))
+        # a block whose texts were all seen before has nothing to decode
+        if not ids.keys() >= set(tails):
+            for j, tail in enumerate(tails):
+                if tail in ids:
+                    continue
+                try:
+                    fields = json.loads("{" + tail)
+                except ValueError:
+                    return None
+                if fields.keys() != set(_ROW_FIELDS):
+                    return None
+                # each line before this text's first holds a row: a value rejected
+                # here is the first error a line-by-line read meets
+                row = _row_of(lo + j, fields)
+                ids[tail] = rows.setdefault(row, len(rows))
         index[lo : lo + len(tails)] = np.fromiter(map(ids.__getitem__, tails), np.intp, len(tails))
     return list(rows), index
 
@@ -530,8 +548,7 @@ class TrialLog:
         return log
 
 
-@dataclass(frozen=True)
-class RoundPlan:
+class RoundPlan(NamedTuple):
     """Everything round r needs: the context, the dealt tapes, the answers
     they give, and the row those answers score (``Context.row``)."""
 
@@ -640,9 +657,12 @@ def run_trials(
 # statistics
 # ---------------------------------------------------------------------------
 
-def _scored_tally(log: TrialLog) -> Iterator[tuple[Context, Row, int]]:
+def _scored_tally(
+    log: TrialLog,
+) -> Iterator[tuple[Context, Row, int, dict[SiteObservable, int]]]:
     """``log.tally()``'s rows with their contexts, once each is as its catalog
-    game scores it; else ValueError names the first round and field that differ."""
+    game scores it, and the outcomes it was scored from (``Context.scored``);
+    else ValueError names the first round and field that differ."""
     try:
         contexts = {ctx.id: ctx for ctx in game_by_name(log.game).contexts}
     except KeyError as exc:
@@ -651,13 +671,13 @@ def _scored_tally(log: TrialLog) -> Iterator[tuple[Context, Row, int]]:
         if (ctx := contexts.get(row[0])) is None:
             raise ValueError(f"round {first}: field 'context' {row[0]!r} is no {log.game} context")
         try:
-            scored = ctx.row(row[2])
+            scored, outcomes = ctx.scored(row[2])
         except ValueError as exc:
             raise ValueError(f"round {first}: {exc}") from None
         for name, written, due in zip(_ROW_FIELDS, row, scored):
             if written != due:
                 raise ValueError(f"round {first}: field '{name}' is {written!r}, should be {due!r}")
-        yield ctx, row, n
+        yield ctx, row, n, outcomes
 
 
 @dataclass(frozen=True)
@@ -745,10 +765,9 @@ def statistics(
     joint: dict[str, dict[tuple[int, ...], int]] = {}
     plus: dict[str, int] = {}
     seen: dict[str, int] = {}
-    for ctx, (cid, _, answers, win), n in _scored_tally(log):
+    for _, (cid, _, _, win), n, outcomes in _scored_tally(log):
         asked[cid] = asked.get(cid, 0) + n
         won[cid] = won.get(cid, 0) + n * int(win)
-        outcomes = ctx.outcomes(answers)
         for tok, value in zip(map(str, outcomes), outcomes.values()):
             seen[tok] = seen.get(tok, 0) + n
             plus[tok] = plus.get(tok, 0) + n * (value == +1)
@@ -811,8 +830,8 @@ def nested_subgame_report(log: TrialLog) -> dict[str, dict[str, tuple[int, int]]
     x2 = SiteObservable(2, "x")
     embedded = {s: {c.vars: c for c in nested_ghz_contexts(s)} for s in (+1, -1)}
     report: dict[str, dict[str, tuple[int, int]]] = {"shared": {}, "+1": {}, "-1": {}}
-    for ctx, (_, _, answers, _), n in _scored_tally(log):
-        values, predicate = ctx.outcomes(answers), ctx.predicate
+    for ctx, _, n, values in _scored_tally(log):
+        predicate = ctx.predicate
         if predicate is ALWAYS_WIN:
             continue
         selected = x2 in predicate.vars

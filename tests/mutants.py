@@ -159,6 +159,13 @@ MUTANTS = (
         ("tests/test_quantum.py::test_joint_distribution_rejects_a_bad_observable[kind-w]",),
     ),
     Mutant(
+        "batched-default-kind-is-x",
+        "quantum.py",
+        '_BASIS_CHANGES[k.get(q, "z")]',
+        '_BASIS_CHANGES[k.get(q, "x")]',
+        ("tests/test_quantum.py::test_a_z_or_unmeasured_qubit_is_read_without_round_off",),
+    ),
+    Mutant(
         "context-search-on-the-left",
         "trials.py",
         'contexts = np.searchsorted(bounds, doubles[:, 0], side="right")',
@@ -168,15 +175,15 @@ MUTANTS = (
     Mutant(
         "outcome-search-on-the-left",
         "trials.py",
-        'picked = np.searchsorted(total, uniforms[rows, 0], side="right")',
-        'picked = np.searchsorted(total, uniforms[rows, 0], side="left")',
+        "below = totals.take(rows, axis=0) <= uniforms[lo : lo + step, :1]",
+        "below = totals.take(rows, axis=0) < uniforms[lo : lo + step, :1]",
         ("tests/test_trials.py::test_quantum_outcomes_follow_draw_from",),
     ),
     Mutant(
         "dealer-clamps-to-the-last-outcome",
         "trials.py",
-        "last.append(np.flatnonzero(p)[-1])",
-        "last.append(len(p) - 1)",
+        "last[i] = np.flatnonzero(p)[-1]",
+        "last[i] = len(p) - 1",
         ("tests/test_trials.py::test_the_quantum_dealer_deals_no_losing_round_at_the_edges",),
     ),
     Mutant(
@@ -186,7 +193,31 @@ MUTANTS = (
         "pass",
         (
             "tests/test_trials.py::"
-            "test_the_quantum_dealer_deals_no_losing_round_at_the_edges[mermin-ghz]",
+            "test_round_off_mass_on_a_forbidden_outcome_is_never_dealt[mermin-ghz]",
+        ),
+    ),
+    Mutant(
+        "dealer-rows-end-without-inf",
+        "trials.py",
+        "totals = np.full((len(values), 1 + max(map(len, values))), np.inf)",
+        "totals = np.full((len(values), max(map(len, values))), np.inf)",
+        ("tests/test_trials.py::test_quantum_outcomes_follow_draw_from",),
+    ),
+    Mutant(
+        "dealer-chunks-skip-a-round",
+        "trials.py",
+        "for lo in range(0, len(contexts), step):",
+        "for lo in range(0, len(contexts), step + 1):",
+        ("tests/test_trials.py::test_the_dealer_compares_rounds_in_chunks_of_any_size",),
+    ),
+    Mutant(
+        "written-table-skips-every-block",
+        "trials.py",
+        "if not ids.keys() >= set(tails):",
+        "if False:",
+        (
+            "tests/test_trials.py::"
+            "test_a_written_log_is_read_a_block_at_a_time_as_line_by_line[1025]",
         ),
     ),
     Mutant(

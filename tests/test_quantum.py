@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocalgames import games, quantum
+from nonlocalgames import games, quantum, trials
 from nonlocalgames.games import SiteObservable, site, sites
 from nonlocalgames.quantum import (
     Statevector,
     expectation,
     joint_distribution,
+    joint_distributions,
     make_ghz,
     make_psi,
     reduced_spectrum,
@@ -183,6 +184,41 @@ def test_observable_order_is_respected():
         assert rev[(b, a)] == pytest.approx(p, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(trials.CATALOG))
+def test_contexts_measured_together_are_measured_alone(name):
+    # one batched pass over the game's contexts, bit for bit the per-context
+    # distributions, and the ones the quantum dealer and quantum_reference use
+    game = games.game_by_name(name)
+    state = trials.quantum_strategy(game).state
+    observables = [game.measured_observables(ctx) for ctx in game.contexts]
+    alone = [joint_distribution(state, obs) for obs in observables]
+    together = joint_distributions(state, observables)
+    assert [list(d.items()) for d in together] == [list(d.items()) for d in alone]
+    reference = trials.quantum_reference(game)
+    assert list(reference) == [ctx.id for ctx in game.contexts]
+    assert [list(d.items()) for d in reference.values()] == [list(d.items()) for d in alone]
+
+
+def test_a_z_or_unmeasured_qubit_is_read_without_round_off():
+    # neither goes through a basis change: |+-1/2|**2 = 1/4 is exact, and so
+    # are the sums over qubits 1 and 3; the x4 context beside them changes nothing
+    dist, _ = joint_distributions(make_psi(), [sites("z2 z4"), sites("x4")])
+    assert dist == {(+1, +1): 0.5, (+1, -1): 0.0, (-1, +1): 0.0, (-1, -1): 0.5}
+
+
+def test_contexts_measured_together_are_checked_as_alone():
+    with pytest.raises(ValueError, match="need at least one context"):
+        joint_distributions(make_psi(), [])
+    for bad, error in [
+        ([], "need at least one observable"),
+        (sites("x1 z1"), "duplicate qubit"),
+        ([SiteObservable(0, "x")], "outside 1..4"),
+        ([SiteObservable(1, "w")], "unknown observable kind"),
+    ]:
+        with pytest.raises(ValueError, match=error):
+            joint_distributions(make_psi(), [sites("z1 z3"), bad])
+
+
 def test_a_state_needs_a_qubit():
     with pytest.raises(ValueError, match="need at least one qubit"):
         Statevector(0, np.ones(1))
@@ -331,6 +367,22 @@ def test_all_fourteen_hold_surely_on_psi():
     for report in reports:
         assert report.holds_surely
         assert report.violation_mass < 1e-9
+
+
+def test_constraints_are_reported_as_measured_one_by_one():
+    psi = make_psi()
+    constraints = [*games.fourteen_equalities(), games.parse_constraint_line("-1 x1 x2 y3 y4")]
+    reports = verify_constraints(psi, iter(constraints))
+    assert reports == [verify_constraints(psi, [c])[0] for c in constraints]
+    for report, constraint in zip(reports, constraints):
+        observables = sorted(constraint.vars)
+        dist = joint_distribution(psi, observables)
+        mass = 0.0
+        for values, p in dist.items():
+            if not constraint.holds(dict(zip(observables, values))):
+                mass += p
+        assert report.violation_mass == mass
+    assert verify_constraints(psi, []) == []
 
 
 def test_negated_equality_fails_with_full_mass():

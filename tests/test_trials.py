@@ -573,17 +573,11 @@ def test_quantum_outcomes_follow_draw_from(name):
         assert list(dists[i])[code] == draw_from(dists[i], u)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG))
-def test_the_quantum_dealer_deals_no_losing_round_at_the_edges(name):
-    # the state forbids every losing outcome, but its distribution keeps
-    # round-off mass on them and its running totals end short of 1: neither
-    # may deal one (mermin-ghz yyx lists a forbidden outcome first, and the
-    # four-party eq03-eq10 end 4 steps of 2**-53 short of 1)
-    game = game_by_name(name)
-    strategy = quantum_strategy(game)
+def _assert_edges_win(game, strategy, dists):
+    """Every round the strategy's dealer deals at ``_edge_uniforms`` of each
+    context's distribution in ``dists`` wins."""
     dealer = strategy.dealer(game)
-    for i, ctx in enumerate(game.contexts):
-        dist = joint_distribution(strategy.state, game.measured_observables(ctx))
+    for i, (ctx, dist) in enumerate(zip(game.contexts, dists)):
         points = _edge_uniforms(dist)
         for u, code in zip(points, _deal(dealer, [i] * len(points), points)):
             tapes = dealer.tapes(i, code)
@@ -591,6 +585,59 @@ def test_the_quantum_dealer_deals_no_losing_round_at_the_edges(name):
                 strategy.respond(party, q, tapes[party]) for party, q in enumerate(ctx.questions)
             )
             assert ctx.row(answers)[3], f"{ctx.id} at u = {u!r} deals {list(dist)[code]}"
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_the_quantum_dealer_deals_no_losing_round_at_the_edges(name):
+    # the state forbids every losing outcome, but the running totals of its
+    # distribution end short of 1 (the four-party eq03-eq10 by 4 steps of
+    # 2**-53), and mermin-ghz yyx lists a forbidden outcome first
+    game = game_by_name(name)
+    strategy = quantum_strategy(game)
+    _assert_edges_win(game, strategy, quantum_reference(game).values())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_round_off_mass_on_a_forbidden_outcome_is_never_dealt(name, monkeypatch):
+    # the catalog states give forbidden outcomes exactly 0, but another
+    # rounding need not (numpy's tensordot leaves about 1e-34 on them): such
+    # mass is no width to deal from
+    exact = trials._exact_distributions
+
+    def rounded(state, game):
+        return {
+            cid: {values: p or 1e-34 for values, p in dist.items()}
+            for cid, dist in exact(state, game).items()
+        }
+
+    monkeypatch.setattr(trials, "_exact_distributions", rounded)
+    game = game_by_name(name)
+    strategy = quantum_strategy(game)
+    _assert_edges_win(game, strategy, rounded(strategy.state, game).values())
+
+
+@pytest.mark.parametrize("cells", [1, 7, 200, trials._DEAL_CELLS])
+def test_the_dealer_compares_rounds_in_chunks_of_any_size(cells, monkeypatch):
+    # a chunk is at least one round; here 1, 1, 11 and 3855 rounds of 17 cells
+    # (16 outcomes, then an inf)
+    game = four_party_game()
+    strategy = quantum_strategy(game)
+    plans, index = trials._plan_session(game, strategy, 10_000, 12)
+    monkeypatch.setattr(trials, "_DEAL_CELLS", cells)
+    chunked_plans, chunked_index = trials._plan_session(game, strategy, 10_000, 12)
+    assert chunked_plans == plans
+    assert np.array_equal(chunked_index, index)
+    for name in sorted(CATALOG):
+        game = game_by_name(name)
+        strategy = quantum_strategy(game)
+        dealer = strategy.dealer(game)
+        contexts, uniforms, dists = [], [], list(quantum_reference(game).values())
+        for i, dist in enumerate(dists):
+            points = _edge_uniforms(dist)
+            contexts += [i] * len(points)
+            uniforms += points
+        for i, u, code in zip(contexts, uniforms, _deal(dealer, contexts, uniforms)):
+            assert list(dists[i])[code] == draw_from(dists[i], u)
 
 
 def test_a_context_uniform_on_a_running_weight_takes_the_next_context(monkeypatch):
