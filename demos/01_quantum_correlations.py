@@ -6,17 +6,15 @@ completely random, and compares reduced spectra against the four-qubit
 GHZ state (they differ, so no local unitaries map one to the other).
 """
 
-from nonlocalgames import (
+from nonlocalgames.games import SiteObservable, fourteen_equalities, sites
+from nonlocalgames.quantum import (
     expectation,
-    fourteen_equalities,
     joint_distribution,
     make_ghz,
     make_psi,
     reduced_spectrum,
-    sites,
     verify_constraints,
 )
-from nonlocalgames.games import SiteObservable
 
 psi = make_psi()
 

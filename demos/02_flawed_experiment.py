@@ -8,19 +8,17 @@ wins every round, because an answer table may depend on the whole
 question, not just on one variable at a time.
 """
 
-from nonlocalgames import (
+from nonlocalgames.classical import (
     automaton_model,
-    cabello_restricted,
     classical_value,
-    joint_distribution,
     lambda_mu_model,
-    make_psi,
     model_distribution,
     noncontextual_value,
-    run_trials,
-    tv_distance,
     win_probability,
 )
+from nonlocalgames.games import cabello_restricted
+from nonlocalgames.quantum import joint_distribution, make_psi
+from nonlocalgames.trials import run_trials, tv_distance
 
 game = cabello_restricted()
 print("the restricted game:")

@@ -8,16 +8,9 @@ round. The game also hides two three-party parity games: party 1's X
 outcome decides which one the other three are playing.
 """
 
-from nonlocalgames import (
-    classical_value,
-    contradiction_subset,
-    four_party_game,
-    fourteen_equalities,
-    nested_subgame_report,
-    noncontextual_maxsat,
-    quantum_strategy,
-    run_trials,
-)
+from nonlocalgames.classical import classical_value, noncontextual_maxsat
+from nonlocalgames.games import contradiction_subset, four_party_game, fourteen_equalities
+from nonlocalgames.trials import nested_subgame_report, quantum_strategy, run_trials
 
 game = four_party_game()
 

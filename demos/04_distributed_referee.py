@@ -8,8 +8,9 @@ referee with the same seed, and the captured transcripts show no player
 ever saw another player's question or answer.
 """
 
-from nonlocalgames import four_party_game, quantum_strategy, run_local_session, run_trials
-from nonlocalgames.netplay import decode_message
+from nonlocalgames.games import four_party_game
+from nonlocalgames.netplay import decode_message, run_local_session
+from nonlocalgames.trials import quantum_strategy, run_trials
 
 game = four_party_game()
 strategy = quantum_strategy(game)

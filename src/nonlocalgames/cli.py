@@ -4,12 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 budget exceeded (the solver's budget, or memory the process cannot get,
 such as for a session too large to hold), 4 protocol error or aborted
 session, from ``serve`` and ``play`` alike; ``serve`` aborts when a
-player's message is not whole within 30 s. All output is deterministic
-given the flags and seed. The solver budget can be overridden with the
-``NONLOCALGAMES_BUDGET`` environment variable (an explicit ``--budget``
-flag wins over it). ``solve`` has no ``--workers`` flag (exit 2, as for
-any unknown flag). ``serve`` opens ``--out`` and binds ``--bind`` before
-it accepts a player, and exits 2 with one line if either fails.
+party has not connected, or a player's message is not whole, within
+30 s. All output is deterministic given the flags and seed. The solver's
+budget is set by ``solve --budget`` alone; no environment variable sets
+it. ``solve`` has no ``--workers`` flag (exit 2, as for any unknown
+flag). ``serve`` opens ``--out`` and binds ``--bind`` before it accepts
+a player, and exits 2 with one line if either fails.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +28,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_PROTOCOL = 4
-
-BUDGET_ENV = "NONLOCALGAMES_BUDGET"
 
 EQUATION_SETS = {
     "fourteen": games.fourteen_equalities,
@@ -57,23 +54,6 @@ def _load_game(name: str) -> games.NonlocalGame:
         raise CliError(EXIT_USAGE, exc.args[0]) from None
 
 
-def _default_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        _check_at_least("--budget", explicit, 0)
-        return explicit
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise CliError(
-                EXIT_USAGE, f"{BUDGET_ENV} must be an integer, got {env!r}"
-            )
-        _check_at_least(BUDGET_ENV, budget, 0)
-        return budget
-    return classical.DEFAULT_BUDGET
-
-
 def _check_at_least(flag: str, value: int, minimum: int) -> None:
     if value < minimum:
         raise CliError(EXIT_USAGE, f"{flag} must be >= {minimum}, got {value}")
@@ -97,9 +77,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     game = _load_game(args.game)
-    budget = _default_budget(args.budget)
+    _check_at_least("--budget", args.budget, 0)
     _check_at_least("--witnesses", args.witnesses, 0)
-    result = classical.classical_value(game, budget=budget, max_witnesses=args.witnesses)
+    result = classical.classical_value(game, budget=args.budget, max_witnesses=args.witnesses)
     print(f"game {game.name}")
     print(f"classical value: {_fraction_text(result.value)}")
     print(f"outer strategies examined: {result.strategies_examined}")
@@ -236,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact classical value of a game")
     p.add_argument("game")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=classical.DEFAULT_BUDGET)
     p.add_argument("--witnesses", type=int, default=1)
     p.set_defaults(fn=_cmd_solve)
 

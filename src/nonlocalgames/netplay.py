@@ -100,14 +100,17 @@ other line is decoded whole. Every question is passed to
 encoded once, as a template like the referee's, and a run's replies are
 those templates joined and formatted at once with its round numbers.
 
-Only the referee has a deadline. It gives each message from a player
-``_PEER_TIMEOUT_S`` seconds in all, counted from its first wait for the
-message's bytes once the one before it has arrived whole, however they
-trickle in, and each write to a player as long. A client whose hello is
-not whole by then is dropped, like one that leaves without a hello. A
-timeout, reset or end of stream once the player has said hello ends the
-session in an incomplete log whose ``abort_reason`` names the party and
-the cause; the others exit 4.
+Only the referee has a deadline. It waits ``_PEER_TIMEOUT_S`` seconds
+for each connection while parties are missing; if none comes, the
+session ends incomplete, its ``abort_reason`` names the parties that
+have not said hello, and the seated players exit 4. It gives each
+message from a player ``_PEER_TIMEOUT_S`` seconds in all, counted from
+its first wait for the message's bytes once the one before it has
+arrived whole, however they trickle in, and each write to a player as
+long. A client whose hello is not whole by then is dropped, like one
+that leaves without a hello. A timeout, reset or end of stream once the
+player has said hello ends the session in an incomplete log whose
+``abort_reason`` names the party and the cause; the others exit 4.
 """
 
 from __future__ import annotations
@@ -130,7 +133,8 @@ PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
 #: rounds whose questions go to each player in one write, at most
 _WINDOW = 512
-#: seconds the referee waits for a player's whole message, or one write
+#: seconds the referee waits for the next connection, a player's whole
+#: message, or one write
 _PEER_TIMEOUT_S = 30.0
 _RECV_BYTES = 1 << 16
 
@@ -148,7 +152,8 @@ class ProtocolError(Exception):
 
 
 class PlayerDisconnected(Exception):
-    def __init__(self, party: int | None, cause: str = "disconnected"):
+    # ``party`` is a string listing them when several parties never joined
+    def __init__(self, party: int | str | None, cause: str = "disconnected"):
         super().__init__(f"party {party} {cause}")
         self.party = party
 
@@ -535,7 +540,9 @@ class RefereeServer:
         Plays the plans and index ``__init__`` made (``trials._plan_session``).
         Hellos and answers are read by ``_Seat.message``. A connection that
         fails or ends before its hello is dropped; a bad hello ends the
-        session. Answers are read two ways. Once a window's questions are
+        session, and so does a wait of ``_PEER_TIMEOUT_S`` seconds for a
+        connection while a party is missing (the log names the missing
+        parties). Answers are read two ways. Once a window's questions are
         sent, each seat's buffered answers are compared in one go with the
         window's planned answer lines, byte for byte as ``encode_message``
         writes them (``_LineReader.match``). If every seat's bytes match,
@@ -581,8 +588,17 @@ class RefereeServer:
         opened: list[socket.socket] = []
         try:
             with self._listener:
+                # each accept waits as long as a message may take, so a party
+                # that never connects cannot hold the seated ones forever
+                self._listener.settimeout(_PEER_TIMEOUT_S)
                 while len(seats) < game.parties:
-                    conn, _addr = self._listener.accept()
+                    try:
+                        conn, _addr = self._listener.accept()
+                    except TimeoutError:
+                        missing = ", ".join(str(p) for p in range(game.parties) if p not in seats)
+                        raise PlayerDisconnected(
+                            missing, f"did not say hello within {_PEER_TIMEOUT_S} s"
+                        ) from None
                     opened.append(conn)
                     seat = _Seat(conn)
                     try:

@@ -56,13 +56,6 @@ MUTANTS = (
         ("tests/test_classical.py::test_classical_value_four_party",),
     ),
     Mutant(
-        "sum-pairs-cut-too-soon",
-        "classical.py",
-        "for j in range(min(len(b), limit // (i + 1)))",
-        "for j in range(min(len(b), limit // (i + 2)))",
-        ("tests/test_classical.py::test_smallest_sums_merge_matches_brute_force",),
-    ),
-    Mutant(
         "indices-wrap-to-int64",
         "classical.py",
         "return sum(1 << b for k, b in enumerate(positions) if local >> k & 1)",
@@ -109,6 +102,13 @@ MUTANTS = (
         ),
     ),
     # games, quantum layer and trials
+    Mutant(
+        "package-reexports-a-numeric-name",
+        "__init__.py",
+        'four_party_game`.\n"""\n',
+        'four_party_game`.\n"""\n\nfrom .quantum import joint_distribution\n',
+        ("tests/test_demos.py::test_games_loads_without_numpy_or_the_rest_of_the_package",),
+    ),
     Mutant(
         "holds-ignores-the-sign",
         "games.py",
@@ -348,6 +348,13 @@ MUTANTS = (
         "self._deadline = time.monotonic() + _PEER_TIMEOUT_S",
         "self._deadline = time.monotonic() + 3600",
         ("tests/test_netplay.py::test_stalled_player_times_out",),
+    ),
+    Mutant(
+        "join-without-a-deadline",
+        "netplay.py",
+        "self._listener.settimeout(_PEER_TIMEOUT_S)",
+        "self._listener.settimeout(None)",
+        ("tests/test_netplay.py::test_a_party_that_never_connects_ends_the_session_in_time",),
     ),
     Mutant(
         "over-long-line-accepted",

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from nonlocalgames import cli, verification
+from nonlocalgames import cli, netplay, verification
 from nonlocalgames.trials import TrialLog
 
 
@@ -66,16 +66,6 @@ def test_solve_budget_exit_3(capsys):
     assert "outer strategies examined: 44" in out
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "100")
-    code, _, err = run_cli(capsys, "solve", "four-party")
-    assert code == 3
-    assert "budget" in err
-    # explicit flag wins over the environment
-    code, out, _ = run_cli(capsys, "solve", "four-party", "--budget", "100000")
-    assert code == 0
-
-
 def test_maxsat_named_sets(capsys):
     code, out, _ = run_cli(capsys, "maxsat", "fourteen")
     assert code == 0
@@ -111,34 +101,29 @@ def test_maxsat_needs_a_set(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,file_text,env",
+    "argv,file_text",
     [
-        (["solve", "mermin-ghz", "--witnesses", "-1"], None, None),
-        (["simulate", "cabello-restricted", "--rounds", "0"], None, None),
-        (["serve", "cabello-restricted", "--rounds", "0", "--bind", "127.0.0.1:0"], None, None),
-        (["maxsat", "--file"], None, None),  # the file does not exist
-        (["maxsat", "--file"], "+1 x1 q3\n", None),
-        (["maxsat", "--file"], "+2 x1\n", None),
-        (["maxsat", "--file"], "-1 x1 y3\n+1 x1 x1\n", None),
-        (["serve", "four-party", "--rounds", "1", "--bind", "127.0.0.1:99999"], None, None),
-        (["play", "four-party", "--party", "0", "--connect", "127.0.0.1:65536"], None, None),
-        (["simulate", "four-party", "--seed", "-1"], None, None),
-        (["serve", "four-party", "--seed", "-2", "--bind", "127.0.0.1:0"], None, None),
-        (["solve", "four-party", "--workers", "2"], None, None),
-        (["solve", "four-party", "--budget", "-1"], None, None),
-        (["solve", "four-party"], None, {cli.BUDGET_ENV: "-1"}),
-        (["solve", "four-party"], None, {cli.BUDGET_ENV: "lots"}),
-        (["maxsat", "--file"], "# no equations\n\n", None),
+        (["solve", "mermin-ghz", "--witnesses", "-1"], None),
+        (["simulate", "cabello-restricted", "--rounds", "0"], None),
+        (["serve", "cabello-restricted", "--rounds", "0", "--bind", "127.0.0.1:0"], None),
+        (["maxsat", "--file"], None),  # the file does not exist
+        (["maxsat", "--file"], "+1 x1 q3\n"),
+        (["maxsat", "--file"], "+2 x1\n"),
+        (["maxsat", "--file"], "-1 x1 y3\n+1 x1 x1\n"),
+        (["serve", "four-party", "--rounds", "1", "--bind", "127.0.0.1:99999"], None),
+        (["play", "four-party", "--party", "0", "--connect", "127.0.0.1:65536"], None),
+        (["simulate", "four-party", "--seed", "-1"], None),
+        (["serve", "four-party", "--seed", "-2", "--bind", "127.0.0.1:0"], None),
+        (["solve", "four-party", "--workers", "2"], None),
+        (["solve", "four-party", "--budget", "-1"], None),
+        (["maxsat", "--file"], "# no equations\n\n"),
     ],
     ids=["negative-witnesses", "simulate-no-rounds", "serve-no-rounds",
          "missing-file", "bad-variable", "bad-sign", "repeated-variable",
          "serve-port-too-large", "play-port-too-large", "simulate-negative-seed",
-         "serve-negative-seed", "workers-flag-is-gone", "negative-budget",
-         "negative-budget-env", "budget-env-not-an-int", "no-constraints"],
+         "serve-negative-seed", "workers-flag-is-gone", "negative-budget", "no-constraints"],
 )
-def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, file_text, env):
-    for name, value in (env or {}).items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_exits_2(tmp_path, capsys, argv, file_text):
     if argv[-1] == "--file":
         path = tmp_path / "eqs.txt"
         if file_text is not None:
@@ -263,6 +248,15 @@ def test_output_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_serve_with_no_player_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", 0.2)
+    code, out, err = run_cli(
+        capsys, "serve", "cabello-restricted", "--rounds", "1", "--bind", "127.0.0.1:0"
+    )
+    assert code == 4 and not out
+    assert err == "session aborted: party 0, 1 did not say hello within 0.2 s\n"
 
 
 def test_serve_and_play_over_loopback(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import ast
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,32 +38,34 @@ def test_import_leaves_the_process_pool_unloaded():
 
 
 def test_games_loads_without_numpy_or_the_rest_of_the_package():
-    # the game formalism is plain Python: quantum imports games, never the reverse
+    # the game formalism is plain Python and the package's __init__ imports
+    # nothing: quantum imports games, never the reverse
     code = (
-        "import importlib.util, sys\n"
-        f"path = {str(ROOT / 'src' / 'nonlocalgames' / 'games.py')!r}\n"
-        "spec = importlib.util.spec_from_file_location('games', path)\n"
-        "games = sys.modules['games'] = importlib.util.module_from_spec(spec)\n"
-        "spec.loader.exec_module(games)\n"
-        "games.game_by_name('four-party')\n"
+        "import sys\n"
+        "import nonlocalgames.games\n"
+        "nonlocalgames.games.game_by_name('four-party')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'nonlocalgames')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=_env(), capture_output=True, text=True, timeout=60, check=True,
     ).stdout
-    assert out.strip() == "[]"
+    assert out.strip() == "['nonlocalgames', 'nonlocalgames.games']"
 
 
-def test_package_namespace_is_what_the_demos_import():
-    imported = set()
+def test_demos_import_each_name_from_the_module_that_defines_it():
     for path in (ROOT / "demos").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module == "nonlocalgames":
-                imported |= {alias.name for alias in node.names}
-    assert sorted(nonlocalgames.__all__) == sorted(imported)
-    for name in imported:
-        assert getattr(nonlocalgames, name, None) is not None, name
+            if not isinstance(node, ast.ImportFrom) or node.module.split(".")[0] != "nonlocalgames":
+                continue
+            assert node.module != "nonlocalgames", f"{path.name}:{node.lineno}"
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert getattr(module, alias.name).__module__ == node.module, alias.name
+    # the package itself defines no public name but its submodules
+    submodules = {info.name for info in pkgutil.iter_modules(nonlocalgames.__path__)}
+    public = {name for name in vars(nonlocalgames) if not name.startswith("_")}
+    assert public <= submodules, sorted(public - submodules)
 
 
 # sha256 of each demo's stdout; every demo is deterministic

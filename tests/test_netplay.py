@@ -934,6 +934,28 @@ def test_stalled_player_times_out(monkeypatch):
     assert statuses == {1: 4}
 
 
+def test_a_party_that_never_connects_ends_the_session_in_time(monkeypatch):
+    deadline = 0.5
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", deadline)
+    game = cabello_restricted()
+    strategy = automaton_model()
+    start = time.monotonic()
+    address, thread, box = _serve_in_thread(game, strategy, 50, 0)
+    # party 0 connects and says hello; party 1 never connects
+    threads, statuses = _players_in_threads(address, game, strategy, [0])
+    thread.join(timeout=10)
+    elapsed = time.monotonic() - start
+    assert not thread.is_alive()
+    for t in threads:
+        t.join(timeout=10)
+    log = box["log"]
+    assert not log.complete
+    assert log.abort_reason == "party 1 did not say hello within 0.5 s"
+    assert log.records == []
+    assert elapsed < 2 * deadline
+    assert statuses == {0: 4}
+
+
 def _trickle(sock, data, server):
     """Send ``data`` one byte every 0.3 s while the ``server`` thread runs."""
     for byte in data:
