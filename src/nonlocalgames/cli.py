@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 budget exceeded (the solver's budget, or memory the process cannot get,
 such as for a session too large to hold), 4 protocol error or aborted
-session, from ``serve`` and ``play`` alike; ``serve`` aborts when a
-party has not connected, or a player's message is not whole, within
-30 s. All output is deterministic given the flags and seed. The solver's
-budget is set by ``solve --budget`` alone; no environment variable sets
-it. ``solve`` has no ``--workers`` flag (exit 2, as for any unknown
-flag). ``serve`` opens ``--out`` and binds ``--bind`` before it accepts
-a player, and exits 2 with one line if either fails.
+session, from ``serve`` and ``play`` alike; ``serve`` aborts when no
+connection comes for 30 s while a party is missing, when the parties
+have not all said hello 30 s after the first one did, or when a
+player's message is not whole within 30 s. All output is deterministic
+given the flags and seed. The solver's budget is set by ``solve
+--budget`` alone; no environment variable sets it. ``solve`` has no
+``--workers`` flag (exit 2, as for any unknown flag). ``serve`` opens
+``--out`` and binds ``--bind`` before it accepts a player, and exits 2
+with one line if either fails.
 """
 
 from __future__ import annotations

@@ -99,9 +99,6 @@ class ParityConstraint:
         head = "*".join(str(v) for v in self.sorted_vars)
         return f"{head} = {self.sign:+d}"
 
-    def __str__(self) -> str:
-        return self.text()
-
 
 def parse_constraint_line(line: str) -> ParityConstraint:
     """Parse one line of an equation-set file: ``<sign> <var> <var> ...``.
@@ -146,9 +143,6 @@ class Question:
     @property
     def answer_arity(self) -> int:
         return len(self.measured)
-
-    def __str__(self) -> str:
-        return self.id
 
 
 def make_question(owned_qubits: Sequence[int], var_text: str) -> Question:

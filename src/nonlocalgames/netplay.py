@@ -100,10 +100,12 @@ other line is decoded whole. Every question is passed to
 encoded once, as a template like the referee's, and a run's replies are
 those templates joined and formatted at once with its round numbers.
 
-Only the referee has a deadline. It waits ``_PEER_TIMEOUT_S`` seconds
-for each connection while parties are missing; if none comes, the
-session ends incomplete, its ``abort_reason`` names the parties that
-have not said hello, and the seated players exit 4. It gives each
+Only the referee has a deadline. Until the first party says hello it
+waits ``_PEER_TIMEOUT_S`` seconds for each connection; from then on the
+whole join must end within ``_PEER_TIMEOUT_S`` seconds of that first
+hello, however many clients connect and never say hello. If the parties
+missing by then have not said hello, the session ends incomplete, its
+``abort_reason`` names them, and the seated players exit 4. It gives each
 message from a player ``_PEER_TIMEOUT_S`` seconds in all, counted from
 its first wait for the message's bytes once the one before it has
 arrived whole, however they trickle in, and each write to a player as
@@ -133,8 +135,8 @@ PROTOCOL_VERSION = 1
 _MAX_LINE = 1 << 20
 #: rounds whose questions go to each player in one write, at most
 _WINDOW = 512
-#: seconds the referee waits for the next connection, a player's whole
-#: message, or one write
+#: seconds the referee waits for the next connection, the rest of the
+#: join after the first hello, a player's whole message, or one write
 _PEER_TIMEOUT_S = 30.0
 _RECV_BYTES = 1 << 16
 
@@ -322,7 +324,9 @@ class PartyStrategy:
     per pair and one per round asked, never cleared, since ``respond`` is a
     function of the party, the question and the slice alone. The memo is
     one table per question asked, keyed by the slice, so a hit builds no
-    key. Each call returns a fresh list, which the caller may edit.
+    key. The observables come as the hashable tuple of (slot, kind) pairs
+    that the player's decoder and question table hold, and each call
+    returns the memo's own tuple of values.
     """
 
     party: int
@@ -340,34 +344,26 @@ class PartyStrategy:
     def set_tape(self, values: tuple[int, ...]) -> None:
         self._tape = values
 
-    def answer(self, round_index: int, observables: Sequence[tuple[int, str]]) -> list[int]:
+    def answer(self, round_index: int, observables: tuple[tuple[int, str], ...]) -> tuple[int, ...]:
         lo = round_index * self.width
         row = self._tape[lo : lo + self.width]
         try:
             values = self._answers[observables][row]
-        except (KeyError, TypeError):
-            # a pair not asked before, or observables given as a list
-            values = self._respond(round_index, tuple(observables), row)
+        except KeyError:
+            # a pair not asked before
+            if observables not in self.questions:
+                raise ProtocolError(
+                    f"asked a foreign question {list(observables)}", self.party
+                ) from None
+            if round_index < 0 or len(row) != self.width:
+                raise ProtocolError(f"no tape for round {round_index}", self.party) from None
+            question = self.questions[observables]
+            values = self._answers.setdefault(observables, {})[row] = tuple(
+                self.strategy.respond(self.party, question, row)
+            )
         if round_index < 0:
             # a width-0 tape, or a negative start, slices to a known slice
             raise ProtocolError(f"no tape for round {round_index}", self.party)
-        return list(values)
-
-    def _respond(
-        self, round_index: int, key: tuple[tuple[int, str], ...], row: tuple[int, ...]
-    ) -> tuple[int, ...]:
-        """The memo's values for (``key``, ``row``), from ``respond`` if it has none."""
-        by_row = self._answers.get(key)
-        if by_row is None:
-            if key not in self.questions:
-                raise ProtocolError(f"asked a foreign question {list(key)}", self.party)
-            by_row = self._answers[key] = {}
-        values = by_row.get(row)
-        if values is None:
-            if round_index < 0 or len(row) != self.width:
-                raise ProtocolError(f"no tape for round {round_index}", self.party)
-            question = self.questions[key]
-            values = by_row[row] = tuple(self.strategy.respond(self.party, question, row))
         return values
 
 
@@ -540,17 +536,18 @@ class RefereeServer:
         Plays the plans and index ``__init__`` made (``trials._plan_session``).
         Hellos and answers are read by ``_Seat.message``. A connection that
         fails or ends before its hello is dropped; a bad hello ends the
-        session, and so does a wait of ``_PEER_TIMEOUT_S`` seconds for a
-        connection while a party is missing (the log names the missing
-        parties). Answers are read two ways. Once a window's questions are
-        sent, each seat's buffered answers are compared in one go with the
-        window's planned answer lines, byte for byte as ``encode_message``
-        writes them (``_LineReader.match``). If every seat's bytes match,
-        they are consumed and the window is played as planned. Otherwise the
-        window is read again round by round, party by party, each line
-        decoded whole and checked (``_Seat.read_answer``), and a transport
-        failure a seat met while matching is raised where its round comes.
-        Only a round whose answers are not its plan's is scored, its row
+        session. So does a wait of ``_PEER_TIMEOUT_S`` seconds for a
+        connection while a party is missing, and a join not done
+        ``_PEER_TIMEOUT_S`` seconds after the first hello (the log names the
+        missing parties). Answers are read two ways. Once a window's
+        questions are sent, each seat's buffered answers are compared in one
+        go with the window's planned answer lines, byte for byte as
+        ``encode_message`` writes them (``_LineReader.match``). If every
+        seat's bytes match, they are consumed and the window is played as
+        planned. Otherwise the window is read again round by round, party by
+        party, each line decoded whole and checked (``_Seat.read_answer``),
+        and a transport failure a seat met while matching is raised where
+        its round comes. Only a round whose answers are not its plan's is scored, its row
         looked up by value.
         The window is ``_WINDOW`` rounds, or fewer if one window of the
         session's longest answer line does not fit the receive buffer
@@ -588,11 +585,18 @@ class RefereeServer:
         opened: list[socket.socket] = []
         try:
             with self._listener:
-                # each accept waits as long as a message may take, so a party
-                # that never connects cannot hold the seated ones forever
-                self._listener.settimeout(_PEER_TIMEOUT_S)
+                # each accept waits as long as a message may take, and once a
+                # party has said hello only until that long after the first
+                # hello, so neither a party that never connects nor clients
+                # that never say hello can hold the seated ones forever
+                join_ends = float("inf")
                 while len(seats) < game.parties:
+                    wait = min(_PEER_TIMEOUT_S, join_ends - time.monotonic())
                     try:
+                        if wait <= 0:
+                            # a timeout of 0 would make accept non-blocking
+                            raise TimeoutError
+                        self._listener.settimeout(wait)
                         conn, _addr = self._listener.accept()
                     except TimeoutError:
                         missing = ", ".join(str(p) for p in range(game.parties) if p not in seats)
@@ -623,6 +627,7 @@ class RefereeServer:
                     seat.outbox = None if self.transcript is None else self.transcript.setdefault(party, [])
                     seats[party] = seat
                     window = min(window, fits)
+                    join_ends = min(join_ends, time.monotonic() + _PEER_TIMEOUT_S)
             order = [seats[party] for party in range(game.parties)]
 
             for seat in order:
@@ -786,8 +791,9 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
     one line, so the lines examined stay linear in the lines read,
     whatever the referee sends. The run
     is answered at once: ``party_strategy.answer`` once per round, in
-    round order, and one reply: the answers' line templates
-    (``_AnswerLines``) joined and formatted at once with the run's round
+    round order, with the observables tuples the question table holds,
+    and one reply: the line templates (``_AnswerLines``) of the value
+    tuples it returns, joined and formatted at once with the run's round
     numbers.
     Every other line (a dealt line, the end, a question whose text is new
     or not canonical) is decoded whole and answered as a run of one; a
@@ -885,7 +891,7 @@ def run_player(address: tuple[str, int], party_strategy: PartyStrategy) -> int:
                         run = [observables]
                     round_index = first + len(run) - 1
                     rounds = range(first, round_index + 1)
-                    values = map(tuple, map(party_strategy.answer, rounds, run))
+                    values = map(party_strategy.answer, rounds, run)
                     replies.append(b"".join(map(answered.__getitem__, values)) % tuple(rounds))
                 # every buffered line is handled, so the next read is the one
                 # that waits: the batch's answers go out before it, in one write

@@ -352,9 +352,17 @@ MUTANTS = (
     Mutant(
         "join-without-a-deadline",
         "netplay.py",
-        "self._listener.settimeout(_PEER_TIMEOUT_S)",
+        "self._listener.settimeout(wait)",
         "self._listener.settimeout(None)",
         ("tests/test_netplay.py::test_a_party_that_never_connects_ends_the_session_in_time",),
+    ),
+    Mutant(
+        # each accept is bounded, the join as a whole is not
+        "join-bound-only-per-accept",
+        "netplay.py",
+        "join_ends = min(join_ends, time.monotonic() + _PEER_TIMEOUT_S)",
+        "pass",
+        ("tests/test_netplay.py::test_silent_clients_after_a_hello_cannot_hold_the_join_open",),
     ),
     Mutant(
         "over-long-line-accepted",
@@ -662,8 +670,8 @@ MUTANTS = (
         # a first slice of a question answers it at every other slice
         "answer-memo-ignores-the-tape",
         "netplay.py",
-        "values = by_row.get(row)",
-        "values = next(iter(by_row.values()), None)",
+        "values = self._answers[observables][row]",
+        "values = next(iter(self._answers[observables].values()))",
         ("tests/test_netplay.py::test_one_question_is_answered_by_each_rounds_tape_slice",),
     ),
     Mutant(
@@ -672,14 +680,6 @@ MUTANTS = (
         "        if round_index < 0:\n",
         "        if False:\n",
         ("tests/test_netplay.py::test_a_memo_hit_still_needs_a_round",),
-    ),
-    Mutant(
-        # the memo hands out the values it keeps
-        "answer-memo-shares-its-values",
-        "netplay.py",
-        "        return list(values)\n",
-        "        return values\n",
-        ("tests/test_netplay.py::test_the_answer_list_is_the_callers",),
     ),
     Mutant(
         "out-of-memory-is-a-traceback",

@@ -1,4 +1,4 @@
-"""Reach gate: every ``raise`` in the package is reached by a test, or is
+"""Reach gate: every statement in the package is reached by a test, or is
 listed below with the reason it is not.
 
 Run from anywhere, with the test requirements installed::
@@ -16,17 +16,23 @@ nonlocalgames.cli`` and the demos, are traced too: the gate writes a
 children's ``PYTHONPATH``. In each child it loads this file, installs the
 same tracer, and at exit writes the lines reached to that directory,
 where the gate merges them with its own. Players that
-``run_local_session`` forks end through ``os._exit``, which runs no exit
-handler, so their lines are not recorded: a raise reached only there
-counts as unreached. A ``raise`` statement is reached when any of its
-lines ran.
+``run_local_session`` and ``test_serve_and_play_over_loopback`` fork end
+through ``os._exit``, which runs no exit handler, so their lines are not
+recorded: a statement reached only there counts as unreached.
 
-Exit status 0 means the suite passed, every raise it did not reach is in
-``UNREACHED``, and every entry names a raise the suite did not reach.
-Anything else fails the gate: failing tests, an unreached raise not
-listed, or a listed raise that the suite now reaches or that no longer
-exists (remove its entry). This file is not collected by the tier-1
-suite (it does not match ``test_*.py``).
+Every statement counts except ``def``, ``class``, imports and docstrings
+(a string standing alone as a statement). A statement is reached when
+any of its lines ran; for a compound statement such as ``if`` or
+``try`` that includes the lines of the statements inside it. The gate
+prints how many statements were reached, and how many of them are
+``raise`` statements.
+
+Exit status 0 means the suite passed, every statement it did not reach
+is in ``UNREACHED``, and every entry names a statement the suite did not
+reach. Anything else fails the gate: failing tests, an unreached
+statement not listed, or a listed statement that the suite now reaches
+or that no longer exists (remove its entry). This file is not collected
+by the tier-1 suite (it does not match ``test_*.py``).
 """
 
 from __future__ import annotations
@@ -43,9 +49,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nonlocalgames"
 
-#: (file in src/nonlocalgames, the raise's first line, stripped) -> why no
-#: tier-1 test reaches it, in the pytest process or a subprocess it starts
-UNREACHED: dict[tuple[str, str], str] = {}
+#: (file in src/nonlocalgames, the statement's first line, stripped) -> why
+#: no tier-1 test reaches it, in the pytest process or a subprocess it starts
+UNREACHED: dict[tuple[str, str], str] = {
+    ("cli.py", "return netplay.run_player(address, player)"): (
+        "`_cmd_play`'s call runs only in player processes that "
+        "`test_serve_and_play_over_loopback` forks, which end through os._exit"
+    ),
+    ("netplay.py", "sys.exit(run_player(address, party_strategy))"): (
+        "`_player_entry` runs only in player processes that `run_local_session` "
+        "forks, which end through os._exit"
+    ),
+    ("trials.py", "return TrialRecord(round_index, *context.row(answers))"): (
+        "`_record_for` is called only by perfbench's traced split "
+        "(ROADMAP item 11 deletes it)"
+    ),
+}
+
+#: statements that are not counted: definitions, imports and docstrings
+_UNCOUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
 #: a child's ``sitecustomize.py``: trace through this file's ``_trace_child``
 _CHILD_HOOK = """\
@@ -58,17 +80,24 @@ gate._trace_child({out!r})
 """
 
 
-def _raises() -> dict[tuple[str, str], list[tuple[Path, int, int]]]:
-    """Each raise statement of the package, keyed as ``UNREACHED`` is:
-    (file, first line) -> [(path, first line number, last line number)]."""
-    found: dict[tuple[str, str], list[tuple[Path, int, int]]] = {}
+def _statements() -> dict[tuple[str, str], list[tuple[Path, int, int, bool]]]:
+    """Each counted statement of the package, keyed as ``UNREACHED`` is:
+    (file, first line) -> [(path, first line number, last line number,
+    whether it is a raise)]."""
+    found: dict[tuple[str, str], list[tuple[Path, int, int, bool]]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Raise):
-                key = (path.name, lines[node.lineno - 1].strip())
-                found.setdefault(key, []).append((path, node.lineno, node.end_lineno))
+            if not isinstance(node, ast.stmt) or isinstance(node, _UNCOUNTED):
+                continue
+            # a docstring is a string standing alone, which runs no code
+            docstring = isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            if docstring and isinstance(node.value.value, str):
+                continue
+            key = (path.name, lines[node.lineno - 1].strip())
+            site = (path, node.lineno, node.end_lineno, isinstance(node, ast.Raise))
+            found.setdefault(key, []).append(site)
     return found
 
 
@@ -156,26 +185,32 @@ def main() -> int:
     problems = []
     if status != 0:
         problems.append(f"the tier-1 suite did not pass under the tracer (pytest exit {status})")
-    unreached = 0
-    raises = _raises()
-    for key, sites in raises.items():
+    statements = _statements()
+    missed_raises = missed_all = 0
+    for key, sites in statements.items():
         missed = [
-            (path, first)
-            for path, first, last in sites
+            (path, first, is_raise)
+            for path, first, last, is_raise in sites
             if not any((path.name, line) in reached for line in range(first, last + 1))
         ]
-        unreached += len(missed)
+        missed_all += len(missed)
+        missed_raises += sum(is_raise for _, _, is_raise in missed)
         if missed and key not in UNREACHED:
             problems.extend(
                 f"{path.relative_to(ROOT)}:{first}: unreached and not listed: {key[1]}"
-                for path, first in missed
+                for path, first, _ in missed
             )
         elif not missed and key in UNREACHED:
             problems.append(f"{key[0]}: listed but reached by the suite: {key[1]}")
-    for key in UNREACHED.keys() - raises.keys():
-        problems.append(f"{key[0]}: listed but no such raise: {key[1]}")
-    total = sum(map(len, raises.values()))
-    print(f"{total - unreached} of {total} raises reached in {time.monotonic() - begin:.1f}s")
+    for key in UNREACHED.keys() - statements.keys():
+        problems.append(f"{key[0]}: listed but no such statement: {key[1]}")
+    total = sum(map(len, statements.values()))
+    raises = sum(site[3] for sites in statements.values() for site in sites)
+    print(
+        f"{total - missed_all} of {total} statements reached, "
+        f"{raises - missed_raises} of {raises} raises among them, "
+        f"in {time.monotonic() - begin:.1f}s"
+    )
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0

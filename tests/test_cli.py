@@ -5,6 +5,7 @@ import resource
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -281,10 +282,39 @@ def test_serve_and_play_over_loopback(tmp_path, capsys):
     )
     for p in players:
         p.join(timeout=20)
+    assert [p.exitcode for p in players] == [0, 0]
     assert code == 0
     assert "win rate: 1.000000" in out
     log = TrialLog.from_jsonl(out_path.read_text())
     assert len(log.records) == 60 and log.complete
+
+
+def test_serve_with_a_bad_hello_exits_4(capsys):
+    port = _free_port()
+
+    def hello_as_party_9():
+        # the serving side needs a moment to bind; retry while refused
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline:
+            try:
+                conn = socket.create_connection(("127.0.0.1", port))
+            except ConnectionRefusedError:
+                time.sleep(0.05)
+                continue
+            with conn:
+                conn.sendall(netplay.encode_message(
+                    {"type": "hello", "party": 9, "protocol_version": 1}
+                ))
+            return
+
+    client = threading.Thread(target=hello_as_party_9, daemon=True)
+    client.start()
+    code, out, err = run_cli(
+        capsys, "serve", "cabello-restricted", "--rounds", "1", "--bind", f"127.0.0.1:{port}"
+    )
+    client.join(timeout=10)
+    assert code == 4 and not out
+    assert err == "protocol error: bad party index 9\n"
 
 
 def _free_port() -> int:

@@ -247,8 +247,8 @@ def test_players_cross_a_process_boundary_by_value(name, strategy_name):
         copy.set_tape(tape)
         for r, plan in enumerate(plans):
             question = plan.context.questions[party]
-            observables = [(o.qubit, o.kind) for o in question.measured]
-            expected = list(plan.answers[party])
+            observables = tuple((o.qubit, o.kind) for o in question.measured)
+            expected = plan.answers[party]
             assert player.answer(r, observables) == expected
             assert copy.answer(r, observables) == expected
 
@@ -262,7 +262,7 @@ def test_a_lambda_mu_model_compares_equal_to_a_rebuilt_or_pickled_one():
 
 def test_a_player_without_a_strategy_has_no_questions():
     with pytest.raises(ProtocolError, match="party 0: asked a foreign question"):
-        PartyStrategy(party=0).answer(0, [(1, "x"), (2, "x")])
+        PartyStrategy(party=0).answer(0, ((1, "x"), (2, "x")))
 
 
 def _lambda_mu_player(party, tape):
@@ -279,7 +279,7 @@ def test_one_question_is_answered_by_each_rounds_tape_slice():
     observables, question = next(iter(player.questions.items()))
     for r in (0, 1, 0, 1):
         row = player._tape[3 * r : 3 * r + 3]
-        assert player.answer(r, observables) == list(player.strategy.respond(0, question, row))
+        assert player.answer(r, observables) == tuple(player.strategy.respond(0, question, row))
     assert player.answer(0, observables) != player.answer(1, observables)
 
 
@@ -292,15 +292,6 @@ def test_a_memo_hit_still_needs_a_round():
     player.answer(0, observables)
     with pytest.raises(ProtocolError, match=r"^party 0: no tape for round -1$"):
         player.answer(-1, observables)
-
-
-def test_the_answer_list_is_the_callers():
-    player = _lambda_mu_player(1, (1, -1, -1))
-    observables = next(iter(player.questions))
-    values = player.answer(0, observables)
-    expected = list(values)
-    values[0] = -values[0]
-    assert player.answer(0, observables) == expected
 
 
 def test_a_round_past_the_tape_is_refused():
@@ -439,7 +430,7 @@ def _lock_step_player(address, player, encode, delay=0.0):
             if message["type"] == "dealt":
                 player.set_tape(decode_tape(message["tape"]))
             elif message["type"] == "question":
-                observables = [(o["slot"], o["kind"]) for o in message["observables"]]
+                observables = tuple((o["slot"], o["kind"]) for o in message["observables"])
                 values = player.answer(message["round"], observables)
                 time.sleep(delay)
                 f.write(encode({"type": "answer", "round": message["round"], "values": values}))
@@ -529,7 +520,7 @@ def _piecewise_player(address, player, sizes):
                 tape.extend(decode_tape(message["tape"]))
                 player.set_tape(tuple(tape))
             elif message["type"] == "question":
-                observables = [(o["slot"], o["kind"]) for o in message["observables"]]
+                observables = tuple((o["slot"], o["kind"]) for o in message["observables"])
                 values = player.answer(message["round"], observables)
                 data = encode_message({"type": "answer", "round": message["round"], "values": values})
                 while data:
@@ -956,6 +947,42 @@ def test_a_party_that_never_connects_ends_the_session_in_time(monkeypatch):
     assert statuses == {0: 4}
 
 
+def test_silent_clients_after_a_hello_cannot_hold_the_join_open(monkeypatch):
+    # each silent client comes inside the deadline of an accept and is given
+    # a whole deadline for its hello, so only a bound on the whole join,
+    # counted from party 0's hello, ends the session
+    deadline = 0.3
+    monkeypatch.setattr(netplay, "_PEER_TIMEOUT_S", deadline)
+    game = cabello_restricted()
+    strategy = automaton_model()
+    start = time.monotonic()
+    address, thread, box = _serve_in_thread(game, strategy, 50, 0)
+    threads, statuses = _players_in_threads(address, game, strategy, [0])
+    silent = []
+    try:
+        # at most 16 clients, so that a join without the bound ends too
+        while thread.is_alive() and len(silent) < 16:
+            try:
+                silent.append(socket.create_connection(address))
+            except ConnectionRefusedError:
+                break  # the join is over and the listener closed
+            thread.join(timeout=0.25)
+        elapsed = time.monotonic() - start
+    finally:
+        for s in silent:
+            s.close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    for t in threads:
+        t.join(timeout=10)
+    log = box["log"]
+    assert not log.complete
+    assert log.abort_reason == "party 1 did not say hello within 0.3 s"
+    assert log.records == []
+    assert elapsed < 3 * deadline
+    assert statuses == {0: 4}
+
+
 def _trickle(sock, data, server):
     """Send ``data`` one byte every 0.3 s while the ``server`` thread runs."""
     for byte in data:
@@ -1076,7 +1103,7 @@ def _hostile_player(address, player, behaviour, at, pause=0.0):
             if message["type"] != "question":
                 return
             r = message["round"]
-            values = player.answer(r, [(o["slot"], o["kind"]) for o in message["observables"]])
+            values = player.answer(r, tuple((o["slot"], o["kind"]) for o in message["observables"]))
             if r < at:
                 sock.sendall(encode_message({"type": "answer", "round": r, "values": values}))
                 continue
@@ -1089,7 +1116,7 @@ def _hostile_player(address, player, behaviour, at, pause=0.0):
                 "stall": b"",
                 "not-json": b"not json\n",
                 "wrong-round": encode_message({"type": "answer", "round": r - 1, "values": values}),
-                "wrong-arity": encode_message({"type": "answer", "round": r, "values": values + [1]}),
+                "wrong-arity": encode_message({"type": "answer", "round": r, "values": [*values, 1]}),
                 "too-long": b'{"type":"answer",' + b" " * netplay._MAX_LINE + b"}\n",
                 # past the 4,300 digits int() takes, which json.dumps cannot write
                 "huge-int": b'{"type":"answer","round":' + b"9" * 5000 + b',"values":[1]}\n',
@@ -1182,10 +1209,10 @@ class Contrary(PartyStrategy):
     def set_tape(self, values: tuple[int, ...]) -> None:
         self.inner.set_tape(values)
 
-    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
+    def answer(self, round_index: int, observables: tuple[tuple[int, str], ...]) -> tuple[int, ...]:
         values = self.inner.answer(round_index, observables)
         if round_index % 2 if self.only is None else round_index == self.only:
-            values[0] = -values[0]
+            values = (-values[0], *values[1:])
         return values
 
 
@@ -1199,7 +1226,7 @@ class Leaving(PartyStrategy):
     def set_tape(self, values: tuple[int, ...]) -> None:
         self.inner.set_tape(values)
 
-    def answer(self, round_index: int, observables: list[tuple[int, str]]) -> list[int]:
+    def answer(self, round_index: int, observables: tuple[tuple[int, str], ...]) -> tuple[int, ...]:
         if round_index == self.at:
             os._exit(5)
         return self.inner.answer(round_index, observables)
@@ -1619,7 +1646,7 @@ def test_player_replies_are_the_decoded_answers_in_canonical_bytes(name, strateg
         for observables in player.questions:
             for line, r in _question_forms(observables, 0) + _question_forms(observables, 1):
                 assert decode_message(line)["round"] == r
-                values = oracle.answer(r, list(observables))
+                values = oracle.answer(r, observables)
                 lines.append(line)
                 expected.append(encode_message({"type": "answer", "round": r, "values": values}))
         status, read = _play_lines(lines, player, answers=len(expected))
@@ -1707,6 +1734,28 @@ def test_a_referee_that_leaves_mid_session_ends_the_player_with_4(capsys):
     assert "player 0: referee closed the connection mid-session" in capsys.readouterr().err
 
 
+def test_a_referee_that_resets_the_connection_ends_the_player_with_4(capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def reset_after_the_hello():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as f:
+            f.readline()
+            # SO_LINGER 0: the close sends a reset, not an end of stream
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+    thread = threading.Thread(target=reset_after_the_hello, daemon=True)
+    thread.start()
+    player = build_party_strategy(cabello_restricted(), automaton_model(), 0)
+    try:
+        status = run_player(listener.getsockname()[:2], player)
+        thread.join(timeout=10)
+    finally:
+        listener.close()
+    assert status == 4
+    assert capsys.readouterr().err.startswith("player 0: transport error:")
+
+
 def test_a_hello_with_a_huge_party_is_a_protocol_error():
     game = cabello_restricted()
     address, thread, box = _serve_in_thread(game, automaton_model(), 5, 0)
@@ -1768,7 +1817,7 @@ def test_canonical_questions_out_of_order_are_answered_for_their_rounds():
     oracle = build_party_strategy(game, lambda_mu_model(), 0)
     tape = tuple((-1) ** (i * 5 % 3) for i in range(player.width * 8))
     oracle.set_tape(tape)
-    observables = [(1, "x"), (2, "x")]
+    observables = ((1, "x"), (2, "x"))
     listed = [{"slot": slot, "kind": kind} for slot, kind in observables]
     rounds = [0, 2, 1, 3, 5, 4, 7, 6]
     lines = netplay._deal_lines(tape) + [

@@ -83,6 +83,27 @@ def test_reproducibility():
     assert a != c
 
 
+def test_a_log_equals_no_other_type():
+    log = run_trials(cabello_restricted(), lambda_mu_model(), rounds=3, seed=11)
+    assert log.__eq__(log.records) is NotImplemented
+    assert log != log.records
+
+
+def test_a_log_s_records_equal_no_sequence_but_a_list():
+    records = run_trials(cabello_restricted(), lambda_mu_model(), rounds=3, seed=11).records
+    assert records.__eq__(tuple(records)) is NotImplemented
+    assert records != tuple(records)
+    assert records == list(records)
+
+
+def test_a_log_s_repr_shows_its_header_and_records():
+    log = run_trials(cabello_restricted(), lambda_mu_model(), rounds=2, seed=11)
+    assert repr(log) == (
+        f"TrialLog(game='cabello-restricted', strategy={log.strategy!r}, seed=11, "
+        f"records={list(log.records)!r}, complete=True, abort_reason=None)"
+    )
+
+
 def test_ghz_quantum_on_mermin_always_wins():
     game = mermin_ghz()
     log = run_trials(game, quantum_strategy(game), rounds=3_000, seed=4)
